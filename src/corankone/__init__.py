@@ -56,12 +56,8 @@ from .calculus import (  # noqa: F401
 from .poisson import (  # noqa: F401
     CorankReport,
     PoissonStructure,
-    adapted_forms,
-    corank_evidence,
-    hamiltonian_vf,
     invert_bivector,
     invert_twoform,
-    jacobi_check,
     linear_solve,
 )
 from .invariants import (  # noqa: F401

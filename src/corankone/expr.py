@@ -144,7 +144,7 @@ def _p_derive(poly, i):
 # multivariate gcd (primitive pseudo-remainder sequence) -----------------------
 
 
-def _p_const(poly, w):
+def _p_const(poly):
     return all(not any(e) for e in poly)
 
 
@@ -174,7 +174,7 @@ def _p_primitive(poly, var, w):
     content = {}
     for b in buckets.values():
         content = _p_gcd(content, b, w)
-        if _p_const(content, w):
+        if _p_const(content):
             break
     if not content:
         return {}, {}
@@ -566,7 +566,7 @@ def _normalize(gens, num, den):
             den = {(0,) * w: _F1}
             break
         g = _p_gcd(num, den, w)
-        if _p_const(g, w):
+        if _p_const(g):
             break
         num = _p_divexact(num, g)
         den = _p_divexact(den, g)

@@ -20,7 +20,7 @@ probabilistic evidence without saying so.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -34,7 +34,6 @@ from .calculus import (
     is_zero_graded,
     leafwise_equal,
     lie_derivative,
-    power,
     scalar_form,
     schouten,
     wedge,
@@ -380,6 +379,10 @@ def first_obstruction(
     supplied or automatic leafwise-period disproof; otherwise UNKNOWN.
     """
     beta = compute_beta(alpha, v, tester)
+    return _first_obstruction(alpha, beta, v, tester, certificate, witness)
+
+
+def _first_obstruction(alpha, beta, v, tester, certificate, witness):
     pairing = interior(v, beta).scalar()
     beta0 = beta - pairing * alpha
     trivially = is_zero_graded(wedge(beta, alpha), tester)
@@ -463,6 +466,10 @@ def second_obstruction(
 ) -> ObstructionResult:
     """Decide whether the second obstruction class vanishes."""
     mu = compute_mu(omega, alpha, v, tester)
+    return _second_obstruction(omega, alpha, mu, v, tester, certificate)
+
+
+def _second_obstruction(omega, alpha, mu, v, tester, certificate):
     mu0 = mu - wedge(alpha, interior(v, mu))
     trivially = is_zero_graded(ext_deriv(omega), tester)
     if trivially.holds:
@@ -552,9 +559,7 @@ def modular_field(
 def check_weinstein_identity(P: PoissonStructure) -> Verdict:
     """Leafwise identity iota_{v_mod} omega = beta for the adapted volume."""
     alpha, omega = P.adapted()
-    beta = compute_beta(alpha, P.transversal, P.tester)
-    vmod = modular_field(P)
-    return leafwise_equal(interior(vmod, omega), beta, alpha, P.tester)
+    return leafwise_equal(interior(P.modular(), omega), P.beta(), alpha, P.tester)
 
 
 def unimodularity_check(
@@ -564,19 +569,10 @@ def unimodularity_check(
 ) -> ObstructionResult:
     """Unimodularity as the vanishing of the first obstruction class."""
     alpha, _ = P.adapted()
-    result = first_obstruction(
-        alpha, P.transversal, P.tester, certificate=certificate, witness=witness
+    result = _first_obstruction(
+        alpha, P.beta(), P.transversal, P.tester, certificate, witness
     )
-    return ObstructionResult(
-        kind="unimodularity",
-        verdict=result.verdict,
-        representative=result.representative,
-        transverse_representative=result.transverse_representative,
-        certificate=result.certificate,
-        certificate_verdict=result.certificate_verdict,
-        period=result.period,
-        detail=result.detail,
-    )
+    return replace(result, kind="unimodularity")
 
 
 def rescaled_modular_verdict(
@@ -631,8 +627,7 @@ def check_transverse_poisson(P: PoissonStructure) -> TransversePoissonReport:
     domega = ext_deriv(omega)
     da_verdict = is_zero_graded(dalpha, tester)
     do_verdict = is_zero_graded(domega, tester)
-    volume = wedge(alpha, power(omega, P.corank_n))
-    contraction = is_zero_graded(interior(lv_pi, volume), tester)
+    contraction = is_zero_graded(interior(lv_pi, P.volume()), tester)
 
     pair_witness = None
     for name in chart.coords:
@@ -694,19 +689,19 @@ def build_obstruction_report(
 ) -> ObstructionReport:
     alpha, omega = P.adapted()
     tester = P.tester
-    beta = compute_beta(alpha, P.transversal, tester)
+    beta = P.beta()
     dbeta_ideal = is_zero_graded(wedge(ext_deriv(beta), alpha), tester)
-    first = first_obstruction(
-        alpha, P.transversal, tester, certificate=certificate, witness=witness
+    first = _first_obstruction(
+        alpha, beta, P.transversal, tester, certificate, witness
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ToolkitWarning)
-        mu = compute_mu(omega, alpha, P.transversal, tester)
-        second = second_obstruction(
-            omega, alpha, P.transversal, tester, certificate=second_certificate
-        )
+        mu = P.mu(omega)
+    second = _second_obstruction(
+        omega, alpha, mu, P.transversal, tester, second_certificate
+    )
     gv = godbillon_vey(beta)
-    vmod = modular_field(P)
+    vmod = P.modular()
     weinstein = check_weinstein_identity(P)
     return ObstructionReport(
         alpha=alpha,

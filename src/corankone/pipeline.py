@@ -19,14 +19,12 @@ from .calculus import ext_deriv, is_zero_graded, volume_form, wedge
 from .errors import ToolkitError, ToolkitWarning
 from .expr import Verdict
 from .invariants import (
+    _second_obstruction,
     check_transverse_poisson,
     check_weinstein_identity,
-    compute_beta,
-    compute_mu,
-    first_obstruction,
     godbillon_vey,
     modular_field,
-    second_obstruction,
+    unimodularity_check,
 )
 from .problemfile import ANALYSES, ProblemFile
 
@@ -44,68 +42,38 @@ def _verdict_payload(v: Verdict) -> dict:
 
 
 class _Runner:
-    """Lazy artifact store; prerequisites are computed once and shared."""
+    """Runs analyses on one structure; the structure keeps the artifacts."""
 
     def __init__(self, problem: ProblemFile, seed=None, trials=None, tolerance=None):
         self.problem = problem
         self.P = problem.structure(seed=seed, trials=trials, tolerance=tolerance)
         self._adapted_error: Optional[str] = None
-        self._cache = {}
 
     def adapted(self):
-        if "adapted" in self._cache:
-            return self._cache["adapted"]
+        """The adapted pair, or None with the reason kept for the report."""
+        if self._adapted_error is not None:
+            return None
         if not self.P.jacobi_verdict().holds:
             self._adapted_error = "Jacobi identity fails"
-            self._cache["adapted"] = None
-            return None
-        if self.P.transversal is None:
+        elif self.P.transversal is None:
             self._adapted_error = "no transversal field declared"
-            self._cache["adapted"] = None
-            return None
-        try:
-            pair = self.P.adapted()
-        except ToolkitError as exc:
-            self._adapted_error = str(exc)
-            pair = None
-        self._cache["adapted"] = pair
-        return pair
-
-    def beta(self):
-        if "beta" not in self._cache:
-            pair = self.adapted()
-            if pair is None:
-                self._cache["beta"] = None
-            else:
-                self._cache["beta"] = compute_beta(
-                    pair[0], self.P.transversal, self.P.tester
-                )
-        return self._cache["beta"]
+        else:
+            try:
+                return self.P.adapted()
+            except ToolkitError as exc:
+                self._adapted_error = str(exc)
+        return None
 
     def defining_two_form(self):
         """The adapted omega, or the declared non-adapted one when given."""
-        pair = self.adapted()
-        if pair is None:
-            return None
         if self.problem.omega_alt is not None:
             return self.problem.omega_alt
-        return pair[1]
+        return self.P.omega
 
     def mu(self):
-        if "mu" not in self._cache:
-            pair = self.adapted()
-            if pair is None:
-                self._cache["mu"] = None
-            else:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", ToolkitWarning)
-                    self._cache["mu"] = compute_mu(
-                        self.defining_two_form(),
-                        pair[0],
-                        self.P.transversal,
-                        self.P.tester,
-                    )
-        return self._cache["mu"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ToolkitWarning)
+            return self.P.mu(self.defining_two_form())
 
     # -- analysis entries -------------------------------------------------------
 
@@ -157,10 +125,11 @@ class _Runner:
         }
 
     def run_beta(self):
-        beta = self.beta()
-        if beta is None:
+        pair = self.adapted()
+        if pair is None:
             return self._skip(self._adapted_error)
-        alpha, _ = self.adapted()
+        alpha, _ = pair
+        beta = self.P.beta()
         ideal = is_zero_graded(wedge(ext_deriv(beta), alpha), self.P.tester)
         return {
             "status": "ok",
@@ -173,10 +142,8 @@ class _Runner:
         pair = self.adapted()
         if pair is None:
             return self._skip(self._adapted_error)
-        res = first_obstruction(
-            pair[0],
-            self.P.transversal,
-            self.P.tester,
+        res = unimodularity_check(
+            self.P,
             certificate=self.problem.first_certificate,
             witness=self.problem.period_witness,
         )
@@ -189,10 +156,9 @@ class _Runner:
         return out
 
     def run_godbillon_vey(self):
-        beta = self.beta()
-        if beta is None:
+        if self.adapted() is None:
             return self._skip(self._adapted_error)
-        gv = godbillon_vey(beta)
+        gv = godbillon_vey(self.P.beta())
         v = is_zero_graded(gv, self.P.tester)
         return {
             "status": "ok",
@@ -202,24 +168,22 @@ class _Runner:
         }
 
     def run_mu(self):
-        mu = self.mu()
-        if mu is None:
+        if self.adapted() is None:
             return self._skip(self._adapted_error)
-        return {"status": "ok", "verdict": "true", "artifacts": {"mu": str(mu)}}
+        return {"status": "ok", "verdict": "true", "artifacts": {"mu": str(self.mu())}}
 
     def run_sigma(self):
         pair = self.adapted()
         if pair is None:
             return self._skip(self._adapted_error)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ToolkitWarning)
-            res = second_obstruction(
-                self.defining_two_form(),
-                pair[0],
-                self.P.transversal,
-                self.P.tester,
-                certificate=self.problem.second_certificate,
-            )
+        res = _second_obstruction(
+            self.defining_two_form(),
+            pair[0],
+            self.mu(),
+            self.P.transversal,
+            self.P.tester,
+            self.problem.second_certificate,
+        )
         out = {"status": "ok", **_verdict_payload(res.verdict)}
         out["artifacts"] = {"mu": str(res.representative)}
         if res.certificate is not None and res.verdict.holds:
@@ -228,18 +192,16 @@ class _Runner:
         return out
 
     def run_modular(self):
-        pair = self.adapted()
-        if pair is not None:
-            volume = None
-            note = "volume = alpha ^ omega^n"
-        else:
-            if self.P.chart.dim % 2:
-                return self._skip(self._adapted_error)
-            volume = volume_form(self.P.chart)
-            note = "volume = standard chart volume"
         # modular_field verifies L_v(volume) = 0 and L_v(Pi) = 0 on return,
         # so a successful construction is the "true" verdict here
-        vmod = modular_field(self.P, volume)
+        if self.adapted() is not None:
+            vmod = self.P.modular()
+            note = "volume = alpha ^ omega^n"
+        elif self.P.chart.dim % 2:
+            return self._skip(self._adapted_error)
+        else:
+            vmod = modular_field(self.P, volume_form(self.P.chart))
+            note = "volume = standard chart volume"
         v = is_zero_graded(vmod, self.P.tester)
         return {
             "status": "ok",

@@ -245,8 +245,11 @@ class PoissonStructure:
 
     The adapted pair (alpha, omega) satisfies alpha(v) = 1, iota_v omega = 0,
     alpha annihilates the image of Pi, omega inverts Pi on the leaves, and
-    interior(Pi, alpha ^ omega**n) = n alpha ^ omega**(n-1); it is solved
-    for on first use when a transversal field is available.
+    interior(Pi, alpha ^ omega**n) = n alpha ^ omega**(n-1).  On first use
+    with a transversal field v it is read off one Pfaffian inverse: on the
+    chart extended by a coordinate s, the inverse of Pi + v ^ @s is
+    omega + alpha ^ ds.  The artifacts derived from the pair (volume,
+    beta, mu and the modular field) are likewise computed once and kept.
     """
 
     chart: Chart
@@ -268,7 +271,10 @@ class PoissonStructure:
             self.corank_n = (self.chart.dim - 1) // 2
         self._jacobi = None
         self._jacobiator = None
-        self._matrix = None
+        self._volume = None
+        self._beta = None
+        self._mu = None
+        self._modular = None
 
     # -- Jacobi --------------------------------------------------------------
 
@@ -310,11 +316,6 @@ class PoissonStructure:
         )
 
     # -- bracket and Hamiltonian fields ---------------------------------------
-
-    def matrix(self):
-        if self._matrix is None:
-            self._matrix = bivector_matrix(self.bivector)
-        return self._matrix
 
     def bracket(self, f: ScalarExpr, g: ScalarExpr) -> ScalarExpr:
         out = ex.ZERO
@@ -380,83 +381,49 @@ class PoissonStructure:
         jac = self.jacobi_verdict()
         if jac.failed:
             raise InternalCheckError("bivector is not Poisson; no adapted forms")
-        alpha = self.alpha if self.alpha is not None else self._solve_alpha()
-        omega = self.omega if self.omega is not None else self._solve_omega(alpha)
+        alpha, omega = self._bordered_pair()
+        alpha = self.alpha if self.alpha is not None else alpha
+        omega = self.omega if self.omega is not None else omega
         self._verify_adapted(alpha, omega)
         self.alpha, self.omega = alpha, omega
         return alpha, omega
 
-    def _solve_alpha(self) -> DiffForm:
-        chart = self.chart
-        dim = chart.dim
-        mat = self.matrix()
-        v = self.transversal
-        rows = []
-        rhs = []
-        for i in range(dim):
-            rows.append([mat[i][j] for j in range(dim)])
-            rhs.append(ex.ZERO)
-        vrow = [ex.ZERO] * dim
-        for (i,), c in v.coeffs.items():
-            vrow[i] = c
-        rows.append(vrow)
-        rhs.append(ex.ONE)
-        try:
-            sol = linear_solve(rows, rhs, self.tester)
-        except LinearSolveError as exc:
-            if "inconsistent" in str(exc):
-                raise NotTransversalError(
-                    "the transversal condition alpha(v) = 1 is unsolvable"
-                ) from exc
-            raise NotCorankOneError(
-                "kernel of Pi does not have the expected dimension"
-            ) from exc
-        return DiffForm(chart, 1, {(i,): c for i, c in enumerate(sol)})
+    def _bordered_pair(self):
+        """Read (alpha, omega) off the dual two-form of Pi + v ^ @s.
 
-    def _solve_omega(self, alpha: DiffForm) -> DiffForm:
+        On the chart extended by a coordinate s the bordered bivector is
+        nondegenerate exactly when v is transversal, and its dual two-form
+        is omega + alpha ^ ds, the same bordering as the extension
+        (dt/t) ^ alpha + omega.
+        """
         chart = self.chart
         dim = chart.dim
-        pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-        col = {p: k for k, p in enumerate(pairs)}
-        rows = []
-        rhs = []
-        v = self.transversal
-        vcomp = [ex.ZERO] * dim
-        for (i,), c in v.coeffs.items():
-            vcomp[i] = c
-        # iota_v omega = 0
-        for j in range(dim):
-            row = [ex.ZERO] * len(pairs)
-            for (a, b), k in col.items():
-                if b == j:
-                    row[k] = row[k] + vcomp[a]
-                elif a == j:
-                    row[k] = row[k] - vcomp[b]
-            rows.append(row)
-            rhs.append(ex.ZERO)
-        # omega(u_a, u_b) = {x_a, x_b}
-        fields = [self.hamiltonian_vf(ex.symbol(c)) for c in chart.coords]
-        comp = []
-        for f in fields:
-            vec = [ex.ZERO] * dim
-            for (i,), c in f.coeffs.items():
-                vec[i] = c
-            comp.append(vec)
-        mat = self.matrix()
-        for a in range(dim):
-            for b in range(a + 1, dim):
-                row = [ex.ZERO] * len(pairs)
-                for (i, j), k in col.items():
-                    row[k] = comp[a][i] * comp[b][j] - comp[a][j] * comp[b][i]
-                rows.append(row)
-                rhs.append(mat[a][b])
-        try:
-            sol = linear_solve(rows, rhs, self.tester)
-        except LinearSolveError as exc:
-            raise NotCorankOneError(
-                f"defining two-form system has no unique solution ({exc})"
-            ) from exc
-        return DiffForm(chart, 2, {p: sol[k] for p, k in col.items()})
+        bordered = [row + [ex.ZERO] for row in bivector_matrix(self.bivector)]
+        bordered.append([ex.ZERO] * (dim + 1))
+        for (i,), c in self.transversal.coeffs.items():
+            bordered[i][dim] = c
+            bordered[dim][i] = -c
+        inv, pf = _skew_inverse(bordered)
+        pv = self.tester.is_zero(pf)
+        if pv.kind is ex.VerdictKind.UNKNOWN:
+            raise PivotUndecidableError(
+                "the Pfaffian of Pi + v ^ @s has an UNKNOWN zero verdict"
+            )
+        if pv.holds:
+            # at the largest rank Pi can have, a singular border means v
+            # lies in the image of Pi; below it the kernel is too large
+            top = power(self.bivector, dim // 2)
+            if is_zero_graded(top, self.tester).holds:
+                raise NotCorankOneError(
+                    "kernel of Pi does not have the expected dimension"
+                )
+            raise NotTransversalError(
+                "the transversal condition alpha(v) = 1 is unsolvable"
+            )
+        # the dual two-form's matrix is the transposed inverse
+        dual = [[inv[j][i] for j in range(dim + 1)] for i in range(dim + 1)]
+        alpha = DiffForm(chart, 1, {(i,): dual[i][dim] for i in range(dim)})
+        return alpha, _matrix_to_twoform(chart, dual)
 
     def _verify_adapted(self, alpha: DiffForm, omega: DiffForm):
         n = self.corank_n
@@ -477,22 +444,42 @@ class PoissonStructure:
                 f"(verdict {combined.kind.value}, witness {combined.witness})"
             )
 
+    # -- derived artifacts, each computed once ----------------------------------
+    # (the invariants module imports this one, hence the local imports)
+
     def volume(self) -> DiffForm:
-        alpha, omega = self.adapted()
-        return wedge(alpha, power(omega, self.corank_n))
+        """The adapted volume alpha ^ omega**n."""
+        if self._volume is None:
+            alpha, omega = self.adapted()
+            self._volume = wedge(alpha, power(omega, self.corank_n))
+        return self._volume
 
+    def beta(self) -> DiffForm:
+        """beta with d(alpha) = beta ^ alpha for the adapted alpha."""
+        if self._beta is None:
+            from .invariants import compute_beta
 
-def jacobi_check(P: PoissonStructure) -> Verdict:
-    return P.jacobi_verdict()
+            alpha, _ = self.adapted()
+            self._beta = compute_beta(alpha, self.transversal, self.tester)
+        return self._beta
 
+    def mu(self, omega: DiffForm) -> DiffForm:
+        """mu with d(omega) = mu ^ alpha for a defining two-form omega.
 
-def hamiltonian_vf(P: PoissonStructure, f) -> MultiVector:
-    return P.hamiltonian_vf(f)
+        Kept for the two-form last asked about: a problem file may declare
+        a non-adapted defining two-form, and then every analysis uses it.
+        """
+        if self._mu is None or self._mu[0] is not omega:
+            from .invariants import compute_mu
 
+            alpha, _ = self.adapted()
+            self._mu = (omega, compute_mu(omega, alpha, self.transversal, self.tester))
+        return self._mu[1]
 
-def corank_evidence(P: PoissonStructure, n: Optional[int] = None) -> CorankReport:
-    return P.corank_evidence(n)
+    def modular(self) -> MultiVector:
+        """The modular vector field of the adapted volume."""
+        if self._modular is None:
+            from .invariants import modular_field
 
-
-def adapted_forms(P: PoissonStructure):
-    return P.adapted()
+            self._modular = modular_field(self)
+        return self._modular

@@ -1,12 +1,15 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+from corankone import invariants, pipeline
 from corankone.cli import bundled_corpus, main
 from corankone.errors import ProblemFileError
 from corankone.pipeline import analyze, exit_code, render_report
+from corankone.poisson import PoissonStructure
 from corankone.problemfile import load_problem, loads_problem
 
 
@@ -125,6 +128,57 @@ section analyses
         assert "timing_ms" not in analyze(p)["meta"]
         assert "timing_ms" in analyze(p, timing=True)["meta"]
 
+    def test_shared_artifacts_built_once(self, monkeypatch):
+        # beta, mu, the adapted volume and its modular field serve several
+        # analyses each; within a problem every request must get one object
+        built = {}
+
+        def spy(name, fn, counted=None):
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                if counted is None or counted(*args, **kwargs):
+                    built.setdefault(name, []).append(result)
+                return result
+
+            return wrapper
+
+        def default_volume(P, volume=None):
+            return volume is None
+
+        for name, counted in (
+            ("compute_beta", None),
+            ("compute_mu", None),
+            ("modular_field", default_volume),
+        ):
+            wrapped = spy(name, getattr(invariants, name), counted)
+            for module in (invariants, pipeline):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapped)
+        monkeypatch.setattr(PoissonStructure, "volume", spy("volume", PoissonStructure.volume))
+        seen = set()
+        for fname, text in bundled_corpus():
+            built.clear()
+            analyze(loads_problem(text, path=fname))
+            for name, results in built.items():
+                assert all(r is results[0] for r in results), (fname, name, len(results))
+            seen.update(built)
+        assert seen == {"compute_beta", "compute_mu", "modular_field", "volume"}
+
+
+# sha256 of the rendered report of each bundled file at its own seed; a
+# change of any verdict or artifact text shows here
+REPORT_SHA256 = {
+    "affine.prob": "af4f4f653265006dda7b950342837920653464522b052fca21c0b446f1777d0c",
+    "exp_wall.prob": "df0d87211b05b35d20b5784cadffcfe04d269d3a14d08f072f07f06ecc6f41fc",
+    "flat.prob": "5fcf7855f0b262109f6401e91f6a6046d727b15b83f9e8f02c21408f82bd9677",
+    "product_const.prob": "a0c2e87025c953cf26159d5e720279cd99f97be258ad4bee1cd97ebff03713a1",
+    "product_sin.prob": "1159f84b5c1fa1ac148f76d3f8addca8e24ef0ce43a3eab46b43eaa72f44df3a",
+    "sheared.prob": "b908235223dda9cfc9fe0b473f3d1c4d60d1ce8bfa1e9b3682ebc3037c3f6761",
+    "suspension.prob": "5999702640cc40e77765190af401070358566cc3bd94356f33085a401ac074b6",
+    "t3_example.prob": "c17a4aa20287e756328b29780486361dcd46d68c6cd06ebc833202cf91d6dfdc",
+    "twisted_omega.prob": "67d964fcb5a5d19e6566614a8049011cefdd685264460fa02afd33f0a9284abc",
+}
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -135,6 +189,7 @@ class TestDeterminism:
         r1 = render_report(analyze(loads_problem(text, path=name)))
         r2 = render_report(analyze(loads_problem(text, path=name)))
         assert r1.encode() == r2.encode()
+        assert hashlib.sha256(r1.encode()).hexdigest() == REPORT_SHA256[name]
 
     def test_different_seed_allowed_to_differ(self):
         text = corpus_text("t3_example.prob")

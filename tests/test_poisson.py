@@ -1,8 +1,11 @@
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
-from corankone import Chart, ZeroTester, parse_scalar, rational, symbol
+from corankone import Chart, ZeroTester, exp, parse_scalar, rational, symbol
+from corankone import expr as ex
 from corankone.calculus import (
     DiffForm,
     MultiVector,
@@ -16,11 +19,13 @@ from corankone.calculus import (
 )
 from corankone.errors import (
     DegenerateError,
+    NotCorankOneError,
     NotTransversalError,
     PivotUndecidableError,
 )
 from corankone.poisson import (
     PoissonStructure,
+    bivector_matrix,
     invert_bivector,
     invert_twoform,
     linear_solve,
@@ -56,6 +61,44 @@ def t3_structure(seed=5):
     )
     v = parse_graded("a @theta1 + b @theta2 - @theta3", t3, "multivector")
     return PoissonStructure(t3, Pi, transversal=v, tester=ZeroTester(t3, seed=seed))
+
+
+def dense_structure(seed, dim, params=(), scaled=False):
+    """A^B + C^D (+ ...) from the columns of M = U L, the last one the transversal.
+
+    L is unit lower triangular and U upper triangular with a nonzero
+    rational diagonal and entries linear in the parameters, so det M is a
+    nonzero constant: the bivector has rank dim - 1 everywhere and the
+    transversal (scaled by exp(-x1) when asked) is transversal to it.
+    """
+    rng = random.Random(seed)
+    chart = Chart([f"x{i + 1}" for i in range(dim)], params=params)
+
+    def entry():
+        return rational(Fraction(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 3)))
+
+    lower = [[entry() if i > j else rational(int(i == j)) for j in range(dim)] for i in range(dim)]
+    upper = [[ex.ZERO] * dim for _ in range(dim)]
+    for i in range(dim):
+        upper[i][i] = entry()
+        for j in range(i + 1, dim):
+            upper[i][j] = entry()
+            for p in params:
+                upper[i][j] = upper[i][j] + entry() * symbol(p)
+    cols = []
+    for j in range(dim):
+        col = {}
+        for i in range(dim):
+            c = ex.ZERO
+            for k in range(max(i, j), dim):
+                c = c + upper[i][k] * lower[k][j]
+            col[(i,)] = c
+        cols.append(MultiVector(chart, 1, col))
+    Pi = MultiVector(chart, 2, {})
+    for k in range(0, dim - 1, 2):
+        Pi = Pi + wedge(cols[k], cols[k + 1])
+    v = exp(-symbol("x1")) * cols[-1] if scaled else cols[-1]
+    return PoissonStructure(chart, Pi, transversal=v, tester=ZeroTester(chart, seed=seed))
 
 
 def random_bivector(rng, chart):
@@ -255,6 +298,64 @@ class TestAdaptedForms:
         alpha, omega = P.adapted()
         assert alpha == basis_form(xyz, "z")
         assert omega == parse_graded("dx^dy + y dy^dz", xyz, "form")
+
+    @pytest.mark.parametrize(
+        "coords, bivector, transversal, error",
+        [
+            ("x y z", {}, "z", NotCorankOneError),
+            ("a b c d e", {("a", "b"): 1}, "e", NotCorankOneError),
+            ("x y z w", {("x", "y"): 1}, "z", NotCorankOneError),
+            ("x y", {("x", "y"): 1}, "x", NotTransversalError),
+        ],
+    )
+    def test_singular_border_error(self, coords, bivector, transversal, error):
+        # a singular Pi + v ^ @s means v is tangent when Pi has the largest
+        # rank it can have, and a kernel of the wrong size otherwise
+        chart = Chart(coords.split())
+        P = PoissonStructure(
+            chart,
+            MultiVector(chart, 2, bivector),
+            transversal=basis_vector(chart, transversal),
+            tester=ZeroTester(chart, seed=4),
+        )
+        message = (
+            "kernel of Pi does not have the expected dimension"
+            if error is NotCorankOneError
+            else "the transversal condition alpha(v) = 1 is unsolvable"
+        )
+        with pytest.raises(error, match=re.escape(message)):
+            P.adapted()
+
+    def test_undecidable_border_aborts(self, xyz):
+        # log(-1 - x^2) is singular at every sample point, so the Pfaffian
+        # of the bordered bivector gets an UNKNOWN verdict
+        v = MultiVector(xyz, 1, {("z",): "log(-1 - x^2)"})
+        P = PoissonStructure(
+            xyz, MultiVector(xyz, 2, {("x", "y"): 1}), transversal=v, tester=ZeroTester(xyz, seed=4)
+        )
+        with pytest.raises(PivotUndecidableError):
+            P.adapted()
+
+
+class TestBorderedAgainstLinearSolve:
+    @pytest.mark.parametrize("dim", [3, 5])
+    @pytest.mark.parametrize("scaled", [False, True])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_alpha_solves_kernel_system(self, dim, scaled, seed):
+        P = dense_structure(seed, dim, scaled=scaled)
+        alpha, _ = P.adapted()
+        # Pi alpha = 0 and alpha(v) = 1 by exact elimination
+        rows = bivector_matrix(P.bivector)
+        rows.append([P.transversal.coeffs.get((i,), ex.ZERO) for i in range(dim)])
+        solution = linear_solve(rows, [ex.ZERO] * dim + [ex.ONE], P.tester)
+        for i, s in enumerate(solution):
+            assert (alpha.coeffs.get((i,), ex.ZERO) - s).is_structural_zero
+
+    def test_two_parameters_in_dimension_5(self):
+        # adapted() checks the defining identities of the pair before it returns
+        P = dense_structure(11, 5, params=("a", "b"))
+        alpha, _ = P.adapted()
+        assert interior(P.transversal, alpha).scalar() == rational(1)
 
 
 class TestInvertTwoform:
