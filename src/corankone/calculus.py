@@ -370,12 +370,13 @@ def _lie_multivector(v: MultiVector, Q: MultiVector) -> MultiVector:
 
     for (i,), vc in v.coeffs.items():
         xi = chart.coords[i]
+        dvc = [vc.derive(x) for x in chart.coords]
         for J, qc in Q.coeffs.items():
             dq = qc.derive(xi)
             if not dq.is_structural_zero:
                 bump(J, vc * dq)
             for slot, j in enumerate(J):
-                dv = vc.derive(chart.coords[j])
+                dv = dvc[j]
                 if dv.is_structural_zero:
                     continue
                 if i != j and i in J:

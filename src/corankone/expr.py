@@ -27,7 +27,8 @@ Expression grammar (EBNF)::
              | "(" , expr , ")" ;
     number   = digits , [ "." , digits ] ;
 
-Names must resolve to chart coordinates or parameters.  The printer
+Names must resolve to chart coordinates or parameters, and an exponent
+lies within ``-MAX_EXPONENT..MAX_EXPONENT``.  The printer
 emits canonical text whose re-parse is structurally identical
 (parse -> print -> parse is the identity on canonical forms).
 """
@@ -247,13 +248,20 @@ def _uni_gcd_degree(a, b):
 
 
 def _gcd_trivial_in(a, b, var, w):
-    """True when the gcd provably has degree 0 in the variable (one clean
-    evaluation with constant univariate gcd suffices up to a measure-zero
-    set of unlucky points; a miss only leaves the fraction less reduced)."""
+    """True when the gcd provably has degree 0 in the variable.
+
+    A point is used only when both images keep their degree in the
+    variable; then the gcd's image divides the images' gcd and keeps its
+    own degree, so a constant univariate gcd proves a trivial one
+    (Brown, J. ACM 18 (1971)).  When no point qualifies the answer is
+    False, and the caller computes the gcd in full.
+    """
+    deg_a = max(e[var] for e in a)
+    deg_b = max(e[var] for e in b)
     for points in _GCD_POINTS:
         ia = _p_uni_image(a, var, points, w)
         ib = _p_uni_image(b, var, points, w)
-        if not ia or not ib:
+        if not ia or not ib or max(ia) != deg_a or max(ib) != deg_b:
             continue
         if _uni_gcd_degree(ia, ib) == 0:
             return True
@@ -478,7 +486,6 @@ class ScalarExpr:
 
     def derive(self, name: str) -> "ScalarExpr":
         """Exact partial derivative with respect to the named symbol."""
-        n_expr = ScalarExpr(self.gens, dict(self.num), {(0,) * len(self.gens): _F1})
         d_num = ZERO
         d_den = ZERO
         den_is_one = self.den == {(0,) * len(self.gens): _F1}
@@ -495,6 +502,7 @@ class ScalarExpr:
                     d_den = d_den + ScalarExpr(self.gens, pd, {(0,) * len(self.gens): _F1}) * dg
         if den_is_one:
             return d_num
+        n_expr = ScalarExpr(self.gens, dict(self.num), {(0,) * len(self.gens): _F1})
         den_expr = ScalarExpr(self.gens, dict(self.den), {(0,) * len(self.gens): _F1})
         return (d_num * den_expr - n_expr * d_den) / (den_expr * den_expr)
 
@@ -839,6 +847,21 @@ _TOKEN_RE = re.compile(
 )
 
 
+# a power is expanded by repeated multiplication, so its exponent is bounded
+MAX_EXPONENT = 32
+
+
+def _literal(kind, text, at):
+    """Convert a number token; one too long for Python's integer
+    conversion is a syntax error."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ExprSyntaxError(
+            f"number literal of {len(text)} characters is too long", at
+        ) from None
+
+
 class _Parser:
     def __init__(self, text: str, chart: "Chart"):
         self.text = text
@@ -921,10 +944,14 @@ class _Parser:
 
     def power(self):
         base = self.atom()
-        kind, val, _ = self.peek()
+        kind, val, at = self.peek()
         if kind == "op" and val == "^":
             self._next()
             n = self.exponent()
+            if abs(n) > MAX_EXPONENT:
+                raise ExprSyntaxError(
+                    f"exponent {n} is outside -{MAX_EXPONENT}..{MAX_EXPONENT}", at
+                )
             if n < 0 and base.is_structural_zero:
                 raise ExprSyntaxError("negative power of zero", self.pos)
             return base**n
@@ -942,12 +969,13 @@ class _Parser:
             kind, val, at = self._next()
         if kind != "num" or "." in val:
             raise ExprSyntaxError("exponent must be an integer", at)
-        return -int(val) if neg else int(val)
+        n = _literal(int, val, at)
+        return -n if neg else n
 
     def atom(self):
         kind, val, at = self._next()
         if kind == "num":
-            return rational(Fraction(val))
+            return rational(_literal(Fraction, val, at))
         if kind == "op" and val == "(":
             e = self.expr()
             self.expect_op(")")

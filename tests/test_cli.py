@@ -1,10 +1,12 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import corankone
 from corankone import invariants, pipeline
 from corankone.cli import bundled_corpus, main
 from corankone.errors import ProblemFileError
@@ -33,6 +35,20 @@ section analyses
 section options
   seed 3
 """
+
+
+def run_cli(*args, timeout=None):
+    """`python -m corankone ...` in a fresh interpreter that imports this corankone."""
+    src = os.path.dirname(os.path.dirname(corankone.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "corankone", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
+    )
 
 
 class TestProblemFileParsing:
@@ -221,6 +237,28 @@ class TestExitCodes:
     def test_missing_file_is_exit_2(self):
         assert main(["check", "/nonexistent/file.prob"]) == 2
 
+    @pytest.mark.parametrize(
+        "expression, message",
+        [
+            # x^n multiplies n - 1 times: without a bound this never ends
+            ("x^(9999999999)", "exponent 9999999999 is outside"),
+            # beyond Python's limit for converting a digit string to an int
+            ("7" * 5000, "number literal of 5000 characters is too long"),
+        ],
+        ids=["huge-exponent", "overlong-literal"],
+    )
+    def test_hostile_expression_is_exit_2(self, tmp_path, expression, message):
+        text = MINIMAL.replace('bivector "1" x y', f'bivector "{expression}" x y')
+        path = tmp_path / "hostile.prob"
+        path.write_text(text)
+        # out of process first, so that a hang fails at the timeout
+        proc = run_cli("check", str(path), timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("validation error:")
+        assert message in proc.stderr
+        with pytest.raises(ProblemFileError, match=message):
+            loads_problem(text)
+
 
 class TestVerbs:
     def test_render(self, tmp_path, capsys):
@@ -248,11 +286,7 @@ class TestVerbs:
     def test_console_entry_point(self, tmp_path):
         path = tmp_path / "m.prob"
         path.write_text(MINIMAL)
-        proc = subprocess.run(
-            [sys.executable, "-m", "corankone", "check", str(path)],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_cli("check", str(path))
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["analyses"]["jacobi"]["verdict"] == "true"

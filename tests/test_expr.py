@@ -23,7 +23,7 @@ from corankone.errors import (
     ExprSyntaxError,
     UnknownIdentifierError,
 )
-from corankone.expr import ONE, ZERO, VerdictKind
+from corankone.expr import MAX_EXPONENT, ONE, ZERO, VerdictKind
 
 
 @pytest.fixture
@@ -100,6 +100,20 @@ class TestParsing:
     def test_negative_and_parenthesized_exponent(self, xyz):
         assert parse_scalar("x^-2", xyz) == parse_scalar("1/x^2", xyz)
         assert parse_scalar("x^(-2)", xyz) == parse_scalar("1/x^2", xyz)
+
+    def test_exponent_bounded(self, xyz):
+        # powers expand by repeated multiplication; a huge exponent must not hang
+        assert parse_scalar(f"x^{MAX_EXPONENT}", xyz) == symbol("x") ** MAX_EXPONENT
+        assert parse_scalar(f"x^(-{MAX_EXPONENT})", xyz) == symbol("x") ** -MAX_EXPONENT
+        for text in (f"x^{MAX_EXPONENT + 1}", f"x^(-{MAX_EXPONENT + 1})", "x^(9999999999)"):
+            with pytest.raises(ExprSyntaxError, match="exponent"):
+                parse_scalar(text, xyz)
+
+    def test_overlong_literal_is_syntax_error(self, xyz):
+        digits = "7" * 5000
+        for text in (digits, f"1.{digits}", f"x^{digits}"):
+            with pytest.raises(ExprSyntaxError, match="too long"):
+                parse_scalar(text, xyz)
 
     def test_decimal_literals_exact(self, xyz):
         assert parse_scalar("0.5", xyz) == parse_scalar("1/2", xyz)
@@ -204,6 +218,17 @@ class TestSimplify:
     def test_rational_reduction(self, xyz):
         e = parse_scalar("(x^2 - 1)/(x - 1)", xyz)
         assert e == parse_scalar("x + 1", xyz)
+
+    def test_common_factor_found_at_unlucky_points(self):
+        # G's leading coefficient in y, x*(x-3), vanishes at the first gcd
+        # evaluation point x = 3, where G's image drops to a constant
+        xy = Chart(("x", "y"))
+        G = "(1 + x*y*(y+5)*(x-3))"
+        e = parse_scalar(f"{G}*(x+1)/({G}*(y+2))", xy)
+        reduced = parse_scalar("(x+1)/(y+2)", xy)
+        assert e == reduced
+        assert str(e) == str(reduced) == "(x + 1)/(y + 2)"
+        assert hash(e) == hash(reduced)
 
     def test_monomial_content_cancels(self):
         ch = Chart(("t", "x"), domains={"t": (0.05, 1.0)})

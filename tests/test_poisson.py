@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -15,14 +16,17 @@ from corankone.calculus import (
     lie_derivative,
     parse_graded,
     power,
+    schouten,
     wedge,
 )
+from corankone.cli import bundled_corpus
 from corankone.errors import (
     DegenerateError,
     NotCorankOneError,
     NotTransversalError,
     PivotUndecidableError,
 )
+from corankone.expr import ScalarExpr
 from corankone.poisson import (
     PoissonStructure,
     bivector_matrix,
@@ -30,6 +34,7 @@ from corankone.poisson import (
     invert_twoform,
     linear_solve,
 )
+from corankone.problemfile import loads_problem
 
 
 @pytest.fixture
@@ -102,8 +107,6 @@ def dense_structure(seed, dim, params=(), scaled=False):
 
 
 def random_bivector(rng, chart):
-    import itertools
-
     coeffs = {}
     for key in itertools.combinations(range(chart.dim), 2):
         if rng.random() < 0.75:
@@ -155,6 +158,83 @@ class TestJacobi:
             coeff = br.coefficient("x", "y", "z")
             jac = P.jacobiator("x", "y", "z")
             assert (coeff + rational(2) * jac).is_structural_zero
+
+
+def count_derives(monkeypatch):
+    """Count calls of ScalarExpr.derive from here on (a one-item list)."""
+    calls = [0]
+    original = ScalarExpr.derive
+
+    def counted(self, name):
+        calls[0] += 1
+        return original(self, name)
+
+    monkeypatch.setattr(ScalarExpr, "derive", counted)
+    return calls
+
+
+class TestCoordinateJacobiator:
+    """The table of d_l Pi^{ij} against the reference jacobiator(f, g, h)."""
+
+    @pytest.mark.parametrize("name", [n for n, _ in bundled_corpus()])
+    def test_table_matches_reference_on_corpus(self, name):
+        text = dict(bundled_corpus())[name]
+        P = loads_problem(text, path=name).structure()
+        coords = P.chart.coords
+        table = P._coordinate_jacobiators()
+        assert len(table) == len(list(itertools.combinations(coords, 3)))
+        for (i, j, k), value in table.items():
+            ref = P.jacobiator(coords[i], coords[j], coords[k])
+            assert (value - ref).is_structural_zero, (name, i, j, k)
+
+    def test_table_matches_reference_on_random_bivectors(self):
+        ch = Chart(("x", "y", "z", "w"))
+        rng = random.Random(41)
+        for _ in range(5):
+            P = PoissonStructure(ch, random_bivector(rng, ch))
+            for (i, j, k), value in P._coordinate_jacobiators().items():
+                ref = P.jacobiator(*(ch.coords[m] for m in (i, j, k)))
+                assert (value - ref).is_structural_zero
+
+    def test_non_poisson_bivector_fails_both_paths(self, xyz):
+        Pi = MultiVector(xyz, 2, {("x", "y"): "z", ("x", "z"): "x*y", ("y", "z"): "x"})
+        P = PoissonStructure(xyz, Pi, tester=ZeroTester(xyz, seed=1))
+        minus_yz = parse_scalar("-y*z", xyz)
+        assert P.jacobiator("x", "y", "z") == minus_yz
+        assert P._coordinate_jacobiators() == {(0, 1, 2): minus_yz}
+        assert P.jacobi_verdict().failed
+        assert P.jacobiator_verdict().failed
+
+
+class TestDerivativeCounts:
+    """Polynomial coefficients: derive makes no recursive calls, so the
+    count is the number of first derivatives taken."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: dense_structure(3, 5, params=("a",)),
+            lambda: PoissonStructure(
+                Chart([f"x{i}" for i in range(5)]),
+                random_bivector(random.Random(43), Chart([f"x{i}" for i in range(5)])),
+            ),
+        ],
+        ids=["dense-dim5", "random-dim5"],
+    )
+    def test_jacobiator_derives_each_coefficient_once(self, monkeypatch, build):
+        P = build()
+        calls = count_derives(monkeypatch)
+        P.jacobiator_verdict()
+        assert 0 < calls[0] <= P.chart.dim * len(P.bivector.coeffs)
+
+    def test_lie_derivative_derives_each_field_coefficient_once(self, monkeypatch):
+        ch = Chart([f"x{i}" for i in range(5)])
+        rng = random.Random(47)
+        Q = random_bivector(rng, ch)
+        v = MultiVector(ch, 1, {(i,): symbol(rng.choice(ch.coords)) ** 2 + i for i in range(5)})
+        calls = count_derives(monkeypatch)
+        schouten(v, Q)
+        assert 0 < calls[0] <= len(v.coeffs) * (len(Q.coeffs) + ch.dim)
 
 
 class TestHamiltonian:
@@ -381,8 +461,6 @@ class TestInvertTwoform:
             ch = Chart(names)
             for i in range(8):
                 coeffs = {}
-                import itertools
-
                 for key in itertools.combinations(range(dim), 2):
                     coeffs[key] = rational(rng.randint(1, 3)) + symbol(
                         rng.choice(names)
