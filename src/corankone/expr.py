@@ -349,7 +349,7 @@ def _gen_str(g):
 class ScalarExpr:
     """Immutable exact scalar in canonical rational normal form."""
 
-    __slots__ = ("gens", "num", "den", "_str", "_hash")
+    __slots__ = ("gens", "num", "den", "_str", "_hash", "_d")
 
     def __init__(self, gens, num, den, _raw=False):
         if not _raw:
@@ -359,6 +359,7 @@ class ScalarExpr:
         self.den = den
         self._str = None
         self._hash = None
+        self._d = None
 
     # -- predicates ---------------------------------------------------------
 
@@ -485,7 +486,22 @@ class ScalarExpr:
     # -- calculus ------------------------------------------------------------
 
     def derive(self, name: str) -> "ScalarExpr":
-        """Exact partial derivative with respect to the named symbol."""
+        """Exact partial derivative with respect to the named symbol.
+
+        Memoized per instance, like the printed form and the hash: the
+        expression is immutable, so each derivative is taken once and
+        lives as long as the expression does.
+        """
+        if not self.gens:
+            return ZERO
+        if self._d is None:
+            self._d = {}
+        out = self._d.get(name)
+        if out is None:
+            out = self._d[name] = self._derive(name)
+        return out
+
+    def _derive(self, name: str) -> "ScalarExpr":
         d_num = ZERO
         d_den = ZERO
         den_is_one = self.den == {(0,) * len(self.gens): _F1}

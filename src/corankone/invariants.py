@@ -630,13 +630,15 @@ def check_transverse_poisson(P: PoissonStructure) -> TransversePoissonReport:
     contraction = is_zero_graded(interior(lv_pi, P.volume()), tester)
 
     pair_witness = None
+    v_dalpha = interior(v, dalpha)
+    alpha_v = interior(v, alpha).scalar()
     for name in chart.coords:
         u = P.hamiltonian_vf(ex.symbol(name))
         # d(alpha)(v, u_f) computed two ways
-        direct = interior(u, interior(v, dalpha)).scalar()
+        direct = interior(u, v_dalpha).scalar()
         via_bracket = (
             v(interior(u, alpha).scalar())
-            - u(interior(v, alpha).scalar())
+            - u(alpha_v)
             - interior(schouten(v, u), alpha).scalar()
         )
         if not tester.is_zero(direct - via_bracket).holds:

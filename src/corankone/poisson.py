@@ -100,20 +100,26 @@ def linear_solve(rows, rhs, tester: ZeroTester):
     return x
 
 
-def _pfaffian(matrix, idx):
-    """Pfaffian of the skew submatrix on the index list, by row expansion."""
+def _pfaffian(matrix, idx, memo):
+    """Pfaffian of the skew submatrix on the index tuple, by row expansion.
+
+    Every sub-Pfaffian is kept in memo, keyed by its index tuple, so the
+    overlapping minors of one matrix share their expansions.
+    """
     if not idx:
         return ex.ONE
+    total = memo.get(idx)
+    if total is not None:
+        return total
     i0 = idx[0]
     total = ex.ZERO
     for jpos in range(1, len(idx)):
-        j = idx[jpos]
-        entry = matrix[i0][j]
+        entry = matrix[i0][idx[jpos]]
         if entry.is_structural_zero:
             continue
-        rest = [k for k in idx if k != i0 and k != j]
-        term = entry * _pfaffian(matrix, rest)
+        term = entry * _pfaffian(matrix, idx[1:jpos] + idx[jpos + 1 :], memo)
         total = total - term if (jpos - 1) % 2 else total + term
+    memo[idx] = total
     return total
 
 
@@ -122,19 +128,22 @@ def _skew_inverse(matrix):
 
     (M^-1)_{ij} = (-1)^(i+j) Pf(M without rows/cols i, j) / Pf(M) for i < j;
     this keeps the entries in already-reduced form, unlike adjugate/det.
+    The full Pfaffian and its minors share one memo of sub-Pfaffians.
     Returns (inverse, pfaffian), or (None, pfaffian) when singular.
     """
     n = len(matrix)
     if n % 2:
         return None, ex.ZERO
-    pf = _pfaffian(matrix, list(range(n)))
+    memo = {}
+    full = tuple(range(n))
+    pf = _pfaffian(matrix, full, memo)
     if pf.is_structural_zero:
         return None, pf
     inv = [[ex.ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            rest = [k for k in range(n) if k != i and k != j]
-            val = _pfaffian(matrix, rest) / pf
+            rest = full[:i] + full[i + 1 : j] + full[j + 1 :]
+            val = _pfaffian(matrix, rest, memo) / pf
             if (i + j) % 2:
                 val = -val
             inv[i][j] = val
@@ -447,14 +456,22 @@ class PoissonStructure:
         return alpha, _matrix_to_twoform(chart, dual)
 
     def _verify_adapted(self, alpha: DiffForm, omega: DiffForm):
+        """Check the defining identities of the pair, then fix the volume.
+
+        The left-hand side contracts the adapted volume alpha ^ omega**n,
+        built on the same omega**(n-1) as the right-hand side; it is kept
+        as the volume once the identities hold.
+        """
         n = self.corank_n
         v = self.transversal
         checks = []
         if v is not None:
             checks.append(interior(v, alpha).scalar() - ex.ONE)
             checks.extend(interior(v, omega).coeffs.values())
-        lhs = interior(self.bivector, wedge(alpha, power(omega, n)))
-        rhs = ex.rational(n) * wedge(alpha, power(omega, n - 1))
+        low = power(omega, n - 1)
+        volume = wedge(alpha, wedge(low, omega))
+        lhs = interior(self.bivector, volume)
+        rhs = ex.rational(n) * wedge(alpha, low)
         diff = lhs - rhs
         verdicts = [self.tester.is_zero(c) for c in checks]
         verdicts.append(is_zero_graded(diff, self.tester))
@@ -464,12 +481,13 @@ class PoissonStructure:
                 "adapted pair fails its defining identities "
                 f"(verdict {combined.kind.value}, witness {combined.witness})"
             )
+        self._volume = volume
 
     # -- derived artifacts, each computed once ----------------------------------
     # (the invariants module imports this one, hence the local imports)
 
     def volume(self) -> DiffForm:
-        """The adapted volume alpha ^ omega**n."""
+        """The adapted volume alpha ^ omega**n (fixed by adapted() when it checks a pair)."""
         if self._volume is None:
             alpha, omega = self.adapted()
             self._volume = wedge(alpha, power(omega, self.corank_n))

@@ -37,6 +37,18 @@ ANALYSES = (
 
 VERDICT_WORDS = ("true", "probably-true", "false", "unknown", "skipped", "error")
 
+# validation errors quote at most this many characters of the offending text
+QUOTE_LIMIT = 80
+
+OPTION_TYPES = {"seed": int, "trials": int, "tolerance": float}
+
+
+def _quote(text: str) -> str:
+    """repr of text, cut to QUOTE_LIMIT characters and marked with '...'."""
+    if len(text) <= QUOTE_LIMIT:
+        return repr(text)
+    return repr(text[:QUOTE_LIMIT]) + "..."
+
 
 @dataclass
 class ProblemFile:
@@ -178,7 +190,11 @@ class _Loader:
         if head == "corank":
             if len(args) != 1 or not args[0].isdigit():
                 self.fail("corank N", lineno)
-            self.corank = int(args[0])
+            try:
+                self.corank = int(args[0])
+            except ValueError:
+                # isdigit admits digit strings that int refuses
+                self.fail(f"corank N, got {_quote(args[0])}", lineno)
         elif head in self.terms:
             if not args:
                 self.fail(f"{head} EXPR [COORD...]", lineno)
@@ -214,14 +230,15 @@ class _Loader:
             self.analyses.append(head)
 
     def _options(self, head, args, lineno):
-        if head == "seed" and len(args) == 1:
-            self.seed = int(args[0])
-        elif head == "trials" and len(args) == 1:
-            self.trials = int(args[0])
-        elif head == "tolerance" and len(args) == 1:
-            self.tolerance = float(args[0])
-        else:
+        kind = OPTION_TYPES.get(head)
+        if kind is None or len(args) != 1:
             self.fail(f"unknown option {head!r}", lineno)
+        try:
+            value = kind(args[0])
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            self.fail(f"option {head} needs {noun}, got {_quote(args[0])}", lineno)
+        setattr(self, head, value)
 
     def _expects(self, head, args, lineno):
         if head not in ANALYSES or len(args) != 1 or args[0] not in VERDICT_WORDS:
@@ -234,7 +251,7 @@ class _Loader:
         try:
             return ex.parse_scalar(text, self.chart)
         except ExprError as exc:
-            self.fail(f"bad expression {text!r}: {exc}", lineno)
+            self.fail(f"bad expression {_quote(text)}: {exc}", lineno)
 
     def _graded(self, kind, cls, degree):
         out = cls(self.chart, degree, {})

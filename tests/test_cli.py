@@ -256,6 +256,27 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.startswith("validation error:")
         assert message in proc.stderr
+        # the offending text is quoted only in part
+        assert len(proc.stderr.encode()) < 300
+        with pytest.raises(ProblemFileError, match=message):
+            loads_problem(text)
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("seed 3", "seed abc", "option seed needs an integer, got 'abc'"),
+            ("seed 3", "tolerance 1e999x", "option tolerance needs a number, got '1e999x'"),
+            # isdigit admits it, int refuses more than 4300 digits
+            ("corank 1", "corank " + "1" * 5000, r"corank N, got '1{80}'\.\.\.$"),
+        ],
+        ids=["seed", "tolerance", "corank"],
+    )
+    def test_bad_value_is_exit_2(self, tmp_path, capsys, old, new, message):
+        text = MINIMAL.replace(old, new)
+        path = tmp_path / "bad.prob"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("validation error:")
         with pytest.raises(ProblemFileError, match=message):
             loads_problem(text)
 

@@ -191,6 +191,17 @@ class TestDerive:
         with pytest.raises(ChartError):
             derive(symbol("x"), "w", xyz)
 
+    def test_derivative_memoized_per_instance(self, xyz):
+        rng = random.Random(13)
+        for _ in range(20):
+            e = random_expr(rng, xyz)
+            fresh = parse_scalar(str(e), xyz)
+            for c in xyz.coords:
+                d = e.derive(c)
+                assert e.derive(c) is d
+                assert fresh.derive(c) == d
+        assert rational(3).derive("x") is ZERO
+
 
 class TestSimplify:
     def test_idempotent_on_random_corpus(self, xyz):

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import re
@@ -7,6 +8,7 @@ import pytest
 
 from corankone import Chart, ZeroTester, exp, parse_scalar, rational, symbol
 from corankone import expr as ex
+from corankone import poisson
 from corankone.calculus import (
     DiffForm,
     MultiVector,
@@ -415,6 +417,92 @@ class TestAdaptedForms:
         )
         with pytest.raises(PivotUndecidableError):
             P.adapted()
+
+
+class TestAdaptedVolume:
+    """adapted() fixes the volume on the power chain of its own check."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [t3_structure, lambda: dense_structure(3, 5, params=("a",))],
+        ids=["t3", "dense-dim5"],
+    )
+    def test_volume_needs_no_wedge_after_adapted(self, monkeypatch, build):
+        P = build()
+        alpha, omega = P.adapted()
+        calls = [0]
+
+        def counted(a, b):
+            calls[0] += 1
+            return wedge(a, b)
+
+        monkeypatch.setattr(poisson, "wedge", counted)
+        volume = P.volume()
+        assert calls[0] == 0
+        assert volume == wedge(alpha, power(omega, P.corank_n))
+
+
+def pfaffian_reference(m):
+    """Pfaffian by row expansion of explicit minors, with no sharing."""
+    if not m:
+        return ex.ONE
+    total = ex.ZERO
+    for j in range(1, len(m)):
+        rest = [k for k in range(1, len(m)) if k != j]
+        minor = [[m[r][c] for c in rest] for r in rest]
+        total = total + (-1) ** (j - 1) * m[0][j] * pfaffian_reference(minor)
+    return total
+
+
+def random_skew(rng, n, param=None):
+    """Seeded skew matrix; with a parameter name, some entries are linear in it."""
+    m = [[ex.ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            c = rational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+            if param is not None and rng.random() < 0.4:
+                c = c + rational(rng.randint(1, 2)) * symbol(param)
+            m[i][j] = c
+            m[j][i] = -c
+    return m
+
+
+class TestSkewInverse:
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    @pytest.mark.parametrize("param", [None, "a"], ids=["rational", "one-parameter"])
+    def test_inverse_and_pfaffian(self, n, param):
+        m = random_skew(random.Random(100 + n), n, param)
+        inv, pf = poisson._skew_inverse(m)
+        assert pf == pfaffian_reference(m)
+        assert not pf.is_structural_zero
+        for i in range(n):
+            for j in range(n):
+                entry = ex.ZERO
+                for k in range(n):
+                    entry = entry + m[i][k] * inv[k][j]
+                assert entry == (ex.ONE if i == j else ex.ZERO), (i, j)
+
+    def test_singular_and_odd_matrices(self):
+        zero = [[ex.ZERO] * 4 for _ in range(4)]
+        assert poisson._skew_inverse(zero) == (None, ex.ZERO)
+        assert poisson._skew_inverse(random_skew(random.Random(1), 3)) == (None, ex.ZERO)
+
+    def test_each_index_tuple_expanded_once(self, monkeypatch):
+        m = random_skew(random.Random(7), 8, "a")
+        expanded = collections.Counter()
+        original = poisson._pfaffian
+
+        def counted(matrix, idx, memo):
+            if idx and idx not in memo:
+                expanded[idx] += 1
+            return original(matrix, idx, memo)
+
+        monkeypatch.setattr(poisson, "_pfaffian", counted)
+        poisson._skew_inverse(m)
+        # the full matrix and all of its 28 (n-2)-minors were asked for
+        assert tuple(range(8)) in expanded
+        assert sum(len(idx) == 6 for idx in expanded) == 28
+        assert max(expanded.values()) == 1
 
 
 class TestBorderedAgainstLinearSolve:
