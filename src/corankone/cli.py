@@ -8,9 +8,9 @@ import argparse
 import sys
 from importlib import resources
 
-from .errors import ProblemFileError, ToolkitError
+from .errors import ProblemFileError, ToolkitError, quote
 from .pipeline import analyze, exit_code, render_report
-from .problemfile import load_problem, loads_problem
+from .problemfile import load_problem, loads_problem, sampling_range_error
 
 
 def _build_parser():
@@ -48,6 +48,11 @@ def bundled_corpus():
 
 
 def _cmd_check(args) -> int:
+    for name in ("trials", "tolerance"):
+        value = getattr(args, name)
+        why = None if value is None else sampling_range_error(name, value)
+        if why:
+            raise ProblemFileError(f"--{why}, got {quote(str(value))}")
     problem = load_problem(args.file)
     report = analyze(
         problem,

@@ -1,5 +1,15 @@
 """Exception taxonomy shared across the toolkit."""
 
+# validation errors quote at most this many characters of the offending text
+QUOTE_LIMIT = 80
+
+
+def quote(text: str) -> str:
+    """repr of text, cut to QUOTE_LIMIT characters and marked with '...'."""
+    if len(text) <= QUOTE_LIMIT:
+        return repr(text)
+    return repr(text[:QUOTE_LIMIT]) + "..."
+
 
 class ToolkitError(Exception):
     """Base class for all toolkit errors."""
@@ -21,7 +31,7 @@ class ExprSyntaxError(ExprError):
 
 class UnknownIdentifierError(ExprSyntaxError):
     def __init__(self, name: str, position: int):
-        ExprError.__init__(self, f"unknown identifier '{name}' (at position {position})")
+        ExprError.__init__(self, f"unknown identifier {quote(name)} (at position {position})")
         self.position = position
         self.name = name
 

@@ -49,7 +49,9 @@ from .errors import (
     EvaluationSingularity,
     ExprError,
     ExprSyntaxError,
+    QUOTE_LIMIT,
     UnknownIdentifierError,
+    quote,
 )
 
 FUNCTIONS = ("exp", "log", "sin", "cos")
@@ -347,7 +349,23 @@ def _gen_str(g):
 
 
 class ScalarExpr:
-    """Immutable exact scalar in canonical rational normal form."""
+    """Immutable exact scalar in canonical rational normal form.
+
+    ``num`` and ``den`` are polynomials in ``gens``, which are sorted by
+    ``_gen_key`` and all occur; ``den`` has leading coefficient 1 and no
+    common factor with ``num``.  An expression with no generators has
+    ``den == {(): 1}``, so a rational constant's value is ``num[()]``.
+
+    ``+``, ``*`` and ``/`` take exact shortcuts for the operand kinds most
+    arithmetic is made of, each giving the form the generic
+    ``_unify``/``_p_mul``/``_normalize`` path gives: a zero operand
+    (``a + 0`` is ``a`` itself, ``0 * a`` and ``0 / a`` are ``ZERO``), two
+    rational constants (one ``Fraction`` operation), a rational factor or
+    divisor ``q != 0`` (``_scaled``: the numerator times ``q``, without
+    normalizing), and in ``+`` equal denominators (the numerators added
+    over the shared one, then normalized, since the sum may share a factor
+    with it).
+    """
 
     __slots__ = ("gens", "num", "den", "_str", "_hash", "_d")
 
@@ -420,7 +438,15 @@ class ScalarExpr:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        if not self.gens and not other.gens:
+            return rational(self.num[()] + other.num[()])
         gens, a_num, a_den, b_num, b_den = _unify(self, other)
+        if a_den == b_den:
+            return ScalarExpr(gens, _p_add(a_num, b_num), a_den)
         num = _p_add(_p_mul(a_num, b_den), _p_mul(b_num, a_den))
         den = _p_mul(a_den, b_den)
         return ScalarExpr(gens, num, den)
@@ -446,6 +472,12 @@ class ScalarExpr:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not self.num or not other.num:
+            return ZERO
+        if not self.gens:
+            return _scaled(other, self.num[()])
+        if not other.gens:
+            return _scaled(self, other.num[()])
         gens, a_num, a_den, b_num, b_den = _unify(self, other)
         return ScalarExpr(gens, _p_mul(a_num, b_num), _p_mul(a_den, b_den))
 
@@ -457,6 +489,10 @@ class ScalarExpr:
             return NotImplemented
         if other.is_structural_zero:
             raise ExprError("division by zero expression")
+        if not self.num:
+            return ZERO
+        if not other.gens:
+            return _scaled(self, _F1 / other.num[()])
         gens, a_num, a_den, b_num, b_den = _unify(self, other)
         return ScalarExpr(gens, _p_mul(a_num, b_den), _p_mul(a_den, b_num))
 
@@ -602,6 +638,20 @@ def _normalize(gens, num, den):
         num = {tuple(e[i] for i in used): c for e, c in num.items()}
         den = {tuple(e[i] for i in used): c for e, c in den.items()}
     return gens, num, den
+
+
+def _scaled(e: ScalarExpr, q: Fraction) -> ScalarExpr:
+    """``e * q`` for a nonzero structural ``e`` and a nonzero rational ``q``.
+
+    Scaling the numerator by ``q`` keeps the denominator monic, the gcd of
+    numerator and denominator trivial and the generators in use the same,
+    so the result is canonical without ``_normalize``.
+    """
+    if q == 1:
+        return e
+    if not e.gens:
+        return rational(e.num[()] * q)
+    return ScalarExpr(e.gens, {k: c * q for k, c in e.num.items()}, e.den, _raw=True)
 
 
 def _coerce(x):
@@ -784,7 +834,7 @@ def _gen_derivative(g, name: str) -> ScalarExpr:
 
 def derive(e: ScalarExpr, name: str, chart: "Chart | None" = None) -> ScalarExpr:
     if chart is not None and name not in chart.coords:
-        raise ChartError(f"unknown coordinate '{name}'")
+        raise ChartError(f"unknown coordinate {quote(name)}")
     return _coerce(e).derive(name)
 
 
@@ -915,7 +965,7 @@ class _Parser:
         e = self.expr()
         kind, val, at = self._next()
         if kind != "eof":
-            raise ExprSyntaxError(f"unexpected trailing input {val!r}", at)
+            raise ExprSyntaxError(f"unexpected trailing input {quote(val)}", at)
         return e
 
     def expr(self):
@@ -965,8 +1015,9 @@ class _Parser:
             self._next()
             n = self.exponent()
             if abs(n) > MAX_EXPONENT:
+                shown = str(n) if len(str(n)) <= QUOTE_LIMIT else quote(str(n))
                 raise ExprSyntaxError(
-                    f"exponent {n} is outside -{MAX_EXPONENT}..{MAX_EXPONENT}", at
+                    f"exponent {shown} is outside -{MAX_EXPONENT}..{MAX_EXPONENT}", at
                 )
             if n < 0 and base.is_structural_zero:
                 raise ExprSyntaxError("negative power of zero", self.pos)
@@ -1005,7 +1056,7 @@ class _Parser:
             if val in self.chart.coords or val in self.chart.params:
                 return symbol(val)
             raise UnknownIdentifierError(val, at)
-        raise ExprSyntaxError(f"unexpected token {val!r}", at)
+        raise ExprSyntaxError(f"unexpected token {quote(val)}", at)
 
 
 def parse_scalar(text: str, chart: "Chart") -> ScalarExpr:
@@ -1057,14 +1108,14 @@ class Chart:
             raise ChartError("coordinate/parameter names must be distinct")
         for n in names:
             if not _NAME_RE.match(n) or n in FUNCTIONS:
-                raise ChartError(f"invalid name {n!r}")
+                raise ChartError(f"invalid name {quote(n)}")
             if n[0] == "d" and n[1:] in coords:
                 raise ChartError(
-                    f"name {n!r} collides with the basis covector of '{n[1:]}'"
+                    f"name {quote(n)} collides with the basis covector of {quote(n[1:])}"
                 )
         for p in periodic:
             if p not in coords:
-                raise ChartError(f"periodic flag on unknown coordinate {p!r}")
+                raise ChartError(f"periodic flag on unknown coordinate {quote(p)}")
         table = {}
         for c in coords:
             table[c] = (0.0, _TWO_PI) if c in periodic else (-1.0, 1.0)
@@ -1072,10 +1123,10 @@ class Chart:
             table[p] = (0.25, 1.75)
         for name, iv in dict(domains or {}).items():
             if name not in table:
-                raise ChartError(f"domain for unknown name {name!r}")
+                raise ChartError(f"domain for unknown name {quote(name)}")
             lo, hi = float(iv[0]), float(iv[1])
             if not lo < hi:
-                raise ChartError(f"empty sampling interval for {name!r}")
+                raise ChartError(f"empty sampling interval for {quote(name)}")
             table[name] = (lo, hi)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "periodic", periodic)
@@ -1091,7 +1142,7 @@ class Chart:
         try:
             return self.coords.index(name)
         except ValueError:
-            raise ChartError(f"unknown coordinate '{name}'") from None
+            raise ChartError(f"unknown coordinate {quote(name)}") from None
 
     def domain(self, name: str):
         return dict(self.domains)[name]

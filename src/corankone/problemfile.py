@@ -14,7 +14,7 @@ from typing import Optional
 
 from . import expr as ex
 from .calculus import DiffForm, MultiVector
-from .errors import ChartError, ExprError, ProblemFileError
+from .errors import ChartError, ExprError, ProblemFileError, quote
 from .expr import Chart, ZeroTester
 from .invariants import ObstructionCertificate, PeriodWitness
 from .poisson import PoissonStructure
@@ -37,17 +37,26 @@ ANALYSES = (
 
 VERDICT_WORDS = ("true", "probably-true", "false", "unknown", "skipped", "error")
 
-# validation errors quote at most this many characters of the offending text
-QUOTE_LIMIT = 80
-
 OPTION_TYPES = {"seed": int, "trials": int, "tolerance": float}
 
+# A zero test evaluates the expression at up to four points per trial, each
+# costing tens of microseconds on a small expression, so this bound keeps one
+# sampled test under about half a second; a billion trials would run for hours.
+MAX_TRIALS = 4096
 
-def _quote(text: str) -> str:
-    """repr of text, cut to QUOTE_LIMIT characters and marked with '...'."""
-    if len(text) <= QUOTE_LIMIT:
-        return repr(text)
-    return repr(text[:QUOTE_LIMIT]) + "..."
+
+def sampling_range_error(name: str, value) -> Optional[str]:
+    """The accepted range of `trials` or `tolerance` when value lies outside it.
+
+    A tolerance of 1 or more (or inf) calls every sampled expression
+    probably zero, and one of 0 or less (or nan) leaves every sample
+    ambiguous; no trials give no verdict at all.
+    """
+    if name == "trials" and not 1 <= value <= MAX_TRIALS:
+        return f"trials must lie in 1..{MAX_TRIALS}"
+    if name == "tolerance" and not 0 < value < 1:
+        return "tolerance must satisfy 0 < tolerance < 1"
+    return None
 
 
 @dataclass
@@ -137,7 +146,7 @@ class _Loader:
         head, args = tokens[0], tokens[1:]
         if head == "schema":
             if args != ["1"]:
-                self.fail(f"unsupported schema {args!r}", lineno)
+                self.fail(f"unsupported schema {quote(' '.join(args))}", lineno)
             return
         if head == "section":
             if len(args) != 1 or args[0] not in (
@@ -148,11 +157,11 @@ class _Loader:
                 "options",
                 "expects",
             ):
-                self.fail(f"unknown section {args!r}", lineno)
+                self.fail(f"unknown section {quote(' '.join(args))}", lineno)
             self.section = args[0]
             return
         if self.section is None:
-            self.fail(f"directive {head!r} before any section", lineno)
+            self.fail(f"directive {quote(head)} before any section", lineno)
         getattr(self, f"_{self.section}")(head, args, lineno)
 
     # -- sections -------------------------------------------------------------
@@ -177,13 +186,13 @@ class _Loader:
         elif head == "torus_strict":
             self.torus_strict = True
         else:
-            self.fail(f"unknown chart directive {head!r}", lineno)
+            self.fail(f"unknown chart directive {quote(head)}", lineno)
 
     def _interval(self, pair, lineno):
         try:
             lo, hi = float(pair[0]), float(pair[1])
         except ValueError:
-            self.fail(f"bad interval {pair!r}", lineno)
+            self.fail(f"bad interval {quote(' '.join(pair))}", lineno)
         return (lo, hi)
 
     def _structure(self, head, args, lineno):
@@ -194,13 +203,13 @@ class _Loader:
                 self.corank = int(args[0])
             except ValueError:
                 # isdigit admits digit strings that int refuses
-                self.fail(f"corank N, got {_quote(args[0])}", lineno)
+                self.fail(f"corank N, got {quote(args[0])}", lineno)
         elif head in self.terms:
             if not args:
                 self.fail(f"{head} EXPR [COORD...]", lineno)
             self.terms[head].append((args[0], tuple(args[1:]), lineno))
         else:
-            self.fail(f"unknown structure directive {head!r}", lineno)
+            self.fail(f"unknown structure directive {quote(head)}", lineno)
 
     def _certificates(self, head, args, lineno):
         if head == "first":
@@ -219,25 +228,28 @@ class _Loader:
                 locus[args[k]] = (args[k + 1], lineno)
             self.period = (args[0], locus, lineno)
         else:
-            self.fail(f"unknown certificate directive {head!r}", lineno)
+            self.fail(f"unknown certificate directive {quote(head)}", lineno)
 
     def _analyses(self, head, args, lineno):
         if args:
             self.fail("one analysis verb per line", lineno)
         if head not in ANALYSES:
-            self.fail(f"unknown analysis {head!r}", lineno)
+            self.fail(f"unknown analysis {quote(head)}", lineno)
         if head not in self.analyses:
             self.analyses.append(head)
 
     def _options(self, head, args, lineno):
         kind = OPTION_TYPES.get(head)
         if kind is None or len(args) != 1:
-            self.fail(f"unknown option {head!r}", lineno)
+            self.fail(f"unknown option {quote(head)}", lineno)
         try:
             value = kind(args[0])
         except ValueError:
             noun = "an integer" if kind is int else "a number"
-            self.fail(f"option {head} needs {noun}, got {_quote(args[0])}", lineno)
+            self.fail(f"option {head} needs {noun}, got {quote(args[0])}", lineno)
+        why = sampling_range_error(head, value)
+        if why:
+            self.fail(f"option {why}, got {quote(args[0])}", lineno)
         setattr(self, head, value)
 
     def _expects(self, head, args, lineno):
@@ -251,7 +263,7 @@ class _Loader:
         try:
             return ex.parse_scalar(text, self.chart)
         except ExprError as exc:
-            self.fail(f"bad expression {_quote(text)}: {exc}", lineno)
+            self.fail(f"bad expression {quote(text)}: {exc}", lineno)
 
     def _graded(self, kind, cls, degree):
         out = cls(self.chart, degree, {})
@@ -263,7 +275,7 @@ class _Loader:
                 )
             for n in names:
                 if n not in self.chart.coords:
-                    self.fail(f"unknown coordinate {n!r} in {kind} term", lineno)
+                    self.fail(f"unknown coordinate {quote(n)} in {kind} term", lineno)
             coeff = self._parse(text, lineno)
             out = out + cls(self.chart, degree, {names: coeff})
         return out
@@ -304,18 +316,18 @@ class _Loader:
             nu = DiffForm(self.chart, 1, {})
             for text, names, lineno in self.second_nu_terms:
                 if names[0] not in self.chart.coords:
-                    self.fail(f"unknown coordinate {names[0]!r}", lineno)
+                    self.fail(f"unknown coordinate {quote(names[0])}", lineno)
                 nu = nu + DiffForm(self.chart, 1, {names: self._parse(text, lineno)})
             second_cert = ObstructionCertificate("second", nu=nu, origin="supplied")
         witness = None
         if self.period is not None:
             cycle, locus_raw, lineno = self.period
             if cycle not in self.chart.coords:
-                self.fail(f"unknown cycle coordinate {cycle!r}", lineno)
+                self.fail(f"unknown cycle coordinate {quote(cycle)}", lineno)
             locus = {}
             for name, (text, at) in locus_raw.items():
                 if name not in self.chart.coords:
-                    self.fail(f"unknown locus coordinate {name!r}", at)
+                    self.fail(f"unknown locus coordinate {quote(name)}", at)
                 locus[name] = self._parse(text, at)
             witness = PeriodWitness(cycle, locus)
         return ProblemFile(

@@ -268,8 +268,25 @@ class TestExitCodes:
             ("seed 3", "tolerance 1e999x", "option tolerance needs a number, got '1e999x'"),
             # isdigit admits it, int refuses more than 4300 digits
             ("corank 1", "corank " + "1" * 5000, r"corank N, got '1{80}'\.\.\.$"),
+            # float() reads these, but each makes the zero test meaningless
+            ("seed 3", "tolerance 1e999", r"option tolerance must satisfy 0 < tolerance < 1, got '1e999'$"),
+            ("seed 3", "tolerance -1", r"option tolerance must satisfy 0 < tolerance < 1, got '-1'$"),
+            ("seed 3", "tolerance nan", r"option tolerance must satisfy 0 < tolerance < 1, got 'nan'$"),
+            ("seed 3", "tolerance 1", r"option tolerance must satisfy 0 < tolerance < 1, got '1'$"),
+            ("seed 3", "trials 0", r"option trials must lie in 1\.\.4096, got '0'$"),
+            ("seed 3", "trials 1000000000", r"option trials must lie in 1\.\.4096, got '1000000000'$"),
         ],
-        ids=["seed", "tolerance", "corank"],
+        ids=[
+            "seed",
+            "tolerance",
+            "corank",
+            "tolerance-inf",
+            "tolerance-negative",
+            "tolerance-nan",
+            "tolerance-one",
+            "trials-zero",
+            "trials-huge",
+        ],
     )
     def test_bad_value_is_exit_2(self, tmp_path, capsys, old, new, message):
         text = MINIMAL.replace(old, new)
@@ -279,6 +296,57 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("validation error:")
         with pytest.raises(ProblemFileError, match=message):
             loads_problem(text)
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--tolerance", "inf"), ("--tolerance", "1.5"), ("--trials", "0"), ("--trials", "4097")],
+    )
+    def test_sampling_flag_out_of_range_is_exit_2(self, tmp_path, capsys, flag, value):
+        path = tmp_path / "m.prob"
+        path.write_text(MINIMAL)
+        assert main(["check", str(path), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: {flag} must ")
+        assert err.rstrip().endswith(f"got '{value}'")
+
+    LONG = "q" * 5000
+    DIGITS = "9" * 4000  # within Python's int conversion limit
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("  jacobi\n", f"  {LONG}\n", "unknown analysis"),
+            ("seed 3", f"{LONG} 3", "unknown option"),
+            ('bivector "1" x y', f'bivector "1" x {LONG}', "unknown coordinate"),
+            ('bivector "1" x y', f'bivector "{LONG}" x y', "unknown identifier"),
+            ('bivector "1" x y', f'bivector "x {LONG}" x y', "unexpected trailing input"),
+            ("  corank 1", f"  {LONG}", "unknown structure directive"),
+            ("section analyses", f"section certificates\n  {LONG}\nsection analyses", "unknown certificate directive"),
+            ("  coords x y z", f"  coords x y z\n  {LONG}", "unknown chart directive"),
+            ("section analyses", f"section {LONG}", "unknown section"),
+            ("  coords x y z", f"  coords x y z 9{LONG}", "invalid name"),
+            ('bivector "1" x y', f'bivector "x^{DIGITS}" x y', "is outside"),
+        ],
+        ids=[
+            "analysis",
+            "option",
+            "coordinate",
+            "identifier",
+            "trailing",
+            "structure",
+            "certificate",
+            "chart",
+            "section",
+            "coordinate-name",
+            "exponent",
+        ],
+    )
+    def test_echoed_token_is_bounded(self, old, new, message):
+        text = MINIMAL.replace(old, new)
+        assert text != MINIMAL
+        with pytest.raises(ProblemFileError, match=message) as ei:
+            loads_problem(text)
+        assert len(str(ei.value)) < 300
 
 
 class TestVerbs:

@@ -23,6 +23,7 @@ from corankone.errors import (
     ExprSyntaxError,
     UnknownIdentifierError,
 )
+from corankone import expr
 from corankone.expr import MAX_EXPONENT, ONE, ZERO, VerdictKind
 
 
@@ -262,6 +263,51 @@ class TestSimplify:
             assert (lhs - rhs).is_structural_zero
             prod = (a / b) * (b / a)
             assert (prod - 1).is_structural_zero
+
+
+class TestArithmeticShortcuts:
+    def test_zero_operands(self, xyz):
+        x = symbol("x")
+        assert (x + ZERO) is x
+        assert (ZERO + x) is x
+        assert (x - ZERO) is x
+        assert (ZERO * x) is ZERO and (x * ZERO) is ZERO
+        assert (ZERO / x) is ZERO
+        with pytest.raises(ExprError, match="division by zero"):
+            x / ZERO
+        with pytest.raises(ExprError, match="division by zero"):
+            ZERO / ZERO
+
+    def test_unit_factor_returns_operand(self, xyz):
+        e = parse_scalar("x/(x + 1)", xyz)
+        assert (e * 1) is e and (ONE * e) is e and (e / 1) is e
+
+    def test_constant_has_unit_denominator(self, xyz):
+        # the constant shortcuts read a constant's value off num[()]
+        for text in ("2/3", "(2*x)/(3*x)", "(x^2 - 1)/(2*x - 2) - x/2", "exp(x)/exp(x)"):
+            e = parse_scalar(text, xyz)
+            assert e.gens == () and e.den == {(): 1}
+        assert ZERO.den == ONE.den == rational(5).den == {(): 1}
+
+    def test_shortcuts_skip_normalize(self, xyz, monkeypatch):
+        x = symbol("x")
+        q = parse_scalar("x/(x + 1)", xyz)
+        calls = []
+        real = expr._normalize
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(expr, "_normalize", counting)
+        assert rational(2) * rational(3) == rational(6)
+        assert x + ZERO == x
+        scaled = rational(3) * q
+        assert str(scaled) == "3*x/(x + 1)"
+        assert calls == []
+        # a sum of quotients still normalizes
+        assert q + q == rational(2) * q
+        assert len(calls) == 1
 
 
 class TestIsZero:
