@@ -77,7 +77,8 @@ def _single_linear_locus(h: ScalarExpr, chart: Chart) -> Optional[str]:
     name = h.gens[0]
     if name not in chart.coords:
         return None
-    if h.den != {(0,): ex._F1} or list(h.num.keys()) != [(1,)]:
+    terms, den = h.parts()
+    if den != ex.ONE or [exps for exps, _ in terms] != [(1,)]:
         return None
     return f"{name} = 0"
 

@@ -2,7 +2,8 @@
 
 A :class:`ScalarExpr` is kept in a canonical rational normal form
 ``num / den`` where ``num`` and ``den`` are expanded multivariate
-polynomials over exact rationals.  The polynomial generators are the
+polynomials with integer coefficients and packed monomials.  The
+polynomial generators are the
 chart coordinates, the free parameters, and whole function applications
 ``exp(...)``, ``log(...)``, ``sin(...)``, ``cos(...)`` treated as opaque
 generators (their arguments are themselves canonical expressions).
@@ -27,8 +28,9 @@ Expression grammar (EBNF)::
              | "(" , expr , ")" ;
     number   = digits , [ "." , digits ] ;
 
-Names must resolve to chart coordinates or parameters, and an exponent
-lies within ``-MAX_EXPONENT..MAX_EXPONENT``.  The printer
+Names must resolve to chart coordinates or parameters, an exponent
+lies within ``-MAX_EXPONENT..MAX_EXPONENT``, and no power, product or sum
+of quotients may expand to more than ``MAX_TERMS`` terms.  The printer
 emits canonical text whose re-parse is structurally identical
 (parse -> print -> parse is the identity on canonical forms).
 """
@@ -36,13 +38,15 @@ emits canonical text whose re-parse is structurally identical
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
 import random
 import re
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 from .errors import (
     ChartError,
@@ -56,28 +60,83 @@ from .errors import (
 
 FUNCTIONS = ("exp", "log", "sin", "cos")
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
-Number = Union[int, Fraction]
-
 
 # ---------------------------------------------------------------------------
-# polynomial layer: dict[exponent tuple -> Fraction], width fixed by caller
+# polynomial layer: dict[packed monomial -> int], width fixed by the caller
+#
+# The monomial x1^e1 ... xw^ew of a w-generator polynomial is one int: the
+# total degree in the top field, then e1 down to ew, each _FIELD bits wide
+# (M. Monagan and R. Pearce, "Polynomial division using dynamic arrays, heaps,
+# and packed exponent vectors", CASC 2007).  So grlex order is integer order
+# and a product of monomials is one addition.  The top bit of every field is
+# a guard: a total degree that reaches it overflows (ExprError), and an
+# exponent difference that borrows sets it.
+
+_FIELD = 16
+_MASK = (1 << _FIELD) - 1
+_MAX_DEGREE = (1 << (_FIELD - 1)) - 1
 
 
-def _grlex(exps):
-    return (sum(exps), exps)
+def _shift(i, w):
+    """Bit offset of generator i's field in a w-generator monomial."""
+    return _FIELD * (w - 1 - i)
 
 
-def _p_lead(poly):
-    return max(poly, key=_grlex)
+def _unit(i, w):
+    """The packed monomial of generator i to the first power."""
+    return (1 << _FIELD * w) | (1 << _shift(i, w))
+
+
+def _pack(exps):
+    deg = sum(exps)
+    if deg > _MAX_DEGREE:
+        raise ExprError(f"total degree {deg} exceeds {_MAX_DEGREE}")
+    key = deg
+    for e in exps:
+        key = key << _FIELD | e
+    return key
+
+
+def _unpack(key, w):
+    return tuple(key >> _FIELD * (w - 1 - i) & _MASK for i in range(w))
+
+
+def _check_degree(key):
+    # below the limit the top set bit lies under the top field's guard bit
+    if key and not key.bit_length() % _FIELD:
+        raise ExprError(f"a total degree exceeds {_MAX_DEGREE}")
+
+
+def _guard(key):
+    """The guard bits of every field up to key's top field."""
+    n = key.bit_length() // _FIELD + 1
+    return ((1 << _FIELD * n) - 1) // _MASK << (_FIELD - 1)
+
+
+def _occurs(poly):
+    """Bitwise or of the monomials: a field is nonzero where its generator occurs."""
+    return functools.reduce(operator.or_, poly, 0)
+
+
+def _repack(poly, pairs, old_w, new_w):
+    """poly with the exponent field of generator i moved to j, for each
+    (i, j) in pairs; the other fields must be zero."""
+    moves = [(_shift(i, old_w), _shift(j, new_w)) for i, j in pairs]
+    top_old, top_new = _FIELD * old_w, _FIELD * new_w
+    out = {}
+    for e, c in poly.items():
+        k = e >> top_old << top_new
+        for s, t in moves:
+            k |= (e >> s & _MASK) << t
+        out[k] = c
+    return out
 
 
 def _p_add(a, b):
     out = dict(a)
+    get = out.get
     for e, c in b.items():
-        s = out.get(e, _F0) + c
+        s = get(e, 0) + c
         if s:
             out[e] = s
         else:
@@ -89,218 +148,228 @@ def _p_neg(a):
     return {e: -c for e, c in a.items()}
 
 
+def _p_sub(a, b):
+    return _p_add(a, _p_neg(b))
+
+
 def _p_mul(a, b):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            k = tuple(x + y for x, y in zip(ea, eb))
-            s = out.get(k, _F0) + ca * cb
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-    return out
-
-
-def _p_scale(a, c):
-    if not c:
+    if not a or not b:
         return {}
-    return {e: v * c for e, v in a.items()}
+    _check_degree(max(a) + max(b))
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        ((eb, cb),) = b.items()
+        return {ea + eb: ca * cb for ea, ca in a.items()}
+    out = {}
+    get = out.get
+    for eb, cb in b.items():
+        for ea, ca in a.items():
+            k = ea + eb
+            out[k] = get(k, 0) + ca * cb
+    if 0 in out.values():
+        return {k: c for k, c in out.items() if c}
+    return out
 
 
 def _p_divexact(num, den):
-    """Quotient num/den when the division is exact, else None."""
-    dl = _p_lead(den)
+    """Quotient num/den when the division is exact in Z[x], else None."""
+    if not num:
+        return {}
+    dl = max(den)
     dlc = den[dl]
+    guard = _guard(max(num))
+    if len(den) == 1:
+        quot = {}
+        for k, c in num.items():
+            e = k - dl
+            q, r = divmod(c, dlc)
+            if e < 0 or e & guard or r:
+                return None
+            quot[e] = q
+        return quot
+    rest = [(k, c) for k, c in den.items() if k != dl]
     rem = dict(num)
     quot = {}
     while rem:
-        rl = _p_lead(rem)
-        e = tuple(a - b for a, b in zip(rl, dl))
-        if any(x < 0 for x in e):
+        rl = max(rem)
+        e = rl - dl
+        q, r = divmod(rem.pop(rl), dlc)
+        if e < 0 or e & guard or r:
             return None
-        c = rem[rl] / dlc
-        quot[e] = c
-        for de, dc in den.items():
-            k = tuple(a + b for a, b in zip(e, de))
-            s = rem.get(k, _F0) - c * dc
+        quot[e] = q
+        for k, c in rest:
+            k += e
+            s = rem.get(k, 0) - q * c
             if s:
                 rem[k] = s
             else:
-                rem.pop(k, None)
+                del rem[k]
     return quot
 
 
-def _p_derive(poly, i):
+def _p_derive(poly, i, w):
+    sh = _shift(i, w)
+    unit = _unit(i, w)
     out = {}
     for e, c in poly.items():
-        if e[i]:
-            k = e[:i] + (e[i] - 1,) + e[i + 1 :]
-            s = out.get(k, _F0) + c * e[i]
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+        k = e >> sh & _MASK
+        if k:
+            out[e - unit] = c * k
     return out
 
 
-# multivariate gcd (primitive pseudo-remainder sequence) -----------------------
+# multivariate gcd (primitive pseudo-remainder sequence over Z) ----------------
 
 
 def _p_const(poly):
-    return all(not any(e) for e in poly)
+    return not poly or (len(poly) == 1 and 0 in poly)
 
 
-def _by_degree(poly, var):
+def _p_normal(poly):
+    """poly over its integer content, with a positive leading coefficient."""
+    g = math.gcd(*poly.values())
+    if poly[max(poly)] < 0:
+        g = -g
+    if g == 1:
+        return poly
+    return {e: c // g for e, c in poly.items()}
+
+
+def _by_degree(poly, var, w):
     """Group a polynomial by its degree in one variable."""
+    sh = _shift(var, w)
+    unit = _unit(var, w)
     out = {}
     for e, c in poly.items():
-        d = e[var]
-        key = e[:var] + (0,) + e[var + 1 :]
-        bucket = out.setdefault(d, {})
-        bucket[key] = bucket.get(key, _F0) + c
-    return {d: {e: c for e, c in b.items() if c} for d, b in out.items() if b}
-
-
-def _from_degrees(buckets, var):
-    out = {}
-    for d, b in buckets.items():
-        for e, c in b.items():
-            k = e[:var] + (d,) + e[var + 1 :]
-            out[k] = c
+        d = e >> sh & _MASK
+        out.setdefault(d, {})[e - d * unit] = c
     return out
 
 
 def _p_primitive(poly, var, w):
-    """(content, primitive part) of poly viewed in Q[rest][var]."""
-    buckets = _by_degree(poly, var)
+    """(content, primitive part) of poly viewed in Z[rest][var].
+
+    The content is the gcd of the coefficients in Z[rest], up to its
+    integer content; the primitive part is also free of integer content.
+    """
     content = {}
-    for b in buckets.values():
+    for b in _by_degree(poly, var, w).values():
         content = _p_gcd(content, b, w)
         if _p_const(content):
-            break
-    if not content:
-        return {}, {}
-    prim = _p_divexact(poly, content)
-    return content, prim
+            return content, _p_normal(poly)
+    return content, _p_normal(_p_divexact(poly, content))
 
 
 def _p_pseudo_rem(a, b, var, w):
     """Pseudo-remainder of a by b in the main variable."""
-    b_deg = max(e[var] for e in b)
-    b_lead = {
-        e[:var] + (0,) + e[var + 1 :]: c for e, c in b.items() if e[var] == b_deg
-    }
-    rem = dict(a)
+    sh = _shift(var, w)
+    unit = _unit(var, w)
+    b_deg = max(e >> sh & _MASK for e in b)
+    b_lead = {e - b_deg * unit: c for e, c in b.items() if e >> sh & _MASK == b_deg}
+    rem = a
     while rem:
-        r_deg = max(e[var] for e in rem)
+        r_deg = max(e >> sh & _MASK for e in rem)
         if r_deg < b_deg:
             break
-        r_lead = {
-            e[:var] + (0,) + e[var + 1 :]: c for e, c in rem.items() if e[var] == r_deg
-        }
-        shift = r_deg - b_deg
-        shifted = {
-            e[:var] + (e[var] + shift,) + e[var + 1 :]: c for e, c in b.items()
-        }
-        rem = _p_add(_p_mul(rem, b_lead), _p_neg(_p_mul(shifted, r_lead)))
+        r_lead = {e - r_deg * unit: c for e, c in rem.items() if e >> sh & _MASK == r_deg}
+        step = (r_deg - b_deg) * unit
+        shifted = {e + step: c for e, c in b.items()}
+        rem = _p_sub(_p_mul(rem, b_lead), _p_mul(shifted, r_lead))
     return rem
 
 
-_GCD_POINTS = ((3, -5, 7, -11, 13, -17, 19, -23), (2, 9, -4, 5, -8, 3, -7, 6))
-
-
-def _p_uni_image(poly, var, points, w):
-    """Univariate image in one variable at fixed integer substitutions."""
+def _p_eval(poly, var, x, w):
+    """poly at the integer x in one variable; that field becomes zero."""
     out = {}
-    for e, c in poly.items():
-        v = c
-        for i in range(w):
-            if i == var or not e[i]:
-                continue
-            v = v * Fraction(points[i % len(points)]) ** e[i]
-        d = e[var]
-        s = out.get(d, _F0) + v
-        if s:
-            out[d] = s
-        else:
-            out.pop(d, None)
+    for d, bucket in _by_degree(poly, var, w).items():
+        out = _p_add(out, {k: c * x**d for k, c in bucket.items()})
     return out
 
 
-def _uni_gcd_degree(a, b):
-    a, b = dict(a), dict(b)
-    while b:
-        db = max(b)
-        lb = b[db]
-        while a and max(a) >= db:
-            da = max(a)
-            f = a.pop(da) / lb
-            for d, c in b.items():
-                if d == db:
-                    continue
-                nd = d + da - db
-                s = a.get(nd, _F0) - f * c
-                if s:
-                    a[nd] = s
-                else:
-                    a.pop(nd, None)
-        a, b = b, a
-    return max(a) if a else -1
+def _p_interpolate(h, var, x, w):
+    """The polynomial in one variable, with coefficients in the symmetric
+    range of x, whose value at x is h."""
+    unit = _unit(var, w)
+    half = x // 2
+    out = {}
+    d = 0
+    while h:
+        rest = {}
+        for k, c in h.items():
+            r = c % x
+            if r > half:
+                r -= x
+            if r:
+                out[k + d * unit] = r
+            if c != r:
+                rest[k] = (c - r) // x
+        h = rest
+        d += 1
+    return out
 
 
-def _gcd_trivial_in(a, b, var, w):
-    """True when the gcd provably has degree 0 in the variable.
+def _heu_gcd(a, b, w):
+    """GCD in Z[x1..xw] by evaluation at a large integer, or None.
 
-    A point is used only when both images keep their degree in the
-    variable; then the gcd's image divides the images' gcd and keeps its
-    own degree, so a constant univariate gcd proves a trivial one
-    (Brown, J. ACM 18 (1971)).  When no point qualifies the answer is
-    False, and the caller computes the gcd in full.
+    Heuristic GCD (B. W. Char, K. O. Geddes and G. H. Gonnet, J. Symbolic
+    Comput. 7 (1989)): evaluate one variable at xi, take the gcd of the
+    images recursively, and interpolate it back.  With xi above twice the
+    smaller coefficient norm, a candidate that divides both is the gcd.
     """
-    deg_a = max(e[var] for e in a)
-    deg_b = max(e[var] for e in b)
-    for points in _GCD_POINTS:
-        ia = _p_uni_image(a, var, points, w)
-        ib = _p_uni_image(b, var, points, w)
-        if not ia or not ib or max(ia) != deg_a or max(ib) != deg_b:
-            continue
-        if _uni_gcd_degree(ia, ib) == 0:
-            return True
-    return False
+    ca, cb = math.gcd(*a.values()), math.gcd(*b.values())
+    c = math.gcd(ca, cb)
+    if _p_const(a) or _p_const(b):
+        return {0: c}
+    a = {k: v // ca for k, v in a.items()}
+    b = {k: v // cb for k, v in b.items()}
+    occ = _occurs(a) | _occurs(b)
+    var = next(v for v in range(w) if occ >> _shift(v, w) & _MASK)
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
+    for _ in range(6):
+        ia, ib = _p_eval(a, var, xi, w), _p_eval(b, var, xi, w)
+        if ia and ib:
+            h = _heu_gcd(ia, ib, w)
+            if h is None:
+                return None
+            g = _p_normal(_p_interpolate(h, var, xi, w))
+            if _p_divexact(a, g) is not None and _p_divexact(b, g) is not None:
+                return g if c == 1 else {k: v * c for k, v in g.items()}
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+    return None
 
 
 def _p_gcd(a, b, w):
-    """GCD over Q[x1..xw]; normalized primitive with leading coefficient 1."""
-    if not a:
-        g = dict(b)
-    elif not b:
-        g = dict(a)
+    """GCD in Z[x1..xw] up to its integer content: primitive, with a
+    positive leading coefficient.
+
+    The heuristic gcd decides almost every pair; when it gives up, the
+    primitive pseudo-remainder sequence in one shared variable does.
+    """
+    if not a or not b:
+        g = a or b
     else:
-        shared = [
-            i
-            for i in range(w)
-            if any(e[i] for e in a) and any(e[i] for e in b)
-        ]
-        heavy = [v for v in shared if not _gcd_trivial_in(a, b, v, w)]
-        if not heavy:
-            return {(0,) * w: _F1}
-        var = heavy[0]
-        ca, pa = _p_primitive(a, var, w)
-        cb, pb = _p_primitive(b, var, w)
-        cg = _p_gcd(ca, cb, w)
-        while pb:
-            rem = _p_pseudo_rem(pa, pb, var, w)
-            pa, pb = pb, rem
-            if pb:
-                _, pb = _p_primitive(pb, var, w)
-        g = _p_mul(cg, pa)
+        g = _heu_gcd(a, b, w)
+        if g is None:
+            occ_a, occ_b = _occurs(a), _occurs(b)
+            var = next(
+                (v for v in range(w) if occ_a >> _shift(v, w) & _MASK and occ_b >> _shift(v, w) & _MASK),
+                None,
+            )
+            if var is None:
+                return {0: 1}
+            ca, pa = _p_primitive(a, var, w)
+            cb, pb = _p_primitive(b, var, w)
+            cg = _p_gcd(ca, cb, w)
+            while pb:
+                rem = _p_pseudo_rem(pa, pb, var, w)
+                pa, pb = pb, rem
+                if pb:
+                    _, pb = _p_primitive(pb, var, w)
+            g = _p_mul(cg, pa)
     if not g:
         return {}
-    lc = g[_p_lead(g)]
-    if lc != 1:
-        g = {e: c / lc for e, c in g.items()}
-    return g
+    return _p_normal(g)
 
 
 # ---------------------------------------------------------------------------
@@ -352,26 +421,36 @@ class ScalarExpr:
     """Immutable exact scalar in canonical rational normal form.
 
     ``num`` and ``den`` are polynomials in ``gens``, which are sorted by
-    ``_gen_key`` and all occur; ``den`` has leading coefficient 1 and no
-    common factor with ``num``.  An expression with no generators has
-    ``den == {(): 1}``, so a rational constant's value is ``num[()]``.
+    ``_gen_key`` and all occur.  A polynomial maps packed monomials to
+    integer coefficients.  ``num`` and ``den`` have no common factor in
+    Z[gens], not even an integer one, and ``den``'s grlex leading
+    coefficient ``lc`` is positive; so every value has one form, one hash
+    and one printed text.  Rationals appear only where text or floats are
+    made: a term prints and evaluates as ``c / lc`` over ``den / lc``.
+
+    An expression with no generators keeps its rational value as the one
+    coefficient of ``num``, over ``den == {(): 1}``, so a rational
+    constant's value is ``num[()]``.
+
+    The constructor normalizes polynomials given with packed monomials or
+    exponent tuples and with int or Fraction coefficients.
 
     ``+``, ``*`` and ``/`` take exact shortcuts for the operand kinds most
     arithmetic is made of, each giving the form the generic
     ``_unify``/``_p_mul``/``_normalize`` path gives: a zero operand
     (``a + 0`` is ``a`` itself, ``0 * a`` and ``0 / a`` are ``ZERO``), two
     rational constants (one ``Fraction`` operation), a rational factor or
-    divisor ``q != 0`` (``_scaled``: the numerator times ``q``, without
-    normalizing), and in ``+`` equal denominators (the numerators added
-    over the shared one, then normalized, since the sum may share a factor
-    with it).
+    divisor ``q != 0`` (``_scaled``: integer factors on the numerator and
+    denominator, without normalizing), and in ``+`` equal denominators (the
+    numerators added over the shared one, then normalized, since the sum
+    may share a factor with it).
     """
 
     __slots__ = ("gens", "num", "den", "_str", "_hash", "_d")
 
     def __init__(self, gens, num, den, _raw=False):
         if not _raw:
-            gens, num, den = _normalize(gens, num, den)
+            gens, num, den = _normalize(gens, *_integral(num, den))
         self.gens = gens
         self.num = num
         self.den = den
@@ -392,9 +471,7 @@ class ScalarExpr:
     def as_fraction(self) -> Fraction:
         if self.gens:
             raise ExprError(f"not a rational constant: {self}")
-        if not self.num:
-            return _F0
-        return self.num[()] / self.den[()]
+        return self.num[()] if self.num else Fraction(0)
 
     def free_symbols(self) -> frozenset:
         """All coordinate/parameter names, recursing into function arguments."""
@@ -405,6 +482,15 @@ class ScalarExpr:
             else:
                 out |= g.arg.free_symbols()
         return frozenset(out)
+
+    def parts(self):
+        """``(terms, den)``: the numerator's terms in printed order, as
+        ``(exponent tuple, Fraction)`` pairs over the denominator scaled to
+        leading coefficient 1, and that denominator as an expression."""
+        w = len(self.gens)
+        lc = self.den[max(self.den)]
+        terms = [(_unpack(k, w), Fraction(self.num[k], lc)) for k in sorted(self.num, reverse=True)]
+        return terms, _new(self.gens, self.den, {0: lc}) if w else ONE
 
     def __bool__(self):
         return bool(self.num)
@@ -446,15 +532,14 @@ class ScalarExpr:
             return rational(self.num[()] + other.num[()])
         gens, a_num, a_den, b_num, b_den = _unify(self, other)
         if a_den == b_den:
-            return ScalarExpr(gens, _p_add(a_num, b_num), a_den)
+            return _new(gens, _p_add(a_num, b_num), a_den)
         num = _p_add(_p_mul(a_num, b_den), _p_mul(b_num, a_den))
-        den = _p_mul(a_den, b_den)
-        return ScalarExpr(gens, num, den)
+        return _new(gens, num, _p_mul(a_den, b_den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarExpr(self.gens, _p_neg(self.num), dict(self.den), _raw=True)
+        return ScalarExpr(self.gens, _p_neg(self.num), self.den, _raw=True)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -479,7 +564,7 @@ class ScalarExpr:
         if not other.gens:
             return _scaled(self, other.num[()])
         gens, a_num, a_den, b_num, b_den = _unify(self, other)
-        return ScalarExpr(gens, _p_mul(a_num, b_num), _p_mul(a_den, b_den))
+        return _new(gens, _p_mul(a_num, b_num), _p_mul(a_den, b_den))
 
     __rmul__ = __mul__
 
@@ -492,9 +577,9 @@ class ScalarExpr:
         if not self.num:
             return ZERO
         if not other.gens:
-            return _scaled(self, _F1 / other.num[()])
+            return _scaled(self, 1 / other.num[()])
         gens, a_num, a_den, b_num, b_den = _unify(self, other)
-        return ScalarExpr(gens, _p_mul(a_num, b_den), _p_mul(a_den, b_num))
+        return _new(gens, _p_mul(a_num, b_den), _p_mul(a_den, b_num))
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -510,7 +595,7 @@ class ScalarExpr:
         if n < 0:
             if self.is_structural_zero:
                 raise ExprError("negative power of zero expression")
-            base = ScalarExpr(self.gens, dict(self.den), dict(self.num))
+            base = _reciprocal(self)
             n = -n
         else:
             base = self
@@ -538,25 +623,42 @@ class ScalarExpr:
         return out
 
     def _derive(self, name: str) -> "ScalarExpr":
-        d_num = ZERO
-        d_den = ZERO
-        den_is_one = self.den == {(0,) * len(self.gens): _F1}
-        for i, g in enumerate(self.gens):
+        """The quotient rule on the polynomials, normalized once.
+
+        With ``g_i' = a_i / b_i`` over a common denominator ``B``, the
+        derivative of ``N / D`` is ``(N' D - N D') / (B D^2)``, where
+        ``N' = sum_i (dN/dg_i) a_i B / b_i`` and likewise ``D'``.
+        """
+        chain = []
+        for g in self.gens:
             dg = _gen_derivative(g, name)
-            if dg.is_structural_zero:
-                continue
-            pn = _p_derive(self.num, i)
-            if pn:
-                d_num = d_num + ScalarExpr(self.gens, pn, {(0,) * len(self.gens): _F1}) * dg
-            if not den_is_one:
-                pd = _p_derive(self.den, i)
-                if pd:
-                    d_den = d_den + ScalarExpr(self.gens, pd, {(0,) * len(self.gens): _F1}) * dg
-        if den_is_one:
-            return d_num
-        n_expr = ScalarExpr(self.gens, dict(self.num), {(0,) * len(self.gens): _F1})
-        den_expr = ScalarExpr(self.gens, dict(self.den), {(0,) * len(self.gens): _F1})
-        return (d_num * den_expr - n_expr * d_den) / (den_expr * den_expr)
+            if dg.num:
+                chain.append((g, dg))
+        if not chain:
+            return ZERO
+        gens = self.gens
+        extra = {h for _, dg in chain for h in dg.gens}.difference(gens)
+        if extra:
+            gens = tuple(sorted(extra.union(gens), key=_gen_key))
+        w = len(gens)
+        pos = {g: i for i, g in enumerate(gens)}
+        num, den = _lift(self, pos, w)
+        lifted = [(pos[g], *_lift(dg, pos, w)) for g, dg in chain]
+        common = {0: 1}
+        for _, _, b in lifted:
+            if _p_divexact(common, b) is None:
+                common = _p_mul(common, b)
+        const_den = len(den) == 1 and 0 in den
+        d_num, d_den = {}, {}
+        for i, a, b in lifted:
+            factor = _p_mul(a, _p_divexact(common, b))
+            d_num = _p_add(d_num, _p_mul(_p_derive(num, i, w), factor))
+            if not const_den:
+                d_den = _p_add(d_den, _p_mul(_p_derive(den, i, w), factor))
+        if const_den:
+            return _new(gens, d_num, _p_mul(den, common))
+        top = _p_sub(_p_mul(d_num, den), _p_mul(num, d_den))
+        return _new(gens, top, _p_mul(common, _p_mul(den, den)))
 
     def subs(self, mapping: Mapping[str, "ScalarExpr"]) -> "ScalarExpr":
         """Substitute expressions for symbols (parameters stay symbolic)."""
@@ -573,8 +675,9 @@ class ScalarExpr:
 
     def evaluate(self, env: Mapping[str, float]) -> float:
         """Numeric value at a sample point; raises EvaluationSingularity on poles."""
-        num_terms = _eval_terms(self.num, self.gens, env)
-        den_terms = _eval_terms(self.den, self.gens, env)
+        lc = self.den[max(self.den)]
+        num_terms = _eval_terms(self.num, self.gens, env, lc)
+        den_terms = _eval_terms(self.den, self.gens, env, lc)
         den_val = math.fsum(den_terms)
         den_scale = max((abs(t) for t in den_terms), default=0.0)
         if abs(den_val) <= 1e-12 * max(den_scale, 1e-300):
@@ -592,66 +695,145 @@ class ScalarExpr:
         return f"ScalarExpr({self})"
 
 
-ZERO = ScalarExpr((), {}, {(): _F1}, _raw=True)
-ONE = ScalarExpr((), {(): _F1}, {(): _F1}, _raw=True)
+ZERO = ScalarExpr((), {}, {(): 1}, _raw=True)
+ONE = ScalarExpr((), {(): Fraction(1)}, {(): 1}, _raw=True)
+
+
+def _new(gens, num, den) -> ScalarExpr:
+    """The expression num/den of packed integer polynomials, normalized."""
+    return ScalarExpr(*_normalize(gens, num, den), _raw=True)
+
+
+def _integral(num, den):
+    """num and den with packed monomials and integer coefficients.
+
+    Monomials may come as exponent tuples or packed, coefficients as ints
+    or Fractions; both polynomials are multiplied by the least common
+    denominator of the coefficients, and zero coefficients are dropped.
+    """
+    scale = 1
+    for poly in (num, den):
+        for c in poly.values():
+            if type(c) is not int:
+                scale = math.lcm(scale, Fraction(c).denominator)
+    return tuple(
+        {
+            _pack(k) if type(k) is tuple else k: int(c * scale)
+            for k, c in poly.items()
+            if c
+        }
+        for poly in (num, den)
+    )
+
+
+def _constant(p, r):
+    return (), {(): Fraction(p, r)}, {(): 1}
 
 
 def _normalize(gens, num, den):
-    num = {e: c for e, c in num.items() if c}
-    den = {e: c for e, c in den.items() if c}
     if not den:
         raise ExprError("zero denominator")
     if not num:
-        return (), {}, {(): _F1}
+        return (), {}, {(): 1}
     w = len(gens)
-    while True:
-        # cancel the common monomial content
-        if w:
-            mins = [
-                min(min(e[i] for e in num), min(e[i] for e in den)) for i in range(w)
-            ]
-            if any(mins):
-                num = {tuple(a - m for a, m in zip(e, mins)): c for e, c in num.items()}
-                den = {tuple(a - m for a, m in zip(e, mins)): c for e, c in den.items()}
-        # make the denominator's leading coefficient 1
-        lc = den[_p_lead(den)]
-        if lc != 1:
-            num = {e: c / lc for e, c in num.items()}
-            den = {e: c / lc for e, c in den.items()}
-        if den == {(0,) * w: _F1}:
-            break
+    if not w:
+        return _constant(num[0], den[0])
+    # cancel the common monomial content
+    if 0 not in num and 0 not in den:
+        m = _common_monomial(num, den, w)
+        if m:
+            num = {e - m: c for e, c in num.items()}
+            den = {e - m: c for e, c in den.items()}
+    # split off the integer contents, the sign of den's leading term with them
+    cn = math.gcd(*num.values())
+    cd = math.gcd(*den.values())
+    if den[max(den)] < 0:
+        cd = -cd
+    if cn != 1:
+        num = {e: c // cn for e, c in num.items()}
+    if cd != 1:
+        den = {e: c // cd for e, c in den.items()}
+    # cancel the gcd of the primitive parts; a monomial has none left
+    if len(den) > 1 and len(num) > 1:
         quot = _p_divexact(num, den)
         if quot is not None:
-            num = quot
-            den = {(0,) * w: _F1}
-            break
-        g = _p_gcd(num, den, w)
-        if _p_const(g):
-            break
-        num = _p_divexact(num, g)
-        den = _p_divexact(den, g)
-        # the reduced pair may expose fresh content; loop once more
+            num, den = quot, {0: 1}
+        else:
+            g = _p_gcd(num, den, w)
+            if not _p_const(g):
+                num = _p_divexact(num, g)
+                den = _p_divexact(den, g)
+    # put back the reduced rational factor cn / cd
+    h = math.gcd(cn, cd)
+    p, r = cn // h, cd // h
+    if r < 0:
+        p, r = -p, -r
+    if p != 1:
+        num = {e: c * p for e, c in num.items()}
+    if r != 1:
+        den = {e: c * r for e, c in den.items()}
     # drop generators that no longer occur
-    used = [i for i in range(w) if any(e[i] for e in num) or any(e[i] for e in den)]
+    occ = _occurs(num) | _occurs(den)
+    used = [i for i in range(w) if occ >> _shift(i, w) & _MASK]
     if len(used) < w:
+        if not used:
+            return _constant(num[0], den[0])
+        pairs = [(i, j) for j, i in enumerate(used)]
         gens = tuple(gens[i] for i in used)
-        num = {tuple(e[i] for i in used): c for e, c in num.items()}
-        den = {tuple(e[i] for i in used): c for e, c in den.items()}
+        num = _repack(num, pairs, w, len(used))
+        den = _repack(den, pairs, w, len(used))
     return gens, num, den
+
+
+def _common_monomial(num, den, w):
+    """The largest monomial dividing every term of num and den (0 for 1)."""
+    m = deg = 0
+    for i in range(w):
+        sh = _shift(i, w)
+        lo = min(e >> sh & _MASK for e in num)
+        if lo:
+            lo = min(lo, min(e >> sh & _MASK for e in den))
+        if lo:
+            m |= lo << sh
+            deg += lo
+    return m | deg << _FIELD * w if m else 0
 
 
 def _scaled(e: ScalarExpr, q: Fraction) -> ScalarExpr:
     """``e * q`` for a nonzero structural ``e`` and a nonzero rational ``q``.
 
-    Scaling the numerator by ``q`` keeps the denominator monic, the gcd of
-    numerator and denominator trivial and the generators in use the same,
-    so the result is canonical without ``_normalize``.
+    With ``q = p / r``, the numerator is multiplied by ``p`` and the
+    denominator by ``r``, after cancelling the integer factors ``p`` shares
+    with the denominator's content and ``r`` with the numerator's.  That
+    keeps the two coprime, the denominator's leading coefficient positive
+    and the generators in use the same, so the result is canonical without
+    ``_normalize``.
     """
     if q == 1:
         return e
     if not e.gens:
         return rational(e.num[()] * q)
-    return ScalarExpr(e.gens, {k: c * q for k, c in e.num.items()}, e.den, _raw=True)
+    p, r = q.numerator, q.denominator
+    g = math.gcd(p, *e.den.values())
+    h = math.gcd(r, *e.num.values())
+    p, r = p // g, r // h
+    num = e.num if h == 1 else {k: c // h for k, c in e.num.items()}
+    den = e.den if g == 1 else {k: c // g for k, c in e.den.items()}
+    if p != 1:
+        num = {k: c * p for k, c in num.items()}
+    if r != 1:
+        den = {k: c * r for k, c in den.items()}
+    return ScalarExpr(e.gens, num, den, _raw=True)
+
+
+def _reciprocal(e: ScalarExpr) -> ScalarExpr:
+    """``1 / e`` for a nonzero ``e``: the two polynomials swapped, with the
+    sign moved to the numerator."""
+    if not e.gens:
+        return rational(1 / e.num[()])
+    if e.num[max(e.num)] < 0:
+        return ScalarExpr(e.gens, _p_neg(e.den), _p_neg(e.num), _raw=True)
+    return ScalarExpr(e.gens, e.den, e.num, _raw=True)
 
 
 def _coerce(x):
@@ -662,40 +844,41 @@ def _coerce(x):
     return NotImplemented
 
 
+def _lift(e: ScalarExpr, pos, w):
+    """e's num and den as polynomials in w generators, at positions pos."""
+    if not e.gens:
+        q = e.num.get((), 0)
+        return ({0: q.numerator} if q else {}), {0: q.denominator if q else 1}
+    if len(e.gens) == w:
+        return e.num, e.den
+    pairs = [(i, pos[g]) for i, g in enumerate(e.gens)]
+    return _repack(e.num, pairs, len(e.gens), w), _repack(e.den, pairs, len(e.gens), w)
+
+
 def _unify(a: ScalarExpr, b: ScalarExpr):
-    if a.gens == b.gens:
+    if a.gens == b.gens and a.gens:
         return a.gens, a.num, a.den, b.num, b.den
-    merged = sorted(set(a.gens) | set(b.gens), key=_gen_key)
-    gens = tuple(merged)
+    gens = tuple(sorted(set(a.gens) | set(b.gens), key=_gen_key))
     pos = {g: i for i, g in enumerate(gens)}
     w = len(gens)
-
-    def remap(poly, old):
-        idx = [pos[g] for g in old]
-        out = {}
-        for e, c in poly.items():
-            k = [0] * w
-            for j, x in zip(idx, e):
-                k[j] = x
-            out[tuple(k)] = c
-        return out
-
-    return gens, remap(a.num, a.gens), remap(a.den, a.gens), remap(b.num, b.gens), remap(b.den, b.gens)
+    return (gens, *_lift(a, pos, w), *_lift(b, pos, w))
 
 
 def _poly_at(poly, vals):
     """Evaluate a polynomial at ScalarExpr generator values."""
     total = ZERO
+    w = len(vals)
     for e, c in poly.items():
         t = rational(c)
-        for v, k in zip(vals, e):
+        for v, k in zip(vals, _unpack(e, w)):
             if k:
                 t = t * v**k
         total = total + t
     return total
 
 
-def _eval_terms(poly, gens, env):
+def _eval_terms(poly, gens, env, lc=1):
+    """The float terms of poly / lc at a sample point, as printed."""
     vals = []
     for g in gens:
         if isinstance(g, str):
@@ -709,11 +892,15 @@ def _eval_terms(poly, gens, env):
                 vals.append(getattr(math, g.fn)(x))
             except (ValueError, OverflowError) as exc:
                 raise EvaluationSingularity(f"{g.fn}({x}) undefined") from exc
+    w = len(gens)
+    shifts = [_shift(i, w) for i in range(w)]
     terms = []
     for e, c in poly.items():
-        t = float(c)
+        # int / int is correctly rounded, so this is float(Fraction(c, lc))
+        t = c / lc if lc != 1 else float(c)
         try:
-            for v, k in zip(vals, e):
+            for v, sh in zip(vals, shifts):
+                k = e >> sh & _MASK
                 if k:
                     t *= v**k
         except OverflowError as exc:
@@ -725,38 +912,40 @@ def _eval_terms(poly, gens, env):
 # ---------------------------------------------------------------------------
 # constructors
 
+_GEN = 1 << _FIELD | 1  # the one generator of a one-generator expression
+
 
 def rational(x) -> ScalarExpr:
     """Exact constant from an int, Fraction, or decimal string."""
     q = Fraction(x) if not isinstance(x, Fraction) else x
     if not q:
         return ZERO
-    return ScalarExpr((), {(): q}, {(): _F1}, _raw=True)
+    return ScalarExpr((), {(): q}, {(): 1}, _raw=True)
 
 
 def symbol(name: str) -> ScalarExpr:
-    return ScalarExpr((name,), {(1,): _F1}, {(0,): _F1}, _raw=True)
+    return _gen_expr(name)
 
 
 def _gen_expr(g) -> ScalarExpr:
-    return ScalarExpr((g,), {(1,): _F1}, {(0,): _F1}, _raw=True)
+    return ScalarExpr((g,), {_GEN: 1}, {0: 1}, _raw=True)
 
 
 def _lead_sign(e: ScalarExpr) -> int:
-    return 1 if e.num[_p_lead(e.num)] > 0 else -1
+    return 1 if e.num[max(e.num)] > 0 else -1
 
 
 def _single_exp_power(e: ScalarExpr):
     """If e == exp(u)^k exactly (single monomial, coefficient 1), return (u, k)."""
     if len(e.gens) == 1 and isinstance(e.gens[0], FuncGen) and e.gens[0].fn == "exp":
-        if e.den == {(0,): _F1} and len(e.num) == 1:
-            (exps, c), = e.num.items()
+        if e.den == {0: 1} and len(e.num) == 1:
+            ((k, c),) = e.num.items()
             if c == 1:
-                return e.gens[0].arg, exps[0]
-        if e.num == {(0,): _F1} and len(e.den) == 1:
-            (exps, c), = e.den.items()
+                return e.gens[0].arg, k & _MASK
+        if e.num == {0: 1} and len(e.den) == 1:
+            ((k, c),) = e.den.items()
             if c == 1:
-                return e.gens[0].arg, -exps[0]
+                return e.gens[0].arg, -(k & _MASK)
     return None
 
 
@@ -765,7 +954,7 @@ def exp(a) -> ScalarExpr:
     if a.is_structural_zero:
         return ONE
     if len(a.gens) == 1 and isinstance(a.gens[0], FuncGen) and a.gens[0].fn == "log":
-        if a.num == {(1,): _F1} and a.den == {(0,): _F1}:
+        if a.num == {_GEN: 1} and a.den == {0: 1}:
             return a.gens[0].arg
     if _lead_sign(a) < 0:
         return ONE / exp(-a)
@@ -870,34 +1059,36 @@ def _frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _poly_str(poly, gens):
-    order = sorted(poly, key=_grlex, reverse=True)
+def _poly_str(poly, gens, lc):
+    """poly / lc in grlex order, highest term first."""
+    w = len(gens)
     pieces = []
-    for i, e in enumerate(order):
-        neg, body = _term_str(e, poly[e], gens)
+    for i, e in enumerate(sorted(poly, reverse=True)):
+        c = poly[e]
+        neg, body = _term_str(_unpack(e, w), Fraction(c, lc) if lc != 1 else c, gens)
         if i == 0:
             pieces.append(f"-{body}" if neg else body)
         else:
             pieces.append(f" - {body}" if neg else f" + {body}")
-    return "".join(pieces), len(order)
+    return "".join(pieces), len(poly)
 
 
-def _den_needs_parens(poly, gens):
-    if len(poly) > 1:
+def _den_needs_parens(den, gens):
+    if len(den) > 1:
         return True
-    (exps, coeff), = poly.items()
-    if coeff != 1:
-        return True
-    return sum(1 for k in exps if k) != 1
+    return sum(1 for k in _unpack(max(den), len(gens)) if k) != 1
 
 
 def _render(e: ScalarExpr) -> str:
     if not e.num:
         return "0"
-    num_s, n_terms = _poly_str(e.num, e.gens)
-    if e.den == {(0,) * len(e.gens): _F1}:
+    if not e.gens:
+        return _poly_str(e.num, (), 1)[0]
+    lc = e.den[max(e.den)]
+    num_s, n_terms = _poly_str(e.num, e.gens, lc)
+    if len(e.den) == 1 and 0 in e.den:
         return num_s
-    den_s, _ = _poly_str(e.den, e.gens)
+    den_s, _ = _poly_str(e.den, e.gens, lc)
     if n_terms > 1:
         num_s = f"({num_s})"
     if _den_needs_parens(e.den, e.gens):
@@ -916,6 +1107,21 @@ _TOKEN_RE = re.compile(
 # a power is expanded by repeated multiplication, so its exponent is bounded
 MAX_EXPONENT = 32
 
+# and the parser refuses an expansion whose predicted number of terms (of
+# the larger of numerator and denominator) exceeds this bound
+MAX_TERMS = 10_000
+
+
+def _size(e: ScalarExpr) -> int:
+    return max(len(e.num), len(e.den))
+
+
+def _check_terms(predicted, what, at):
+    if predicted > MAX_TERMS:
+        raise ExprSyntaxError(
+            f"{what} may expand to {predicted} terms, more than {MAX_TERMS}", at
+        )
+
 
 def _literal(kind, text, at):
     """Convert a number token; one too long for Python's integer
@@ -933,10 +1139,11 @@ class _Parser:
         self.text = text
         self.chart = chart
         self.pos = 0
+        self._ahead = None  # (token, end) of the token at pos, once scanned
 
-    def _next(self):
+    def _scan(self):
         if self.pos >= len(self.text):
-            return ("eof", "", self.pos)
+            return ("eof", "", self.pos), self.pos
         m = _TOKEN_RE.match(self.text, self.pos)
         if m is None or m.end() == self.pos and not m.group():
             raise ExprSyntaxError(
@@ -944,17 +1151,18 @@ class _Parser:
             )
         if m.lastgroup is None:
             # only whitespace matched until end of string
-            self.pos = m.end()
-            return ("eof", "", self.pos)
-        tok = (m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup))
-        self.pos = m.end()
+            return ("eof", "", m.end()), m.end()
+        return (m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)), m.end()
+
+    def _next(self):
+        tok, self.pos = self._ahead or self._scan()
+        self._ahead = None
         return tok
 
     def peek(self):
-        save = self.pos
-        tok = self._next()
-        self.pos = save
-        return tok
+        if self._ahead is None:
+            self._ahead = self._scan()
+        return self._ahead[0]
 
     def expect_op(self, op):
         kind, val, at = self._next()
@@ -971,10 +1179,20 @@ class _Parser:
     def expr(self):
         e = self.term()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, at = self.peek()
             if kind == "op" and val in "+-":
                 self._next()
                 rhs = self.term()
+                if e.den != rhs.den:
+                    # the numerators cross-multiply with the denominators
+                    _check_terms(
+                        max(
+                            len(e.num) * len(rhs.den) + len(rhs.num) * len(e.den),
+                            len(e.den) * len(rhs.den),
+                        ),
+                        "a sum of quotients",
+                        at,
+                    )
                 e = e + rhs if val == "+" else e - rhs
             else:
                 return e
@@ -986,6 +1204,7 @@ class _Parser:
             if kind == "op" and val in "*/":
                 self._next()
                 rhs = self.unary()
+                _check_terms(_size(e) * _size(rhs), "a product", at)
                 if val == "/":
                     if rhs.is_structural_zero:
                         raise ExprSyntaxError("division by zero", at)
@@ -1021,6 +1240,8 @@ class _Parser:
                 )
             if n < 0 and base.is_structural_zero:
                 raise ExprSyntaxError("negative power of zero", self.pos)
+            # a sum of k terms to the power |n| has at most C(k+|n|-1, |n|)
+            _check_terms(math.comb(_size(base) + abs(n) - 1, abs(n)), "a power", at)
             return base**n
         return base
 
@@ -1042,7 +1263,7 @@ class _Parser:
     def atom(self):
         kind, val, at = self._next()
         if kind == "num":
-            return rational(_literal(Fraction, val, at))
+            return rational(_literal(Fraction if "." in val else int, val, at))
         if kind == "op" and val == "(":
             e = self.expr()
             self.expect_op(")")
@@ -1300,6 +1521,7 @@ class ZeroTester:
         if e.is_structural_zero:
             return Verdict.zero()
         rng = random.Random(zlib.crc32(str(e).encode()) ^ (self.seed * 0x9E3779B9))
+        lc = e.den[max(e.den)]
         successes = 0
         ambiguous = 0
         budget = self.trials * 4
@@ -1308,8 +1530,8 @@ class ZeroTester:
                 break
             env = self.chart.sample(rng)
             try:
-                num_terms = _eval_terms(e.num, e.gens, env)
-                den_terms = _eval_terms(e.den, e.gens, env)
+                num_terms = _eval_terms(e.num, e.gens, env, lc)
+                den_terms = _eval_terms(e.den, e.gens, env, lc)
             except EvaluationSingularity:
                 continue
             den_val = math.fsum(den_terms)

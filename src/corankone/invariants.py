@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Optional
 
 from . import expr as ex
@@ -240,11 +239,11 @@ def _integrate_monomial(exps, coeff, gens, name):
 
 def _integrate(e: ScalarExpr, name: str):
     """Exact antiderivative in the supported fragment, else None."""
-    den_expr = ex.ScalarExpr(e.gens, dict(e.den), {(0,) * len(e.gens): Fraction(1)})
+    terms, den_expr = e.parts()
     if _depends_on(den_expr, name):
         return None
     total = ex.ZERO
-    for exps, coeff in e.num.items():
+    for exps, coeff in terms:
         piece = _integrate_monomial(exps, coeff, e.gens, name)
         if piece is None:
             return None
@@ -256,11 +255,11 @@ def _coordinate_free_part(e: ScalarExpr, chart: Chart) -> ScalarExpr:
     """The monomials of e free of every chart coordinate (zero if the
     denominator itself involves coordinates)."""
     coords = set(chart.coords)
-    den_expr = ex.ScalarExpr(e.gens, dict(e.den), {(0,) * len(e.gens): Fraction(1)})
+    terms, den_expr = e.parts()
     if any(s in coords for s in den_expr.free_symbols()):
         return ex.ZERO
     const = ex.ZERO
-    for exps, coeff in e.num.items():
+    for exps, coeff in terms:
         involved = False
         for g, k in zip(e.gens, exps):
             if not k:
@@ -320,7 +319,7 @@ def _homotopy_two_form(mu0: DiffForm) -> Optional[DiffForm]:
     coords = set(chart.coords)
     out = zero_form(chart, 1)
     for (i, j), c in mu0.coeffs.items():
-        den_expr = ex.ScalarExpr(c.gens, dict(c.den), {(0,) * len(c.gens): Fraction(1)})
+        terms, den_expr = c.parts()
         if any(s in coords for s in den_expr.free_symbols()):
             return None
         for g in c.gens:
@@ -329,7 +328,7 @@ def _homotopy_two_form(mu0: DiffForm) -> Optional[DiffForm]:
             ):
                 return None
         xi, xj = ex.symbol(chart.coords[i]), ex.symbol(chart.coords[j])
-        for exps, coeff in c.num.items():
+        for exps, coeff in terms:
             deg = sum(
                 k for g, k in zip(c.gens, exps) if isinstance(g, str) and g in coords
             )

@@ -240,8 +240,10 @@ class _Loader:
 
     def _options(self, head, args, lineno):
         kind = OPTION_TYPES.get(head)
-        if kind is None or len(args) != 1:
+        if kind is None:
             self.fail(f"unknown option {quote(head)}", lineno)
+        if len(args) != 1:
+            self.fail(f"option {head} takes one value, got {len(args)}", lineno)
         try:
             value = kind(args[0])
         except ValueError:

@@ -275,6 +275,8 @@ class TestExitCodes:
             ("seed 3", "tolerance 1", r"option tolerance must satisfy 0 < tolerance < 1, got '1'$"),
             ("seed 3", "trials 0", r"option trials must lie in 1\.\.4096, got '0'$"),
             ("seed 3", "trials 1000000000", r"option trials must lie in 1\.\.4096, got '1000000000'$"),
+            # a known option with the wrong number of values is not unknown
+            ("seed 3", "seed 1 2", r"option seed takes one value, got 2$"),
         ],
         ids=[
             "seed",
@@ -286,6 +288,7 @@ class TestExitCodes:
             "tolerance-one",
             "trials-zero",
             "trials-huge",
+            "seed-two-values",
         ],
     )
     def test_bad_value_is_exit_2(self, tmp_path, capsys, old, new, message):
@@ -296,6 +299,20 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("validation error:")
         with pytest.raises(ProblemFileError, match=message):
             loads_problem(text)
+
+    def test_term_blowup_is_exit_2(self, tmp_path):
+        # C(39, 32) = 15,380,937 terms: the expansion would run for minutes
+        text = (
+            MINIMAL.replace("coords x y z", "coords a b c d e f g")
+            .replace('bivector "1" x y', 'bivector "(a+b+c+d+e+f+g+1)^32" a b')
+            .replace('transversal "1" z', 'transversal "1" c')
+        )
+        path = tmp_path / "blowup.prob"
+        path.write_text(text)
+        proc = run_cli("check", str(path), timeout=20)
+        assert proc.returncode == 2
+        assert "a power may expand to 15380937 terms, more than 10000" in proc.stderr
+        assert len(proc.stderr.encode()) < 300
 
     @pytest.mark.parametrize(
         "flag, value",

@@ -24,7 +24,7 @@ from corankone.errors import (
     UnknownIdentifierError,
 )
 from corankone import expr
-from corankone.expr import MAX_EXPONENT, ONE, ZERO, VerdictKind
+from corankone.expr import MAX_EXPONENT, MAX_TERMS, ONE, ZERO, VerdictKind
 
 
 @pytest.fixture
@@ -109,6 +109,30 @@ class TestParsing:
         for text in (f"x^{MAX_EXPONENT + 1}", f"x^(-{MAX_EXPONENT + 1})", "x^(9999999999)"):
             with pytest.raises(ExprSyntaxError, match="exponent"):
                 parse_scalar(text, xyz)
+
+    def test_term_count_bounded(self):
+        # a sum of k terms to the power e has up to C(k+e-1, e) terms
+        seven = Chart(tuple("abcdefg"))
+        s = "(a+b+c+d+e+f+g+1)"
+        assert math.comb(15, 8) <= MAX_TERMS < math.comb(16, 9)
+        assert len(parse_scalar(f"{s}^8", seven).num) == math.comb(15, 8)
+        for text, what in (
+            (f"{s}^9", "a power"),
+            (f"{s}^32", "a power"),
+            (f"{s}^(-9)", "a power"),
+            (f"{s}^5*{s}^5", "a product"),
+            (f"{s}^5/{s}^5", "a product"),
+            (f"1/{s}^5 + 1/(a+{s}^5)", "a sum of quotients"),
+        ):
+            with pytest.raises(ExprSyntaxError, match=f"{what} may expand to .* more than {MAX_TERMS}"):
+                parse_scalar(text, seven)
+
+    def test_term_bound_is_inclusive(self, xyz, monkeypatch):
+        # (x+y+1)^6 has C(8, 6) = 28 terms, (x+y+1)^7 has C(9, 7) = 36
+        monkeypatch.setattr(expr, "MAX_TERMS", 28)
+        assert len(parse_scalar("(x+y+1)^6", xyz).num) == 28
+        with pytest.raises(ExprSyntaxError, match="36 terms"):
+            parse_scalar("(x+y+1)^7", xyz)
 
     def test_overlong_literal_is_syntax_error(self, xyz):
         digits = "7" * 5000
