@@ -279,6 +279,71 @@ def _p_pseudo_rem(a, b, var, w):
     return rem
 
 
+_GCD_POINTS = ((3, -5, 7, -11, 13, -17, 19, -23), (2, 9, -4, 5, -8, 3, -7, 6))
+_PRIME = (1 << 61) - 1
+
+
+def _p_uni_image(poly, var, points, w):
+    """Univariate image in one variable at fixed integer substitutions,
+    with coefficients reduced modulo _PRIME."""
+    sh_var = _shift(var, w)
+    others = [(_shift(i, w), points[i % len(points)]) for i in range(w) if i != var]
+    out = {}
+    for e, c in poly.items():
+        v = c
+        for sh, x in others:
+            k = e >> sh & _MASK
+            if k:
+                v *= pow(x, k, _PRIME)
+        d = e >> sh_var & _MASK
+        out[d] = (out.get(d, 0) + v) % _PRIME
+    return {d: c for d, c in out.items() if c}
+
+
+def _uni_gcd_degree(a, b):
+    """Degree of the gcd of two univariate images modulo _PRIME."""
+    a, b = dict(a), dict(b)
+    while b:
+        db = max(b)
+        inv = pow(b[db], -1, _PRIME)
+        while a and max(a) >= db:
+            da = max(a)
+            f = a.pop(da) * inv % _PRIME
+            for d, c in b.items():
+                if d == db:
+                    continue
+                nd = d + da - db
+                s = (a.get(nd, 0) - f * c) % _PRIME
+                if s:
+                    a[nd] = s
+                else:
+                    a.pop(nd, None)
+        a, b = b, a
+    return max(a) if a else -1
+
+
+def _gcd_trivial_in(a, b, var, w):
+    """True when the gcd provably has degree 0 in the variable.
+
+    A point is used only when both images, taken modulo a prime, keep
+    their degree in the variable; then the image of the gcd divides the
+    images' gcd and keeps its own degree, so a constant univariate gcd
+    proves a trivial one (Brown, J. ACM 18 (1971)).  When no point
+    qualifies the answer is False, and the caller computes the gcd in full.
+    """
+    sh = _shift(var, w)
+    deg_a = max(e >> sh & _MASK for e in a)
+    deg_b = max(e >> sh & _MASK for e in b)
+    for points in _GCD_POINTS:
+        ia = _p_uni_image(a, var, points, w)
+        ib = _p_uni_image(b, var, points, w)
+        if not ia or not ib or max(ia) != deg_a or max(ib) != deg_b:
+            continue
+        if _uni_gcd_degree(ia, ib) == 0:
+            return True
+    return False
+
+
 def _p_eval(poly, var, x, w):
     """poly at the integer x in one variable; that field becomes zero."""
     out = {}
@@ -309,6 +374,11 @@ def _p_interpolate(h, var, x, w):
     return out
 
 
+# the images' integers grow by about the degree's factor per variable; past
+# this size the pseudo-remainder sequence is the cheaper way
+_HEU_BITS = 4096
+
+
 def _heu_gcd(a, b, w):
     """GCD in Z[x1..xw] by evaluation at a large integer, or None.
 
@@ -327,6 +397,8 @@ def _heu_gcd(a, b, w):
     var = next(v for v in range(w) if occ >> _shift(v, w) & _MASK)
     xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
     for _ in range(6):
+        if xi.bit_length() > _HEU_BITS:
+            return None
         ia, ib = _p_eval(a, var, xi, w), _p_eval(b, var, xi, w)
         if ia and ib:
             h = _heu_gcd(ia, ib, w)
@@ -343,21 +415,26 @@ def _p_gcd(a, b, w):
     """GCD in Z[x1..xw] up to its integer content: primitive, with a
     positive leading coefficient.
 
-    The heuristic gcd decides almost every pair; when it gives up, the
-    primitive pseudo-remainder sequence in one shared variable does.
+    Images modulo a prime prove the gcd trivial in most variables; the
+    heuristic gcd decides most other pairs, and when it gives up the
+    primitive pseudo-remainder sequence in a remaining variable does.
     """
     if not a or not b:
         g = a or b
     else:
+        occ_a, occ_b = _occurs(a), _occurs(b)
+        heavy = [
+            v
+            for v in range(w)
+            if occ_a >> _shift(v, w) & _MASK
+            and occ_b >> _shift(v, w) & _MASK
+            and not _gcd_trivial_in(a, b, v, w)
+        ]
+        if not heavy:
+            return {0: 1}
         g = _heu_gcd(a, b, w)
         if g is None:
-            occ_a, occ_b = _occurs(a), _occurs(b)
-            var = next(
-                (v for v in range(w) if occ_a >> _shift(v, w) & _MASK and occ_b >> _shift(v, w) & _MASK),
-                None,
-            )
-            if var is None:
-                return {0: 1}
+            var = heavy[0]
             ca, pa = _p_primitive(a, var, w)
             cb, pb = _p_primitive(b, var, w)
             cg = _p_gcd(ca, cb, w)
@@ -1112,10 +1189,6 @@ MAX_EXPONENT = 32
 MAX_TERMS = 10_000
 
 
-def _size(e: ScalarExpr) -> int:
-    return max(len(e.num), len(e.den))
-
-
 def _check_terms(predicted, what, at):
     if predicted > MAX_TERMS:
         raise ExprSyntaxError(
@@ -1204,7 +1277,11 @@ class _Parser:
             if kind == "op" and val in "*/":
                 self._next()
                 rhs = self.unary()
-                _check_terms(_size(e) * _size(rhs), "a product", at)
+                # numerators and denominators multiply crosswise in "/"
+                top, bottom = (rhs.num, rhs.den) if val == "*" else (rhs.den, rhs.num)
+                _check_terms(
+                    max(len(e.num) * len(top), len(e.den) * len(bottom)), "a product", at
+                )
                 if val == "/":
                     if rhs.is_structural_zero:
                         raise ExprSyntaxError("division by zero", at)
@@ -1241,7 +1318,8 @@ class _Parser:
             if n < 0 and base.is_structural_zero:
                 raise ExprSyntaxError("negative power of zero", self.pos)
             # a sum of k terms to the power |n| has at most C(k+|n|-1, |n|)
-            _check_terms(math.comb(_size(base) + abs(n) - 1, abs(n)), "a power", at)
+            k = max(len(base.num), len(base.den))
+            _check_terms(math.comb(k + abs(n) - 1, abs(n)), "a power", at)
             return base**n
         return base
 

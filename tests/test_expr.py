@@ -116,12 +116,14 @@ class TestParsing:
         s = "(a+b+c+d+e+f+g+1)"
         assert math.comb(15, 8) <= MAX_TERMS < math.comb(16, 9)
         assert len(parse_scalar(f"{s}^8", seven).num) == math.comb(15, 8)
+        # a quotient of two polynomials multiplies nothing out
+        assert len(parse_scalar(f"({s}^5 + 1)/({s}^5 + 2)", seven).den) == math.comb(12, 5)
         for text, what in (
             (f"{s}^9", "a power"),
             (f"{s}^32", "a power"),
             (f"{s}^(-9)", "a power"),
             (f"{s}^5*{s}^5", "a product"),
-            (f"{s}^5/{s}^5", "a product"),
+            (f"1/{s}^5/{s}^5", "a product"),
             (f"1/{s}^5 + 1/(a+{s}^5)", "a sum of quotients"),
         ):
             with pytest.raises(ExprSyntaxError, match=f"{what} may expand to .* more than {MAX_TERMS}"):

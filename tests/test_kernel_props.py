@@ -116,6 +116,24 @@ def test_gcd_without_heuristic_matches_sympy(case, common):
         check_gcd(case, common)
 
 
+SPARSE = ({(20, 19, 0, 0, 0): 1, (0, 0, 18, 17, 0): 1, (0, 0, 0, 0, 16): 1, (0, 0, 0, 0, 0): 1},
+          {(19, 20, 0, 0, 0): 1, (0, 0, 17, 18, 0): 1, (0, 0, 0, 0, 15): 1, (0, 0, 0, 0, 0): 2})
+
+
+def test_trivial_gcd_needs_no_heuristic():
+    # images modulo a prime prove it; evaluating at large integers would
+    # build integers of millions of bits from these degrees
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expr, "_heu_gcd", None)
+        assert _p_gcd(packed(SPARSE[0]), packed(SPARSE[1]), 5) == {0: 1}
+
+
+def test_heuristic_gives_up_on_large_images():
+    shared = packed({(1, 0, 0, 0, 0): 1, (0, 1, 0, 0, 0): 1})
+    a, b = (_p_mul(packed(p), shared) for p in SPARSE)
+    assert expr._heu_gcd(a, b, 5) is None
+
+
 @given(
     st.lists(st.integers(0, 20), min_size=1, max_size=6),
     st.lists(st.integers(0, 20), min_size=1, max_size=6),
