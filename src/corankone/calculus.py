@@ -182,11 +182,10 @@ class _Graded:
         for idx, coeff in self.coeffs.items():
             cs = str(coeff)
             neg = False
-            n_terms = len(coeff.parts()[0])
-            if n_terms == 1 and cs.startswith("-"):
+            if len(coeff.num) == 1 and cs.startswith("-"):
                 neg = True
                 cs = cs[1:]
-            elif n_terms > 1:
+            elif len(coeff.num) > 1:
                 cs = f"({cs})"
             if idx:
                 body = self._basis_str(idx) if cs == "1" else f"{cs} {self._basis_str(idx)}"

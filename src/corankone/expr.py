@@ -29,8 +29,9 @@ Expression grammar (EBNF)::
     number   = digits , [ "." , digits ] ;
 
 Names must resolve to chart coordinates or parameters, an exponent
-lies within ``-MAX_EXPONENT..MAX_EXPONENT``, and no power, product or sum
-of quotients may expand to more than ``MAX_TERMS`` terms.  The printer
+lies within ``-MAX_EXPONENT..MAX_EXPONENT``, no power, product or sum
+of quotients may expand to more than ``MAX_TERMS`` terms, and no power,
+product or sum may reach a total degree above ``MAX_DEGREE``.  The printer
 emits canonical text whose re-parse is structurally identical
 (parse -> print -> parse is the identity on canonical forms).
 """
@@ -158,9 +159,6 @@ def _p_mul(a, b):
     _check_degree(max(a) + max(b))
     if len(a) < len(b):
         a, b = b, a
-    if len(b) == 1:
-        ((eb, cb),) = b.items()
-        return {ea + eb: ca * cb for ea, ca in a.items()}
     out = {}
     get = out.get
     for eb, cb in b.items():
@@ -179,15 +177,6 @@ def _p_divexact(num, den):
     dl = max(den)
     dlc = den[dl]
     guard = _guard(max(num))
-    if len(den) == 1:
-        quot = {}
-        for k, c in num.items():
-            e = k - dl
-            q, r = divmod(c, dlc)
-            if e < 0 or e & guard or r:
-                return None
-            quot[e] = q
-        return quot
     rest = [(k, c) for k, c in den.items() if k != dl]
     rem = dict(num)
     quot = {}
@@ -344,80 +333,13 @@ def _gcd_trivial_in(a, b, var, w):
     return False
 
 
-def _p_eval(poly, var, x, w):
-    """poly at the integer x in one variable; that field becomes zero."""
-    out = {}
-    for d, bucket in _by_degree(poly, var, w).items():
-        out = _p_add(out, {k: c * x**d for k, c in bucket.items()})
-    return out
-
-
-def _p_interpolate(h, var, x, w):
-    """The polynomial in one variable, with coefficients in the symmetric
-    range of x, whose value at x is h."""
-    unit = _unit(var, w)
-    half = x // 2
-    out = {}
-    d = 0
-    while h:
-        rest = {}
-        for k, c in h.items():
-            r = c % x
-            if r > half:
-                r -= x
-            if r:
-                out[k + d * unit] = r
-            if c != r:
-                rest[k] = (c - r) // x
-        h = rest
-        d += 1
-    return out
-
-
-# the images' integers grow by about the degree's factor per variable; past
-# this size the pseudo-remainder sequence is the cheaper way
-_HEU_BITS = 4096
-
-
-def _heu_gcd(a, b, w):
-    """GCD in Z[x1..xw] by evaluation at a large integer, or None.
-
-    Heuristic GCD (B. W. Char, K. O. Geddes and G. H. Gonnet, J. Symbolic
-    Comput. 7 (1989)): evaluate one variable at xi, take the gcd of the
-    images recursively, and interpolate it back.  With xi above twice the
-    smaller coefficient norm, a candidate that divides both is the gcd.
-    """
-    ca, cb = math.gcd(*a.values()), math.gcd(*b.values())
-    c = math.gcd(ca, cb)
-    if _p_const(a) or _p_const(b):
-        return {0: c}
-    a = {k: v // ca for k, v in a.items()}
-    b = {k: v // cb for k, v in b.items()}
-    occ = _occurs(a) | _occurs(b)
-    var = next(v for v in range(w) if occ >> _shift(v, w) & _MASK)
-    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
-    for _ in range(6):
-        if xi.bit_length() > _HEU_BITS:
-            return None
-        ia, ib = _p_eval(a, var, xi, w), _p_eval(b, var, xi, w)
-        if ia and ib:
-            h = _heu_gcd(ia, ib, w)
-            if h is None:
-                return None
-            g = _p_normal(_p_interpolate(h, var, xi, w))
-            if _p_divexact(a, g) is not None and _p_divexact(b, g) is not None:
-                return g if c == 1 else {k: v * c for k, v in g.items()}
-        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
-    return None
-
-
 def _p_gcd(a, b, w):
     """GCD in Z[x1..xw] up to its integer content: primitive, with a
     positive leading coefficient.
 
     Images modulo a prime prove the gcd trivial in most variables; the
-    heuristic gcd decides most other pairs, and when it gives up the
-    primitive pseudo-remainder sequence in a remaining variable does.
+    primitive pseudo-remainder sequence in a remaining variable decides
+    the other pairs.
     """
     if not a or not b:
         g = a or b
@@ -432,18 +354,16 @@ def _p_gcd(a, b, w):
         ]
         if not heavy:
             return {0: 1}
-        g = _heu_gcd(a, b, w)
-        if g is None:
-            var = heavy[0]
-            ca, pa = _p_primitive(a, var, w)
-            cb, pb = _p_primitive(b, var, w)
-            cg = _p_gcd(ca, cb, w)
-            while pb:
-                rem = _p_pseudo_rem(pa, pb, var, w)
-                pa, pb = pb, rem
-                if pb:
-                    _, pb = _p_primitive(pb, var, w)
-            g = _p_mul(cg, pa)
+        var = heavy[0]
+        ca, pa = _p_primitive(a, var, w)
+        cb, pb = _p_primitive(b, var, w)
+        cg = _p_gcd(ca, cb, w)
+        while pb:
+            rem = _p_pseudo_rem(pa, pb, var, w)
+            pa, pb = pb, rem
+            if pb:
+                _, pb = _p_primitive(pb, var, w)
+        g = _p_mul(cg, pa)
     if not g:
         return {}
     return _p_normal(g)
@@ -1189,10 +1109,31 @@ MAX_EXPONENT = 32
 MAX_TERMS = 10_000
 
 
+# and one whose total degree (of numerator or denominator) exceeds this
+# bound: half the kernel's limit, so that a product of two parsed
+# coefficients still fits
+MAX_DEGREE = _MAX_DEGREE // 2
+
+
 def _check_terms(predicted, what, at):
     if predicted > MAX_TERMS:
         raise ExprSyntaxError(
             f"{what} may expand to {predicted} terms, more than {MAX_TERMS}", at
+        )
+
+
+def _degrees(e):
+    """Total degrees of e's numerator and denominator."""
+    if not e.gens:
+        return 0, 0
+    top = _FIELD * len(e.gens)
+    return max(e.num) >> top, max(e.den) >> top
+
+
+def _check_degree_bound(predicted, what, at):
+    if predicted > MAX_DEGREE:
+        raise ExprSyntaxError(
+            f"{what} has total degree {predicted}, more than {MAX_DEGREE}", at
         )
 
 
@@ -1267,6 +1208,7 @@ class _Parser:
                         at,
                     )
                 e = e + rhs if val == "+" else e - rhs
+                _check_degree_bound(max(_degrees(e)), "a sum", at)
             else:
                 return e
 
@@ -1282,6 +1224,10 @@ class _Parser:
                 _check_terms(
                     max(len(e.num) * len(top), len(e.den) * len(bottom)), "a product", at
                 )
+                (dn, dd), (rn, rd) = _degrees(e), _degrees(rhs)
+                if val == "/":
+                    rn, rd = rd, rn
+                _check_degree_bound(max(dn + rn, dd + rd), "a product", at)
                 if val == "/":
                     if rhs.is_structural_zero:
                         raise ExprSyntaxError("division by zero", at)
@@ -1320,6 +1266,7 @@ class _Parser:
             # a sum of k terms to the power |n| has at most C(k+|n|-1, |n|)
             k = max(len(base.num), len(base.den))
             _check_terms(math.comb(k + abs(n) - 1, abs(n)), "a power", at)
+            _check_degree_bound(max(_degrees(base)) * abs(n), "a power", at)
             return base**n
         return base
 

@@ -314,6 +314,38 @@ class TestExitCodes:
         assert "a power may expand to 15380937 terms, more than 10000" in proc.stderr
         assert len(proc.stderr.encode()) < 300
 
+    def test_degree_past_the_bound_is_exit_2(self, tmp_path, capsys):
+        text = MINIMAL.replace('bivector "1" x y', 'bivector "((x^32)^32)^31" x y')
+        path = tmp_path / "degree.prob"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:")
+        assert "a power has total degree 31744, more than 16383" in err
+
+    def test_degree_overflow_in_an_analysis_is_its_error(self, tmp_path, capsys):
+        # each coefficient is within the parser's bound; the top power
+        # multiplies three of them, past the kernel's limit of 32767
+        big = "((a^32)^32)^15"
+        text = (
+            MINIMAL.replace("coords x y z", "coords a b c d e f g")
+            .replace(
+                'bivector "1" x y',
+                f'bivector "{big}" a b\n  bivector "{big}" c d\n  bivector "{big}" e f',
+            )
+            .replace("corank 1", "corank 3")
+            .replace('transversal "1" z', 'transversal "1" g')
+            .replace("  jacobi", "  corank")
+        )
+        path = tmp_path / "overflow.prob"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["analyses"]["corank"] == {
+            "error": "ExprError: a total degree exceeds 32767",
+            "status": "error",
+        }
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--tolerance", "inf"), ("--tolerance", "1.5"), ("--trials", "0"), ("--trials", "4097")],

@@ -24,7 +24,7 @@ from corankone.errors import (
     UnknownIdentifierError,
 )
 from corankone import expr
-from corankone.expr import MAX_EXPONENT, MAX_TERMS, ONE, ZERO, VerdictKind
+from corankone.expr import MAX_DEGREE, MAX_EXPONENT, MAX_TERMS, ONE, ZERO, VerdictKind
 
 
 @pytest.fixture
@@ -135,6 +135,21 @@ class TestParsing:
         assert len(parse_scalar("(x+y+1)^6", xyz).num) == 28
         with pytest.raises(ExprSyntaxError, match="36 terms"):
             parse_scalar("(x+y+1)^7", xyz)
+
+    def test_degree_bounded(self, xyz):
+        x10 = "((x^32)^32)"  # x^1024
+        assert parse_scalar(f"{x10}^15*(x^32)^31*x^31", xyz) == symbol("x") ** MAX_DEGREE
+        assert parse_scalar(f"{x10}^15/((y^32)^32)^15", xyz).den != ONE
+        for text, what, degree in (
+            (f"{x10}^16", "a power", 16384),
+            (f"{x10}^(-16)", "a power", 16384),
+            (f"{x10}^15*(x^32)^32", "a product", 16384),
+            (f"{x10}^15/(1/{x10})", "a product", 16384),
+            (f"{x10}^8 + 1/((y^32)^32)^8", "a sum", 16384),
+            (f"exp({x10}^16)", "a power", 16384),
+        ):
+            with pytest.raises(ExprSyntaxError, match=f"{what} has total degree {degree}, more than {MAX_DEGREE}"):
+                parse_scalar(text, xyz)
 
     def test_overlong_literal_is_syntax_error(self, xyz):
         digits = "7" * 5000
