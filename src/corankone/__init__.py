@@ -5,7 +5,8 @@ exterior algebra of forms and multivector fields with the operators of
 foliated Poisson geometry (`calculus`), structure analysis and adapted
 defining forms (`poisson`), the obstruction/modular invariants
 (`invariants`), transversally vanishing extensions and product families
-(`bgeom`), plus a batch CLI (`cli`) with bundled examples (`corpus`).
+(`bgeom`), plus problem files (`problemfile`), their analysis reports
+(`pipeline`) and a batch CLI (`cli`) that runs the bundled example files.
 """
 
 __version__ = "0.1.0"

@@ -9,7 +9,7 @@ import sys
 from importlib import resources
 
 from .errors import ProblemFileError, ToolkitError, quote
-from .pipeline import analyze, exit_code, render_report
+from .pipeline import analyze, exit_code, expect_mismatches, render_report
 from .problemfile import load_problem, loads_problem, sampling_range_error
 
 
@@ -96,14 +96,7 @@ def _cmd_corpus(args) -> int:
     for name, text in bundled_corpus():
         problem = loads_problem(text, path=name)
         report = analyze(problem, seed=args.seed)
-        mismatches = []
-        for analysis, expected in sorted(problem.expects.items()):
-            entry = report["analyses"].get(analysis)
-            got = entry.get("verdict") if entry else None
-            if entry and entry["status"] == "error":
-                got = "error"
-            if got != expected:
-                mismatches.append(f"{analysis}: expected {expected}, got {got}")
+        mismatches = expect_mismatches(problem, report)
         status = "ok" if not mismatches else "MISMATCH"
         print(f"{name:28s} {status}")
         for m in mismatches:

@@ -672,9 +672,7 @@ class ScalarExpr:
 
     def evaluate(self, env: Mapping[str, float]) -> float:
         """Numeric value at a sample point; raises EvaluationSingularity on poles."""
-        lc = self.den[max(self.den)]
-        num_terms = _eval_terms(self.num, self.gens, env, lc)
-        den_terms = _eval_terms(self.den, self.gens, env, lc)
+        num_terms, den_terms = _eval_terms(self, env)
         den_val = math.fsum(den_terms)
         den_scale = max((abs(t) for t in den_terms), default=0.0)
         if abs(den_val) <= 1e-12 * max(den_scale, 1e-300):
@@ -874,10 +872,14 @@ def _poly_at(poly, vals):
     return total
 
 
-def _eval_terms(poly, gens, env, lc=1):
-    """The float terms of poly / lc at a sample point, as printed."""
+def _eval_terms(e, env):
+    """The float terms of e.num and of e.den at a sample point, as printed.
+
+    Both are divided by the leading coefficient of e.den, and each
+    generator, with the function argument inside it, is evaluated once.
+    """
     vals = []
-    for g in gens:
+    for g in e.gens:
         if isinstance(g, str):
             try:
                 vals.append(float(env[g]))
@@ -889,21 +891,25 @@ def _eval_terms(poly, gens, env, lc=1):
                 vals.append(getattr(math, g.fn)(x))
             except (ValueError, OverflowError) as exc:
                 raise EvaluationSingularity(f"{g.fn}({x}) undefined") from exc
-    w = len(gens)
+    w = len(e.gens)
     shifts = [_shift(i, w) for i in range(w)]
-    terms = []
-    for e, c in poly.items():
-        # int / int is correctly rounded, so this is float(Fraction(c, lc))
-        t = c / lc if lc != 1 else float(c)
-        try:
-            for v, sh in zip(vals, shifts):
-                k = e >> sh & _MASK
-                if k:
-                    t *= v**k
-        except OverflowError as exc:
-            raise EvaluationSingularity("overflow during evaluation") from exc
-        terms.append(t)
-    return terms or [0.0]
+    lc = e.den[max(e.den)]
+    out = []
+    for poly in (e.num, e.den):
+        terms = []
+        for m, c in poly.items():
+            # int / int is correctly rounded, so this is float(Fraction(c, lc))
+            t = c / lc if lc != 1 else float(c)
+            try:
+                for v, sh in zip(vals, shifts):
+                    k = m >> sh & _MASK
+                    if k:
+                        t *= v**k
+            except OverflowError as exc:
+                raise EvaluationSingularity("overflow during evaluation") from exc
+            terms.append(t)
+        out.append(terms or [0.0])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1546,7 +1552,6 @@ class ZeroTester:
         if e.is_structural_zero:
             return Verdict.zero()
         rng = random.Random(zlib.crc32(str(e).encode()) ^ (self.seed * 0x9E3779B9))
-        lc = e.den[max(e.den)]
         successes = 0
         ambiguous = 0
         budget = self.trials * 4
@@ -1555,8 +1560,7 @@ class ZeroTester:
                 break
             env = self.chart.sample(rng)
             try:
-                num_terms = _eval_terms(e.num, e.gens, env, lc)
-                den_terms = _eval_terms(e.den, e.gens, env, lc)
+                num_terms, den_terms = _eval_terms(e, env)
             except EvaluationSingularity:
                 continue
             den_val = math.fsum(den_terms)

@@ -316,14 +316,6 @@ def analyze(problem: ProblemFile, seed=None, trials=None, tolerance=None, timing
     return report
 
 
-def analyze_file(path: str, seed=None, trials=None, tolerance=None, timing=False) -> dict:
-    from .problemfile import load_problem
-
-    return analyze(
-        load_problem(path), seed=seed, trials=trials, tolerance=tolerance, timing=timing
-    )
-
-
 def render_report(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
 
@@ -331,3 +323,16 @@ def render_report(report: dict) -> str:
 def exit_code(report: dict) -> int:
     s = report["summary"]
     return 1 if (s["failures"] or s["errors"]) else 0
+
+
+def expect_mismatches(problem: ProblemFile, report: dict) -> list:
+    """One line per analysis whose verdict differs from the file's `expects`."""
+    out = []
+    for analysis, expected in sorted(problem.expects.items()):
+        entry = report["analyses"].get(analysis)
+        got = entry.get("verdict") if entry else None
+        if entry and entry["status"] == "error":
+            got = "error"
+        if got != expected:
+            out.append(f"{analysis}: expected {expected}, got {got}")
+    return out

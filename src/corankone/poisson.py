@@ -152,50 +152,37 @@ def _skew_inverse(matrix):
 
 
 # ---------------------------------------------------------------------------
-# bivector helpers
+# degree-2 elements as skew matrices
 
 
-def bivector_matrix(Pi: MultiVector):
-    """Full antisymmetric coefficient matrix Pi^{ij}."""
-    if Pi.degree != 2:
-        raise DegreeError("expected a bivector")
-    n = Pi.chart.dim
+def skew_matrix(element):
+    """Full antisymmetric coefficient matrix of a bivector or a 2-form."""
+    if element.degree != 2:
+        raise DegreeError("expected a bivector or a 2-form")
+    n = element.chart.dim
     mat = [[ex.ZERO] * n for _ in range(n)]
-    for (i, j), c in Pi.coeffs.items():
+    for (i, j), c in element.coeffs.items():
         mat[i][j] = c
         mat[j][i] = -c
     return mat
 
 
-def twoform_matrix(omega: DiffForm):
-    if omega.degree != 2:
-        raise DegreeError("expected a 2-form")
-    n = omega.chart.dim
-    mat = [[ex.ZERO] * n for _ in range(n)]
-    for (i, j), c in omega.coeffs.items():
-        mat[i][j] = c
-        mat[j][i] = -c
-    return mat
-
-
-def _matrix_to_bivector(chart: Chart, mat) -> MultiVector:
+def _from_skew_matrix(cls, chart: Chart, mat):
+    """The bivector or 2-form (cls) whose coefficient matrix is mat."""
     coeffs = {}
     for i in range(chart.dim):
         for j in range(i + 1, chart.dim):
             coeffs[(i, j)] = mat[i][j]
-    return MultiVector(chart, 2, coeffs)
+    return cls(chart, 2, coeffs)
 
 
-def _matrix_to_twoform(chart: Chart, mat) -> DiffForm:
-    coeffs = {}
-    for i in range(chart.dim):
-        for j in range(i + 1, chart.dim):
-            coeffs[(i, j)] = mat[i][j]
-    return DiffForm(chart, 2, coeffs)
-
-
-def _checked_skew_inverse(matrix, tester: ZeroTester):
-    inv, pf = _skew_inverse(matrix)
+def _dual(element, cls, tester: Optional[ZeroTester]):
+    """The cls element whose matrix is the transposed inverse of element's."""
+    chart = element.chart
+    if chart.dim % 2:
+        raise DegenerateError("inversion needs an even-dimensional chart")
+    tester = tester or ZeroTester(chart)
+    inv, pf = _skew_inverse(skew_matrix(element))
     if inv is None:
         raise DegenerateError("coefficient matrix is singular (zero Pfaffian)")
     pv = tester.is_zero(pf)
@@ -205,30 +192,18 @@ def _checked_skew_inverse(matrix, tester: ZeroTester):
         )
     if pv.kind is ex.VerdictKind.UNKNOWN:
         raise DegenerateError("nondegeneracy undecidable on the sampling domain")
-    return inv
+    n = chart.dim
+    return _from_skew_matrix(cls, chart, [[inv[j][i] for j in range(n)] for i in range(n)])
 
 
 def invert_twoform(omega: DiffForm, tester: Optional[ZeroTester] = None) -> MultiVector:
     """Bivector dual to a nondegenerate 2-form (transposed matrix inverse)."""
-    chart = omega.chart
-    if chart.dim % 2:
-        raise DegenerateError("2-form inversion needs an even-dimensional chart")
-    tester = tester or ZeroTester(chart)
-    inv = _checked_skew_inverse(twoform_matrix(omega), tester)
-    # transpose of the inverse: Pi^{ij} = (M^{-1})_{ji}
-    n = chart.dim
-    mat = [[inv[j][i] for j in range(n)] for i in range(n)]
-    return _matrix_to_bivector(chart, mat)
+    return _dual(omega, MultiVector, tester)
 
 
 def invert_bivector(Pi: MultiVector, tester: Optional[ZeroTester] = None) -> DiffForm:
     """2-form dual to a nondegenerate bivector; inverse of invert_twoform."""
-    chart = Pi.chart
-    tester = tester or ZeroTester(chart)
-    inv = _checked_skew_inverse(bivector_matrix(Pi), tester)
-    n = chart.dim
-    mat = [[inv[j][i] for j in range(n)] for i in range(n)]
-    return _matrix_to_twoform(chart, mat)
+    return _dual(Pi, DiffForm, tester)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +292,7 @@ class PoissonStructure:
         """
         coords = self.chart.coords
         dim = len(coords)
-        mat = bivector_matrix(self.bivector)
+        mat = skew_matrix(self.bivector)
         grad = {
             ij: [c.derive(x) for x in coords] for ij, c in self.bivector.coeffs.items()
         }
@@ -403,20 +378,25 @@ class PoissonStructure:
     # -- adapted defining forms -------------------------------------------------
 
     def adapted(self):
-        """The defining pair (alpha, omega) for the given transversal field."""
-        if self.alpha is not None and self.omega is not None:
-            return self.alpha, self.omega
-        if self.transversal is None:
-            raise NotTransversalError("no transversal vector field supplied")
-        jac = self.jacobi_verdict()
-        if jac.failed:
-            raise InternalCheckError("bivector is not Poisson; no adapted forms")
-        alpha, omega = self._bordered_pair()
-        alpha = self.alpha if self.alpha is not None else alpha
-        omega = self.omega if self.omega is not None else omega
-        self._verify_adapted(alpha, omega)
-        self.alpha, self.omega = alpha, omega
-        return alpha, omega
+        """The defining pair (alpha, omega) for the given transversal field.
+
+        A declared alpha or omega stands in for the computed one, and the
+        pair is kept only once its defining identities hold.
+        """
+        if self._volume is None:
+            alpha, omega = self.alpha, self.omega
+            declared = alpha is not None and omega is not None
+            if not declared and self.transversal is None:
+                raise NotTransversalError("no transversal vector field supplied")
+            if self.jacobi_verdict().failed:
+                raise InternalCheckError("bivector is not Poisson; no adapted forms")
+            if not declared:
+                bordered_alpha, bordered_omega = self._bordered_pair()
+                alpha = bordered_alpha if alpha is None else alpha
+                omega = bordered_omega if omega is None else omega
+            self._verify_adapted(alpha, omega)
+            self.alpha, self.omega = alpha, omega
+        return self.alpha, self.omega
 
     def _bordered_pair(self):
         """Read (alpha, omega) off the dual two-form of Pi + v ^ @s.
@@ -428,7 +408,7 @@ class PoissonStructure:
         """
         chart = self.chart
         dim = chart.dim
-        bordered = [row + [ex.ZERO] for row in bivector_matrix(self.bivector)]
+        bordered = [row + [ex.ZERO] for row in skew_matrix(self.bivector)]
         bordered.append([ex.ZERO] * (dim + 1))
         for (i,), c in self.transversal.coeffs.items():
             bordered[i][dim] = c
@@ -453,7 +433,7 @@ class PoissonStructure:
         # the dual two-form's matrix is the transposed inverse
         dual = [[inv[j][i] for j in range(dim + 1)] for i in range(dim + 1)]
         alpha = DiffForm(chart, 1, {(i,): dual[i][dim] for i in range(dim)})
-        return alpha, _matrix_to_twoform(chart, dual)
+        return alpha, _from_skew_matrix(DiffForm, chart, dual)
 
     def _verify_adapted(self, alpha: DiffForm, omega: DiffForm):
         """Check the defining identities of the pair, then fix the volume.
@@ -463,6 +443,8 @@ class PoissonStructure:
         as the volume once the identities hold.
         """
         n = self.corank_n
+        if n is None:
+            raise NotCorankOneError("no corank declared and chart dimension is even")
         v = self.transversal
         checks = []
         if v is not None:
@@ -487,10 +469,8 @@ class PoissonStructure:
     # (the invariants module imports this one, hence the local imports)
 
     def volume(self) -> DiffForm:
-        """The adapted volume alpha ^ omega**n (fixed by adapted() when it checks a pair)."""
-        if self._volume is None:
-            alpha, omega = self.adapted()
-            self._volume = wedge(alpha, power(omega, self.corank_n))
+        """The adapted volume alpha ^ omega**n, fixed when adapted() checks the pair."""
+        self.adapted()
         return self._volume
 
     def beta(self) -> DiffForm:

@@ -32,7 +32,6 @@ from corankone import (
     symbol,
     wedge,
 )
-from corankone import corpus
 from corankone.bgeom import b_transversality_check, build_product_bpoisson, extend_to_b
 from corankone.calculus import is_zero_graded, volume_form
 from corankone.cli import bundled_corpus, main
@@ -47,6 +46,8 @@ from corankone.invariants import (
 )
 from corankone.pipeline import analyze, exit_code, render_report
 from corankone.problemfile import loads_problem
+
+import bundled
 
 SEED = 20260809
 
@@ -146,14 +147,14 @@ def test_criterion_02_jacobi_dual_path():
             assert P.jacobi_verdict().holds == P.jacobiator_verdict().holds
             checked += 1
         assert checked >= 50
-        for e in corpus.all_entries(seed=SEED):
+        for e in bundled.all_entries(seed=SEED):
             P = e.structure
             assert P.jacobi_verdict().holds == P.jacobiator_verdict().holds
 
 
 def test_criterion_03_affine_example():
     with criterion(3, "affine chart: transversality locus y = 0 and modular field @x"):
-        e = corpus.entry("affine", seed=SEED)
+        e = bundled.entry("affine", seed=SEED)
         P = e.structure
         assert P.jacobi_verdict().symbolic
         rep = b_transversality_check(P, n=1)
@@ -175,7 +176,7 @@ def test_criterion_03_affine_example():
 
 def test_criterion_04_t3_example():
     with criterion(4, "torus example: closed pair, unimodular, leafwise identity, extension"):
-        e = corpus.entry("t3_example", seed=SEED)
+        e = bundled.entry("t3_example", seed=SEED)
         P = e.structure
         alpha, omega = P.adapted()
         assert ext_deriv(alpha).is_structural_zero
@@ -197,7 +198,7 @@ def test_criterion_04_t3_example():
 def test_criterion_05_modular_field_laws():
     with criterion(5, "modular field preserves volume and bivector; volume-change law"):
         rng = random.Random(SEED + 5)
-        for e in corpus.corank_one_entries(seed=SEED):
+        for e in bundled.corank_one_entries(seed=SEED):
             P = e.structure
             alpha, _ = P.adapted()
             vol = P.volume()
@@ -206,7 +207,7 @@ def test_criterion_05_modular_field_laws():
             assert schouten(vmod, P.bivector).is_structural_zero, e.name
             assert interior(vmod, alpha).scalar().is_structural_zero, e.name
         for name in ("flat", "exp_wall", "t3_example"):
-            e = corpus.entry(name, seed=SEED)
+            e = bundled.entry(name, seed=SEED)
             P = e.structure
             vol = P.volume()
             vmod = modular_field(P)
@@ -218,14 +219,18 @@ def test_criterion_05_modular_field_laws():
 
 def test_criterion_06_unimodularity_equivalence():
     with criterion(6, "class test, certificate test, and rescaled-volume test agree"):
-        entries = corpus.corank_one_entries(seed=SEED)
+        entries = bundled.corank_one_entries(seed=SEED)
         assert len(entries) >= 6
         assert any(e.expect_unimodular for e in entries)
         assert any(not e.expect_unimodular for e in entries)
         for e in entries:
             P = e.structure
             alpha, _ = P.adapted()
-            res = unimodularity_check(P, certificate=e.certificate, witness=e.witness)
+            res = unimodularity_check(
+                P,
+                certificate=e.problem.first_certificate,
+                witness=e.problem.period_witness,
+            )
             if e.expect_unimodular:
                 assert res.verdict.holds, e.name
                 cert = res.certificate
@@ -250,12 +255,12 @@ def test_criterion_06_unimodularity_equivalence():
 def test_criterion_07_transverse_poisson_both_directions():
     with criterion(7, "Poisson transversal iff closed pair; witness pair detects failure"):
         for name in ("flat", "sheared", "t3_example"):
-            rep = check_transverse_poisson(corpus.entry(name, seed=SEED).structure)
+            rep = check_transverse_poisson(bundled.entry(name, seed=SEED).structure)
             assert rep.lv_pi_verdict.symbolic, name
             assert rep.dalpha_verdict.symbolic and rep.domega_verdict.symbolic
             assert rep.volume_contraction_verdict.symbolic
             assert rep.equivalence_holds
-        e = corpus.entry("exp_wall", seed=SEED)
+        e = bundled.entry("exp_wall", seed=SEED)
         P = e.structure
         rep = check_transverse_poisson(P)
         assert rep.dalpha_verdict.failed

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from corankone import Chart, ZeroTester, parse_scalar, rational
-from corankone import corpus
 from corankone.calculus import (
     ChartMap,
     DiffForm,
@@ -32,14 +31,16 @@ from corankone.bgeom import (
 )
 from corankone.poisson import PoissonStructure, invert_bivector
 
+import bundled
+
 
 class TestBTransversality:
     def test_affine_example(self):
-        e = corpus.entry("affine", seed=1)
+        e = bundled.entry("affine", seed=1)
         rep = b_transversality_check(e.structure, n=1)
         assert rep.verdict.symbolic
         assert rep.locus == "y = 0"
-        assert rep.top_coefficient == parse_scalar("y", e.chart)
+        assert rep.top_coefficient == parse_scalar("y", e.structure.chart)
         assert len(rep.points) == 1 and rep.points[0].linear
 
     def test_symplectic_case_vacuous(self):
@@ -73,7 +74,7 @@ class TestBTransversality:
 
 class TestExtension:
     def test_flat_case_matches_expected_dual(self):
-        e = corpus.entry("flat", seed=5)
+        e = bundled.entry("flat", seed=5)
         ext = extend_to_b(e.structure)
         ch = ext.chart_smooth
         assert ext.pi_ext == parse_graded("@x^@y - t @z^@t", ch, "multivector")
@@ -83,12 +84,12 @@ class TestExtension:
 
     def test_extension_form_is_closed(self):
         for name in ("flat", "sheared", "t3_example"):
-            ext = extend_to_b(corpus.entry(name, seed=7).structure)
+            ext = extend_to_b(bundled.entry(name, seed=7).structure)
             assert ext_deriv(ext.omega_ext).is_structural_zero, name
 
     def test_restriction_to_zero_recovers_base(self):
         for name in ("flat", "sheared", "t3_example"):
-            e = corpus.entry(name, seed=11)
+            e = bundled.entry(name, seed=11)
             ext = extend_to_b(e.structure)
             restricted = ext.restriction()
             lifted = MultiVector(ext.chart_smooth, 2, dict(e.structure.bivector.coeffs))
@@ -96,7 +97,7 @@ class TestExtension:
 
     def test_top_power_linear_in_t(self):
         for name in ("flat", "sheared", "t3_example"):
-            e = corpus.entry(name, seed=13)
+            e = bundled.entry(name, seed=13)
             ext = extend_to_b(e.structure)
             n = e.structure.corank_n
             top = power(ext.pi_ext, n + 1)
@@ -109,7 +110,7 @@ class TestExtension:
                 assert abs(q.evaluate(env)) > 1e-9
 
     def test_round_trip_where_t_nonzero(self):
-        e = corpus.entry("t3_example", seed=19)
+        e = bundled.entry("t3_example", seed=19)
         ext = extend_to_b(e.structure)
         pi_forms = MultiVector(ext.chart_forms, 2, dict(ext.pi_ext.coeffs))
         back = invert_bivector(pi_forms, ZeroTester(ext.chart_forms, seed=23))
@@ -117,17 +118,17 @@ class TestExtension:
 
     def test_slice_at_one_recovers_base(self):
         for name in ("flat", "sheared", "t3_example"):
-            e = corpus.entry(name, seed=29)
+            e = bundled.entry(name, seed=29)
             ext = extend_to_b(e.structure)
             assert (ext.slice_at_one() - e.structure.bivector).is_structural_zero
 
     def test_open_alpha_rejected(self):
-        e = corpus.entry("exp_wall", seed=31)
+        e = bundled.entry("exp_wall", seed=31)
         with pytest.raises(InvariantsNotVanishingError):
             extend_to_b(e.structure)
 
     def test_name_collision_rejected(self):
-        e = corpus.entry("flat", seed=37)
+        e = bundled.entry("flat", seed=37)
         with pytest.raises(ChartError):
             extend_to_b(e.structure, t_name="x")
 

@@ -10,9 +10,11 @@ import corankone
 from corankone import invariants, pipeline
 from corankone.cli import bundled_corpus, main
 from corankone.errors import ProblemFileError
-from corankone.pipeline import analyze, exit_code, render_report
+from corankone.pipeline import analyze, exit_code, expect_mismatches, render_report
 from corankone.poisson import PoissonStructure
 from corankone.problemfile import load_problem, loads_problem
+
+import bundled
 
 
 def corpus_text(name):
@@ -37,18 +39,22 @@ section options
 """
 
 
-def run_cli(*args, timeout=None):
-    """`python -m corankone ...` in a fresh interpreter that imports this corankone."""
+def run_python(*args, timeout=None):
+    """`python ...` in a fresh interpreter that imports this corankone."""
     src = os.path.dirname(os.path.dirname(corankone.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "corankone", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=timeout,
     )
+
+
+def run_cli(*args, timeout=None):
+    return run_python("-m", "corankone", *args, timeout=timeout)
 
 
 class TestProblemFileParsing:
@@ -126,6 +132,28 @@ section analyses
         report = analyze(loads_problem(text))
         assert report["analyses"]["adapted"]["status"] == "skipped"
         assert "transversal" in report["analyses"]["adapted"]["detail"]
+
+    def test_declared_pair_is_checked(self):
+        # a declared (alpha, omega) must satisfy the defining identities too
+        text = MINIMAL.replace("  jacobi", "  jacobi\n  adapted\n  beta\n  modular")
+        bogus = text.replace('transversal "1" z', 'transversal "1" z\n  alpha "5" z\n  omega "7" x z')
+        report = analyze(loads_problem(bogus))
+        for name in ("adapted", "beta", "modular"):
+            assert report["analyses"][name]["status"] == "skipped", name
+            assert "fails its defining identities" in report["analyses"][name]["detail"]
+        good = text.replace('transversal "1" z', 'transversal "1" z\n  alpha "1" z\n  omega "1" x y')
+        declared = analyze(loads_problem(good))["analyses"]
+        computed = analyze(loads_problem(text))["analyses"]
+        assert declared["adapted"]["verdict"] == "true"
+        assert declared["adapted"]["artifacts"] == {"alpha": "dz", "omega": "dx^dy"}
+        assert declared == computed
+
+    def test_declared_pair_without_corank_is_skipped(self):
+        text = MINIMAL.replace("x y z", "x y z w").replace("  corank 1\n", "")
+        text = text.replace('transversal "1" z', 'transversal "1" z\n  alpha "1" z\n  omega "1" x y')
+        report = analyze(loads_problem(text.replace("  jacobi", "  jacobi\n  adapted")))
+        assert report["analyses"]["adapted"]["status"] == "skipped"
+        assert "no corank declared" in report["analyses"]["adapted"]["detail"]
 
     def test_empty_analysis_list_gives_metadata_only(self):
         text = MINIMAL.replace("  jacobi", "")
@@ -413,6 +441,13 @@ class TestVerbs:
         assert "t3_example.prob" in out
         assert "MISMATCH" not in out
 
+    @pytest.mark.parametrize("path", bundled.FIXTURES, ids=lambda p: p.name)
+    def test_fixture_file_matches_expectations(self, path):
+        # the test-only structures are held to their files as the corpus is
+        problem = load_problem(str(path))
+        assert problem.expects
+        assert expect_mismatches(problem, analyze(problem)) == []
+
     def test_corpus_verb_writes_reports(self, tmp_path, capsys):
         assert main(["corpus", "--output", str(tmp_path)]) == 0
         reports = sorted(p.name for p in tmp_path.glob("*.json"))
@@ -428,6 +463,20 @@ class TestVerbs:
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["analyses"]["jacobi"]["verdict"] == "true"
+
+
+class TestBenchmarkTracer:
+    def test_tracer_installs_on_this_tree(self):
+        # the benchmark's layer tracer wraps functions by name, so a rename
+        # here would break its traced runs; install it as its driver does
+        perfbench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
+        code = (
+            f"import sys; sys.path.insert(0, {os.path.abspath(perfbench)!r})\n"
+            "import corankone.cli, layertrace\n"
+            "layertrace.install(layertrace.Tracer())\n"
+        )
+        proc = run_python("-c", code, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestReportShape:

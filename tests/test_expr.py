@@ -429,6 +429,28 @@ class TestEvaluate:
         with pytest.raises(EvaluationSingularity):
             e.evaluate({"x": 0.0})
 
+    def test_function_argument_evaluated_once_per_point(self, xyz, monkeypatch):
+        # the numerator and the denominator share one value of exp(x)
+        e = parse_scalar("exp(x)/(1+exp(x)) + y", xyz)
+        calls, samples = [], []
+        evaluate, sample = ScalarExpr.evaluate, Chart.sample
+
+        def counted(self, env):
+            calls.append(self)
+            return evaluate(self, env)
+
+        def counted_sample(self, rng):
+            samples.append(self)
+            return sample(self, rng)
+
+        monkeypatch.setattr(ScalarExpr, "evaluate", counted)
+        monkeypatch.setattr(Chart, "sample", counted_sample)
+        e.evaluate({"x": 0.3, "y": 0.7})
+        assert len(calls) == 2
+        calls.clear()
+        assert ZeroTester(xyz, seed=1, trials=1).is_zero(e).failed
+        assert len(calls) == len(samples) == 1
+
     def test_function_values(self, xyz):
         e = parse_scalar("exp(x) + sin(y)*cos(z)", xyz)
         got = e.evaluate({"x": 0.3, "y": 0.7, "z": -0.2})

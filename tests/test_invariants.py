@@ -4,7 +4,6 @@ import warnings
 import pytest
 
 from corankone import Chart, ZeroTester, exp, parse_scalar, rational, symbol
-from corankone import corpus
 from corankone.calculus import (
     DiffForm,
     MultiVector,
@@ -41,6 +40,8 @@ from corankone.invariants import (
     verify_certificate,
 )
 from corankone.poisson import PoissonStructure
+
+import bundled
 
 
 @pytest.fixture
@@ -82,7 +83,7 @@ class TestComputeBeta:
         assert ei.value.witness is not None
 
     def test_defining_identity_always_verified(self):
-        for e in corpus.corank_one_entries(seed=7):
+        for e in bundled.corank_one_entries(seed=7):
             P = e.structure
             alpha, _ = P.adapted()
             beta = compute_beta(alpha, P.transversal, P.tester)
@@ -186,9 +187,13 @@ class TestAntidifferentiation:
 
 class TestFirstObstruction:
     def test_corpus_expectations(self):
-        for e in corpus.corank_one_entries(seed=13):
+        for e in bundled.corank_one_entries(seed=13):
             P = e.structure
-            res = unimodularity_check(P, certificate=e.certificate, witness=e.witness)
+            res = unimodularity_check(
+                P,
+                certificate=e.problem.first_certificate,
+                witness=e.problem.period_witness,
+            )
             if e.expect_unimodular:
                 assert res.verdict.holds, e.name
                 assert res.certificate is not None
@@ -198,7 +203,7 @@ class TestFirstObstruction:
                 assert res.period is not None
 
     def test_automatic_certificate_on_exp_wall(self):
-        e = corpus.entry("exp_wall", seed=17)
+        e = bundled.entry("exp_wall", seed=17)
         P = e.structure
         res = unimodularity_check(P)  # no supplied certificate
         assert res.verdict.holds
@@ -211,7 +216,7 @@ class TestFirstObstruction:
 
     def test_soundness_without_witness(self):
         # without the declared witness the suspension must never report TRUE
-        e = corpus.entry("suspension", seed=19)
+        e = bundled.entry("suspension", seed=19)
         res = unimodularity_check(e.structure)
         assert not res.verdict.holds
 
@@ -233,27 +238,27 @@ class TestFirstObstruction:
 
 class TestSecondObstruction:
     def test_closed_omega_trivially_vanishes(self):
-        e = corpus.entry("flat", seed=29)
+        e = bundled.entry("flat", seed=29)
         P = e.structure
         alpha, omega = P.adapted()
         res = second_obstruction(omega, alpha, P.transversal, P.tester)
         assert res.verdict.symbolic
 
     def test_twisted_omega_automatic_certificate(self):
-        e = corpus.entry("twisted_omega", seed=31)
+        e = bundled.entry("twisted_omega", seed=31)
         P = e.structure
         alpha, _ = P.adapted()
-        res = second_obstruction(e.omega_alt, alpha, P.transversal, P.tester)
+        res = second_obstruction(e.problem.omega_alt, alpha, P.transversal, P.tester)
         assert res.verdict.holds
         assert res.certificate.origin == "automatic"
 
     def test_twisted_omega_supplied_certificate(self):
-        e = corpus.entry("twisted_omega", seed=37)
+        e = bundled.entry("twisted_omega", seed=37)
         P = e.structure
         alpha, _ = P.adapted()
-        cert = ObstructionCertificate("second", nu=e.nu_alt)
+        cert = ObstructionCertificate("second", nu=e.problem.second_certificate.nu)
         res = second_obstruction(
-            e.omega_alt, alpha, P.transversal, P.tester, certificate=cert
+            e.problem.omega_alt, alpha, P.transversal, P.tester, certificate=cert
         )
         assert res.verdict.holds
 
@@ -271,7 +276,7 @@ class TestGodbillonVey:
         assert godbillon_vey(beta).is_structural_zero
 
     def test_vanishes_on_certified_corpus(self):
-        for e in corpus.corank_one_entries(seed=41):
+        for e in bundled.corank_one_entries(seed=41):
             P = e.structure
             alpha, _ = P.adapted()
             beta = compute_beta(alpha, P.transversal, P.tester)
@@ -290,7 +295,7 @@ class TestModularField:
         assert modular_field(P, vol).is_structural_zero
 
     def test_affine_example(self):
-        e = corpus.entry("affine", seed=47)
+        e = bundled.entry("affine", seed=47)
         P = e.structure
         vol = wedge(basis_form(P.chart, "x"), basis_form(P.chart, "y"))
         vmod = modular_field(P, vol)
@@ -302,12 +307,12 @@ class TestModularField:
         assert vmod(symbol("y")).subs({"y": rational(0)}).is_structural_zero
 
     def test_exp_wall_value(self):
-        e = corpus.entry("exp_wall", seed=53)
+        e = bundled.entry("exp_wall", seed=53)
         vmod = modular_field(e.structure)
-        assert vmod == e.expected_modular
+        assert vmod == MultiVector(e.structure.chart, 1, {("y",): -1})
 
     def test_preservation_laws_on_corpus(self):
-        for e in corpus.corank_one_entries(seed=59):
+        for e in bundled.corank_one_entries(seed=59):
             P = e.structure
             alpha, _ = P.adapted()
             vol = P.volume()
@@ -319,7 +324,7 @@ class TestModularField:
     def test_volume_change_law(self):
         rng = random.Random(61)
         for name in ("flat", "exp_wall", "t3_example"):
-            e = corpus.entry(name, seed=67)
+            e = bundled.entry(name, seed=67)
             P = e.structure
             vol = P.volume()
             vmod = modular_field(P)
@@ -330,7 +335,7 @@ class TestModularField:
                 assert (shifted - (vmod - ug)).is_structural_zero
 
     def test_derivation_property(self):
-        e = corpus.entry("exp_wall", seed=71)
+        e = bundled.entry("exp_wall", seed=71)
         P = e.structure
         vol = P.volume()
         vmod = modular_field(P)
@@ -345,18 +350,18 @@ class TestModularField:
 
     def test_rescaled_volume_kills_modular_field(self):
         for name in ("exp_wall", "poly_wall"):
-            e = corpus.entry(name, seed=79)
-            assert rescaled_modular_verdict(e.structure, e.certificate).holds
+            e = bundled.entry(name, seed=79)
+            assert rescaled_modular_verdict(e.structure, e.problem.first_certificate).holds
 
 
 class TestWeinsteinIdentity:
     def test_holds_on_corpus(self):
-        for e in corpus.corank_one_entries(seed=83):
+        for e in bundled.corank_one_entries(seed=83):
             v = check_weinstein_identity(e.structure)
             assert v.holds, e.name
 
     def test_exp_wall_both_sides_equal_dx(self):
-        e = corpus.entry("exp_wall", seed=89)
+        e = bundled.entry("exp_wall", seed=89)
         P = e.structure
         alpha, omega = P.adapted()
         beta = compute_beta(alpha, P.transversal, P.tester)
@@ -367,7 +372,7 @@ class TestWeinsteinIdentity:
 
 class TestTransversePoisson:
     def test_flat_case_both_sides_true(self):
-        e = corpus.entry("flat", seed=97)
+        e = bundled.entry("flat", seed=97)
         rep = check_transverse_poisson(e.structure)
         assert rep.lv_pi_verdict.symbolic
         assert rep.dalpha_verdict.symbolic and rep.domega_verdict.symbolic
@@ -375,13 +380,13 @@ class TestTransversePoisson:
 
     def test_t3_and_sheared_true(self):
         for name in ("t3_example", "sheared"):
-            rep = check_transverse_poisson(corpus.entry(name, seed=101).structure)
+            rep = check_transverse_poisson(bundled.entry(name, seed=101).structure)
             assert rep.lv_pi_verdict.holds
             assert rep.closed_side
             assert rep.equivalence_holds
 
     def test_exp_wall_detects_non_poisson(self):
-        e = corpus.entry("exp_wall", seed=103)
+        e = bundled.entry("exp_wall", seed=103)
         P = e.structure
         rep = check_transverse_poisson(P)
         assert rep.lv_pi_verdict.failed
@@ -446,7 +451,7 @@ class TestDecomposableFamily:
 
 class TestObstructionReport:
     def test_report_assembles_for_t3(self):
-        e = corpus.entry("t3_example", seed=109)
+        e = bundled.entry("t3_example", seed=109)
         rep = build_obstruction_report(e.structure)
         assert rep.unimodular.holds
         assert rep.first.verdict.holds
@@ -457,8 +462,10 @@ class TestObstructionReport:
         assert rep.modular.is_structural_zero
 
     def test_unimodularity_equals_first_obstruction(self):
-        for e in corpus.corank_one_entries(seed=113):
+        for e in bundled.corank_one_entries(seed=113):
             rep = build_obstruction_report(
-                e.structure, certificate=e.certificate, witness=e.witness
+                e.structure,
+                certificate=e.problem.first_certificate,
+                witness=e.problem.period_witness,
             )
             assert rep.unimodular.kind == rep.first.verdict.kind

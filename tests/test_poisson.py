@@ -31,10 +31,10 @@ from corankone.errors import (
 from corankone.expr import ScalarExpr
 from corankone.poisson import (
     PoissonStructure,
-    bivector_matrix,
     invert_bivector,
     invert_twoform,
     linear_solve,
+    skew_matrix,
 )
 from corankone.problemfile import loads_problem
 
@@ -513,7 +513,7 @@ class TestBorderedAgainstLinearSolve:
         P = dense_structure(seed, dim, scaled=scaled)
         alpha, _ = P.adapted()
         # Pi alpha = 0 and alpha(v) = 1 by exact elimination
-        rows = bivector_matrix(P.bivector)
+        rows = skew_matrix(P.bivector)
         rows.append([P.transversal.coeffs.get((i,), ex.ZERO) for i in range(dim)])
         solution = linear_solve(rows, [ex.ZERO] * dim + [ex.ONE], P.tester)
         for i, s in enumerate(solution):
