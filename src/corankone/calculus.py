@@ -310,6 +310,20 @@ def _contract_indices(I: tuple, J: tuple):
     return sign, tuple(cur)
 
 
+def _contract(outer: dict, inner: dict) -> dict:
+    """Coefficients of every index set of outer contracted into inner's."""
+    out = {}
+    for I, co in outer.items():
+        for J, ci in inner.items():
+            hit = _contract_indices(I, J)
+            if hit is None:
+                continue
+            sign, rest = hit
+            term = co * ci if sign > 0 else -(co * ci)
+            out[rest] = out.get(rest, ex.ZERO) + term
+    return out
+
+
 def interior(X: MultiVector, eta: DiffForm) -> DiffForm:
     """Interior product; for degree-1 X an antiderivation of degree -1."""
     if not isinstance(X, MultiVector) or not isinstance(eta, DiffForm):
@@ -320,16 +334,7 @@ def interior(X: MultiVector, eta: DiffForm) -> DiffForm:
         raise DegreeError(
             f"interior degree underflow: {X.degree} into {eta.degree}"
         )
-    out = {}
-    for I, cx in X.coeffs.items():
-        for J, ce in eta.coeffs.items():
-            hit = _contract_indices(I, J)
-            if hit is None:
-                continue
-            sign, rest = hit
-            term = cx * ce if sign > 0 else -(cx * ce)
-            out[rest] = out.get(rest, ex.ZERO) + term
-    return eta._like(eta.degree - X.degree, out)
+    return eta._like(eta.degree - X.degree, _contract(X.coeffs, eta.coeffs))
 
 
 def apply_form(eta: DiffForm, *vectors: MultiVector) -> ScalarExpr:
@@ -348,16 +353,7 @@ def _covector_contract(theta: DiffForm, Q: MultiVector) -> MultiVector:
     """Contract a 1-form into the first slot of a multivector."""
     if theta.degree != 1:
         raise DegreeError("covector contraction needs a 1-form")
-    out = {}
-    for (i,), ct in theta.coeffs.items():
-        for J, cq in Q.coeffs.items():
-            hit = _contract_indices((i,), J)
-            if hit is None:
-                continue
-            sign, rest = hit
-            term = ct * cq if sign > 0 else -(ct * cq)
-            out[rest] = out.get(rest, ex.ZERO) + term
-    return Q._like(Q.degree - 1, out)
+    return Q._like(Q.degree - 1, _contract(theta.coeffs, Q.coeffs))
 
 
 def _lie_multivector(v: MultiVector, Q: MultiVector) -> MultiVector:

@@ -425,9 +425,10 @@ class ScalarExpr:
     and one printed text.  Rationals appear only where text or floats are
     made: a term prints and evaluates as ``c / lc`` over ``den / lc``.
 
-    An expression with no generators keeps its rational value as the one
-    coefficient of ``num``, over ``den == {(): 1}``, so a rational
-    constant's value is ``num[()]``.
+    A rational constant ``p / r`` is the same form without generators: the
+    unit monomial is ``0`` at every width, so ``num == {0: p}`` and
+    ``den == {0: r}`` with ``r > 0`` and ``gcd(p, r) == 1``, and zero is
+    ``{}`` over ``{0: 1}``.
 
     The constructor normalizes polynomials given with packed monomials or
     exponent tuples and with int or Fraction coefficients.
@@ -436,11 +437,11 @@ class ScalarExpr:
     arithmetic is made of, each giving the form the generic
     ``_unify``/``_p_mul``/``_normalize`` path gives: a zero operand
     (``a + 0`` is ``a`` itself, ``0 * a`` and ``0 / a`` are ``ZERO``), two
-    rational constants (one ``Fraction`` operation), a rational factor or
-    divisor ``q != 0`` (``_scaled``: integer factors on the numerator and
-    denominator, without normalizing), and in ``+`` equal denominators (the
-    numerators added over the shared one, then normalized, since the sum
-    may share a factor with it).
+    rational constants (cross-multiplied and reduced by one gcd), a rational
+    factor or divisor ``p / r`` (``_scaled``: integer factors on the
+    numerator and denominator, without normalizing), and in ``+`` equal
+    denominators (the numerators added over the shared one, then
+    normalized, since the sum may share a factor with it).
     """
 
     __slots__ = ("gens", "num", "den", "_str", "_hash", "_d")
@@ -468,7 +469,7 @@ class ScalarExpr:
     def as_fraction(self) -> Fraction:
         if self.gens:
             raise ExprError(f"not a rational constant: {self}")
-        return self.num[()] if self.num else Fraction(0)
+        return Fraction(self.num.get(0, 0), self.den[0])
 
     def free_symbols(self) -> frozenset:
         """All coordinate/parameter names, recursing into function arguments."""
@@ -487,7 +488,7 @@ class ScalarExpr:
         w = len(self.gens)
         lc = self.den[max(self.den)]
         terms = [(_unpack(k, w), Fraction(self.num[k], lc)) for k in sorted(self.num, reverse=True)]
-        return terms, _new(self.gens, self.den, {0: lc}) if w else ONE
+        return terms, _new(self.gens, self.den, {0: lc})
 
     def __bool__(self):
         return bool(self.num)
@@ -526,7 +527,8 @@ class ScalarExpr:
         if not self.num:
             return other
         if not self.gens and not other.gens:
-            return rational(self.num[()] + other.num[()])
+            r, t = self.den[0], other.den[0]
+            return _ratio(self.num[0] * t + other.num[0] * r, r * t)
         gens, a_num, a_den, b_num, b_den = _unify(self, other)
         if a_den == b_den:
             return _new(gens, _p_add(a_num, b_num), a_den)
@@ -557,9 +559,9 @@ class ScalarExpr:
         if not self.num or not other.num:
             return ZERO
         if not self.gens:
-            return _scaled(other, self.num[()])
+            return _scaled(other, self.num[0], self.den[0])
         if not other.gens:
-            return _scaled(self, other.num[()])
+            return _scaled(self, other.num[0], other.den[0])
         gens, a_num, a_den, b_num, b_den = _unify(self, other)
         return _new(gens, _p_mul(a_num, b_num), _p_mul(a_den, b_den))
 
@@ -574,7 +576,9 @@ class ScalarExpr:
         if not self.num:
             return ZERO
         if not other.gens:
-            return _scaled(self, 1 / other.num[()])
+            # by r / p, with a negative p's sign moved to the numerator
+            p, r = other.num[0], other.den[0]
+            return _scaled(self, r, p) if p > 0 else _scaled(self, -r, -p)
         gens, a_num, a_den, b_num, b_den = _unify(self, other)
         return _new(gens, _p_mul(a_num, b_den), _p_mul(a_den, b_num))
 
@@ -690,8 +694,8 @@ class ScalarExpr:
         return f"ScalarExpr({self})"
 
 
-ZERO = ScalarExpr((), {}, {(): 1}, _raw=True)
-ONE = ScalarExpr((), {(): Fraction(1)}, {(): 1}, _raw=True)
+ZERO = ScalarExpr((), {}, {0: 1}, _raw=True)
+ONE = ScalarExpr((), {0: 1}, {0: 1}, _raw=True)
 
 
 def _new(gens, num, den) -> ScalarExpr:
@@ -721,18 +725,12 @@ def _integral(num, den):
     )
 
 
-def _constant(p, r):
-    return (), {(): Fraction(p, r)}, {(): 1}
-
-
 def _normalize(gens, num, den):
     if not den:
         raise ExprError("zero denominator")
     if not num:
-        return (), {}, {(): 1}
+        return (), {}, {0: 1}
     w = len(gens)
-    if not w:
-        return _constant(num[0], den[0])
     # cancel the common monomial content
     if 0 not in num and 0 not in den:
         m = _common_monomial(num, den, w)
@@ -771,8 +769,6 @@ def _normalize(gens, num, den):
     occ = _occurs(num) | _occurs(den)
     used = [i for i in range(w) if occ >> _shift(i, w) & _MASK]
     if len(used) < w:
-        if not used:
-            return _constant(num[0], den[0])
         pairs = [(i, j) for j, i in enumerate(used)]
         gens = tuple(gens[i] for i in used)
         num = _repack(num, pairs, w, len(used))
@@ -794,21 +790,18 @@ def _common_monomial(num, den, w):
     return m | deg << _FIELD * w if m else 0
 
 
-def _scaled(e: ScalarExpr, q: Fraction) -> ScalarExpr:
-    """``e * q`` for a nonzero structural ``e`` and a nonzero rational ``q``.
+def _scaled(e: ScalarExpr, p: int, r: int) -> ScalarExpr:
+    """``e * p / r`` for a nonzero structural ``e`` and nonzero ints ``p``
+    and ``r > 0`` with no common factor.
 
-    With ``q = p / r``, the numerator is multiplied by ``p`` and the
-    denominator by ``r``, after cancelling the integer factors ``p`` shares
-    with the denominator's content and ``r`` with the numerator's.  That
-    keeps the two coprime, the denominator's leading coefficient positive
-    and the generators in use the same, so the result is canonical without
-    ``_normalize``.
+    The numerator is multiplied by ``p`` and the denominator by ``r``,
+    after cancelling the integer factors ``p`` shares with the denominator's
+    content and ``r`` with the numerator's.  That keeps the two coprime, the
+    denominator's leading coefficient positive and the generators in use the
+    same, so the result is canonical without ``_normalize``.
     """
-    if q == 1:
+    if p == r:  # both 1
         return e
-    if not e.gens:
-        return rational(e.num[()] * q)
-    p, r = q.numerator, q.denominator
     g = math.gcd(p, *e.den.values())
     h = math.gcd(r, *e.num.values())
     p, r = p // g, r // h
@@ -824,8 +817,6 @@ def _scaled(e: ScalarExpr, q: Fraction) -> ScalarExpr:
 def _reciprocal(e: ScalarExpr) -> ScalarExpr:
     """``1 / e`` for a nonzero ``e``: the two polynomials swapped, with the
     sign moved to the numerator."""
-    if not e.gens:
-        return rational(1 / e.num[()])
     if e.num[max(e.num)] < 0:
         return ScalarExpr(e.gens, _p_neg(e.den), _p_neg(e.num), _raw=True)
     return ScalarExpr(e.gens, e.den, e.num, _raw=True)
@@ -841,9 +832,6 @@ def _coerce(x):
 
 def _lift(e: ScalarExpr, pos, w):
     """e's num and den as polynomials in w generators, at positions pos."""
-    if not e.gens:
-        q = e.num.get((), 0)
-        return ({0: q.numerator} if q else {}), {0: q.denominator if q else 1}
     if len(e.gens) == w:
         return e.num, e.den
     pairs = [(i, pos[g]) for i, g in enumerate(e.gens)]
@@ -851,7 +839,7 @@ def _lift(e: ScalarExpr, pos, w):
 
 
 def _unify(a: ScalarExpr, b: ScalarExpr):
-    if a.gens == b.gens and a.gens:
+    if a.gens == b.gens:
         return a.gens, a.num, a.den, b.num, b.den
     gens = tuple(sorted(set(a.gens) | set(b.gens), key=_gen_key))
     pos = {g: i for i, g in enumerate(gens)}
@@ -920,10 +908,16 @@ _GEN = 1 << _FIELD | 1  # the one generator of a one-generator expression
 
 def rational(x) -> ScalarExpr:
     """Exact constant from an int, Fraction, or decimal string."""
-    q = Fraction(x) if not isinstance(x, Fraction) else x
-    if not q:
+    q = x if isinstance(x, (int, Fraction)) else Fraction(x)
+    return _ratio(q.numerator, q.denominator)
+
+
+def _ratio(p: int, r: int) -> ScalarExpr:
+    """The constant ``p / r`` for ints ``p`` and ``r > 0``."""
+    if not p:
         return ZERO
-    return ScalarExpr((), {(): q}, {(): 1}, _raw=True)
+    g = math.gcd(p, r)
+    return ScalarExpr((), {0: p // g}, {0: r // g}, _raw=True)
 
 
 def symbol(name: str) -> ScalarExpr:
@@ -1085,8 +1079,6 @@ def _den_needs_parens(den, gens):
 def _render(e: ScalarExpr) -> str:
     if not e.num:
         return "0"
-    if not e.gens:
-        return _poly_str(e.num, (), 1)[0]
     lc = e.den[max(e.den)]
     num_s, n_terms = _poly_str(e.num, e.gens, lc)
     if len(e.den) == 1 and 0 in e.den:

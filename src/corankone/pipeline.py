@@ -30,6 +30,10 @@ from .problemfile import ANALYSES, ProblemFile
 
 SCHEMA_VERSION = 1
 
+# every other analysis needs the adapted pair and is skipped, with the reason,
+# when there is none; `modular` falls back to the chart volume on an even chart
+_PAIR_FREE = ("jacobi", "corank", "modular", "b_transversality")
+
 
 def _verdict_payload(v: Verdict) -> dict:
     out = {"verdict": v.label}
@@ -80,6 +84,8 @@ class _Runner:
     def run(self, name: str) -> dict:
         handler = getattr(self, f"run_{name}")
         try:
+            if name not in _PAIR_FREE and self.adapted() is None:
+                return self._skip(self._adapted_error)
             return handler()
         except ToolkitError as exc:
             return {
@@ -101,36 +107,27 @@ class _Runner:
         if self.P.corank_n is None:
             return self._skip("no corank declared for an even-dimensional chart")
         rep = self.P.corank_evidence()
-        verdict = (
-            Verdict.probably_zero("top power nonvanishing at all sample points")
-            if rep.nonvanishing_at_samples
-            else Verdict.nonzero({}, 0.0, note="top power vanished at a sample point")
-        )
+        if rep.nonvanishing_at_samples:
+            verdict, detail = "probably-true", "top power nonvanishing at all sample points"
+        else:
+            verdict, detail = "false", "top power vanished at a sample point"
         return {
             "status": "ok",
-            "verdict": "probably-true" if rep.nonvanishing_at_samples else "false",
-            "detail": verdict.note,
+            "verdict": verdict,
+            "detail": detail,
             "artifacts": {"top_power": str(rep.top_power), "n": rep.n},
         }
 
     def run_adapted(self):
-        pair = self.adapted()
-        if pair is None:
-            return self._skip(self._adapted_error)
-        alpha, omega = pair
         return {
             "status": "ok",
             "verdict": "true",
-            "artifacts": {"alpha": str(alpha), "omega": str(omega)},
+            "artifacts": {"alpha": str(self.P.alpha), "omega": str(self.P.omega)},
         }
 
     def run_beta(self):
-        pair = self.adapted()
-        if pair is None:
-            return self._skip(self._adapted_error)
-        alpha, _ = pair
         beta = self.P.beta()
-        ideal = is_zero_graded(wedge(ext_deriv(beta), alpha), self.P.tester)
+        ideal = is_zero_graded(wedge(ext_deriv(beta), self.P.alpha), self.P.tester)
         return {
             "status": "ok",
             "verdict": "true",
@@ -139,9 +136,6 @@ class _Runner:
         }
 
     def run_unimodularity(self):
-        pair = self.adapted()
-        if pair is None:
-            return self._skip(self._adapted_error)
         res = unimodularity_check(
             self.P,
             certificate=self.problem.first_certificate,
@@ -156,8 +150,6 @@ class _Runner:
         return out
 
     def run_godbillon_vey(self):
-        if self.adapted() is None:
-            return self._skip(self._adapted_error)
         gv = godbillon_vey(self.P.beta())
         v = is_zero_graded(gv, self.P.tester)
         return {
@@ -168,17 +160,12 @@ class _Runner:
         }
 
     def run_mu(self):
-        if self.adapted() is None:
-            return self._skip(self._adapted_error)
         return {"status": "ok", "verdict": "true", "artifacts": {"mu": str(self.mu())}}
 
     def run_sigma(self):
-        pair = self.adapted()
-        if pair is None:
-            return self._skip(self._adapted_error)
         res = _second_obstruction(
             self.defining_two_form(),
-            pair[0],
+            self.P.alpha,
             self.mu(),
             self.P.transversal,
             self.P.tester,
@@ -212,16 +199,10 @@ class _Runner:
         }
 
     def run_weinstein(self):
-        pair = self.adapted()
-        if pair is None:
-            return self._skip(self._adapted_error)
         v = check_weinstein_identity(self.P)
         return {"status": "ok", **_verdict_payload(v)}
 
     def run_transverse_poisson(self):
-        pair = self.adapted()
-        if pair is None:
-            return self._skip(self._adapted_error)
         rep = check_transverse_poisson(self.P)
         verdict = "true" if rep.equivalence_holds else "false"
         out = {
@@ -253,9 +234,6 @@ class _Runner:
         }
 
     def run_b_extension(self):
-        pair = self.adapted()
-        if pair is None:
-            return self._skip(self._adapted_error)
         ext = extend_to_b(self.P)
         return {
             "status": "ok",

@@ -117,6 +117,7 @@ class _Loader:
             "omega_alt": [],
         }
         self.corank = None
+        self.corank_line = 0
         # certificates
         self.first_f = None
         self.second_nu_terms = []
@@ -204,6 +205,7 @@ class _Loader:
             except ValueError:
                 # isdigit admits digit strings that int refuses
                 self.fail(f"corank N, got {quote(args[0])}", lineno)
+            self.corank_line = lineno
         elif head in self.terms:
             if not args:
                 self.fail(f"{head} EXPR [COORD...]", lineno)
@@ -332,6 +334,13 @@ class _Loader:
                     self.fail(f"unknown locus coordinate {quote(name)}", at)
                 locus[name] = self._parse(text, at)
             witness = PeriodWitness(cycle, locus)
+        # n, with dim = 2n+1, or 2n on a b-side chart
+        if self.corank is not None and self.corank != self.chart.dim // 2:
+            self.fail(
+                f"corank of a {self.chart.dim}-coordinate chart is {self.chart.dim // 2}, "
+                f"got {quote(str(self.corank))}",
+                self.corank_line,
+            )
         return ProblemFile(
             path=self.path,
             chart=self.chart,

@@ -9,6 +9,7 @@ normalizing constructor, the path every operand kind took before the
 shortcuts.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -83,4 +84,5 @@ def test_shortcuts_match_generic_path(pair, op):
     assert str(got) == str(want)
     assert hash(got) == hash(want)
     if not got.gens:
-        assert got.den == {(): 1}
+        assert set(got.num) <= {0} and set(got.den) == {0} and got.den[0] > 0
+        assert math.gcd(got.num.get(0, 0), got.den[0]) == 1

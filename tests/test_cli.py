@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -15,6 +16,8 @@ from corankone.poisson import PoissonStructure
 from corankone.problemfile import load_problem, loads_problem
 
 import bundled
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 def corpus_text(name):
@@ -296,6 +299,10 @@ class TestExitCodes:
             ("seed 3", "tolerance 1e999x", "option tolerance needs a number, got '1e999x'"),
             # isdigit admits it, int refuses more than 4300 digits
             ("corank 1", "corank " + "1" * 5000, r"corank N, got '1{80}'\.\.\.$"),
+            # n with dim = 2n + 1: past it every wedge power vanishes, below
+            # it the wedge powers are undefined
+            ("corank 1", "corank 3", r"corank of a 3-coordinate chart is 1, got '3'$"),
+            ("corank 1", "corank 0", r"corank of a 3-coordinate chart is 1, got '0'$"),
             # float() reads these, but each makes the zero test meaningless
             ("seed 3", "tolerance 1e999", r"option tolerance must satisfy 0 < tolerance < 1, got '1e999'$"),
             ("seed 3", "tolerance -1", r"option tolerance must satisfy 0 < tolerance < 1, got '-1'$"),
@@ -310,6 +317,8 @@ class TestExitCodes:
             "seed",
             "tolerance",
             "corank",
+            "corank-too-large",
+            "corank-zero",
             "tolerance-inf",
             "tolerance-negative",
             "tolerance-nan",
@@ -469,14 +478,40 @@ class TestBenchmarkTracer:
     def test_tracer_installs_on_this_tree(self):
         # the benchmark's layer tracer wraps functions by name, so a rename
         # here would break its traced runs; install it as its driver does
-        perfbench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
         code = (
-            f"import sys; sys.path.insert(0, {os.path.abspath(perfbench)!r})\n"
+            f"import sys; sys.path.insert(0, {PERFBENCH!r})\n"
             "import corankone.cli, layertrace\n"
             "layertrace.install(layertrace.Tracer())\n"
         )
         proc = run_python("-c", code, timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestBenchmarkDigests:
+    # dimension 5 with two parameters: the benchmark records no digest for them
+    UNDIGESTED = {"multi-d5-p2-full-const", "multi-d5-p2-full-exp"}
+
+    def test_generated_reports_match_recorded_digests(self, monkeypatch):
+        # the benchmark's generator, read without writing byte code beside it
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        spec = importlib.util.spec_from_file_location("bench_gen", os.path.join(PERFBENCH, "gen.py"))
+        gen = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclass looks itself up
+        spec.loader.exec_module(gen)
+        with open(os.path.join(PERFBENCH, "digests.json"), encoding="utf-8") as fh:
+            digests = json.load(fh)
+        checked = 0
+        for member in gen.dense(3) + gen.multiparam(3):
+            # the key of perfbench/run.py's digest_key
+            key = f"{member.name}:{hashlib.sha256(member.text.encode()).hexdigest()[:16]}"
+            if key not in digests:
+                assert member.name in self.UNDIGESTED
+                continue
+            # what perfbench/driver.py does in its own process
+            report = render_report(analyze(loads_problem(member.text, path=member.name)))
+            assert hashlib.sha256(report.encode()).hexdigest() == digests[key], member.name
+            checked += 1
+        assert checked == 44
 
 
 class TestReportShape:

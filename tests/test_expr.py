@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -139,7 +140,9 @@ class TestParsing:
     def test_degree_bounded(self, xyz):
         x10 = "((x^32)^32)"  # x^1024
         assert parse_scalar(f"{x10}^15*(x^32)^31*x^31", xyz) == symbol("x") ** MAX_DEGREE
-        assert parse_scalar(f"{x10}^15/((y^32)^32)^15", xyz).den != ONE
+        quot = parse_scalar(f"{x10}^15/((y^32)^32)^15", xyz)
+        assert quot == ScalarExpr(("x", "y"), {(15360, 0): 1}, {(0, 15360): 1})
+        assert quot.den != ONE.den
         for text, what, degree in (
             (f"{x10}^16", "a power", 16384),
             (f"{x10}^(-16)", "a power", 16384),
@@ -324,11 +327,42 @@ class TestArithmeticShortcuts:
         assert (e * 1) is e and (ONE * e) is e and (e / 1) is e
 
     def test_constant_has_unit_denominator(self, xyz):
-        # the constant shortcuts read a constant's value off num[()]
-        for text in ("2/3", "(2*x)/(3*x)", "(x^2 - 1)/(2*x - 2) - x/2", "exp(x)/exp(x)"):
+        # a constant p/r keeps p over r on the unit monomial 0, r > 0, reduced
+        for text, p, r in (
+            ("2/3", 2, 3),
+            ("(2*x)/(3*x)", 2, 3),
+            ("(x^2 - 1)/(2*x - 2) - x/2", 1, 2),
+            ("exp(x)/exp(x)", 1, 1),
+            ("-4/6", -2, 3),
+            ("1/6 + 1/3", 1, 2),
+            ("6/(-4)", -3, 2),
+        ):
             e = parse_scalar(text, xyz)
-            assert e.gens == () and e.den == {(): 1}
-        assert ZERO.den == ONE.den == rational(5).den == {(): 1}
+            assert (e.gens, e.num, e.den) == ((), {0: p}, {0: r})
+            assert e.den[0] > 0 and math.gcd(p, r) == 1
+        assert (ZERO.num, ZERO.den) == ({}, {0: 1})
+        assert ONE.num == ONE.den == rational(5).den == {0: 1}
+
+    def test_arithmetic_builds_no_fraction(self, xyz, monkeypatch):
+        # rationals are ints until they are printed or read as a Fraction
+        texts = ("2/3", "-5/7", "3", "x/(x + 1)", "(x^2 - y)/(3*y + 2)", "exp(x)/2 + sin(y)")
+        operands = [parse_scalar(t, xyz) for t in texts]
+        fresh = [parse_scalar(t, xyz) for t in texts]
+        calls = []
+        real = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(args)
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        out = []
+        for a in operands:
+            for b in operands:
+                out += [a + b, a - b, a * b, a / b, a + 2, 3 * a, a / 4]
+        for e in fresh:
+            out += [e.derive("x"), e.derive("y")]
+        assert calls == []
 
     def test_shortcuts_skip_normalize(self, xyz, monkeypatch):
         x = symbol("x")
