@@ -134,10 +134,9 @@ def _scan_roots(h: ScalarExpr, var: str, chart: Chart, env_base: dict, grid: int
 
 def b_transversality_check(
     P: PoissonStructure,
-    n: Optional[int] = None,
     declared_roots: Optional[Sequence[float]] = None,
 ) -> BTransversalityReport:
-    """Whether the n-th power of the bivector vanishes linearly.
+    """Whether the top power of the bivector vanishes linearly.
 
     Computes the single top-degree coefficient h of the power, locates the
     zero set (exactly for a linear coordinate factor, numerically along
@@ -147,8 +146,7 @@ def b_transversality_check(
     chart = P.chart
     if chart.dim % 2:
         raise DegreeError("transversality of the top power needs an even chart")
-    n = chart.dim // 2 if n is None else n
-    top = power(P.bivector, n)
+    top = power(P.bivector, chart.dim // 2)
     h = top.coeffs.get(tuple(range(chart.dim)), ex.ZERO)
     tester = P.tester
     hv = tester.is_zero(h)

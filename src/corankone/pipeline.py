@@ -121,7 +121,7 @@ class _Runner:
     def run_adapted(self):
         return {
             "status": "ok",
-            "verdict": "true",
+            "verdict": self.P.adapted_verdict.label,
             "artifacts": {"alpha": str(self.P.alpha), "omega": str(self.P.omega)},
         }
 

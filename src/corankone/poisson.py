@@ -9,11 +9,15 @@ Pinned conventions (see the test suite):
   unique choice under which the adapted identity
   ``interior(Pi, alpha ^ omega**n) == n alpha ^ omega**(n-1)`` and the
   restriction behaviour of the b-extension both hold with no stray signs.
+  On the chart extended by s, the adapted pair is read off the dual of
+  ``Pi + v ^ @s`` and checked by the dual of ``omega + alpha ^ ds``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 from . import expr as ex
@@ -22,12 +26,11 @@ from .calculus import (
     MultiVector,
     _covector_contract,
     ext_deriv,
-    interior,
     is_zero_graded,
     power,
     scalar_form,
     schouten,
-    wedge,
+    volume_form,
 )
 from .errors import (
     ChartMismatchError,
@@ -167,12 +170,23 @@ def skew_matrix(element):
     return mat
 
 
-def _from_skew_matrix(cls, chart: Chart, mat):
-    """The bivector or 2-form (cls) whose coefficient matrix is mat."""
+def _bordered(element, border):
+    """Skew matrix of Pi + v ^ @s, or of omega + alpha ^ ds, on the chart extended by s."""
+    dim = element.chart.dim
+    mat = [row + [ex.ZERO] for row in skew_matrix(element)]
+    mat.append([ex.ZERO] * (dim + 1))
+    for (i,), c in border.coeffs.items():
+        mat[i][dim] = c
+        mat[dim][i] = -c
+    return mat
+
+
+def _from_inverse(cls, chart: Chart, inv):
+    """The bivector or 2-form (cls) whose coefficient matrix is the transpose of inv."""
     coeffs = {}
     for i in range(chart.dim):
         for j in range(i + 1, chart.dim):
-            coeffs[(i, j)] = mat[i][j]
+            coeffs[(i, j)] = inv[j][i]
     return cls(chart, 2, coeffs)
 
 
@@ -192,8 +206,7 @@ def _dual(element, cls, tester: Optional[ZeroTester]):
         )
     if pv.kind is ex.VerdictKind.UNKNOWN:
         raise DegenerateError("nondegeneracy undecidable on the sampling domain")
-    n = chart.dim
-    return _from_skew_matrix(cls, chart, [[inv[j][i] for j in range(n)] for i in range(n)])
+    return _from_inverse(cls, chart, inv)
 
 
 def invert_twoform(omega: DiffForm, tester: Optional[ZeroTester] = None) -> MultiVector:
@@ -218,10 +231,6 @@ class CorankReport:
     samples: list
     nonvanishing_at_samples: bool
 
-    @property
-    def regular_evidence(self) -> bool:
-        return self.nonvanishing_at_samples
-
 
 @dataclass
 class PoissonStructure:
@@ -232,8 +241,8 @@ class PoissonStructure:
     interior(Pi, alpha ^ omega**n) = n alpha ^ omega**(n-1).  On first use
     with a transversal field v it is read off one Pfaffian inverse: on the
     chart extended by a coordinate s, the inverse of Pi + v ^ @s is
-    omega + alpha ^ ds.  The artifacts derived from the pair (volume,
-    beta, mu and the modular field) are likewise computed once and kept.
+    omega + alpha ^ ds, and inverting back checks the pair.  The artifacts
+    (volume, beta, mu and the modular field) are computed once and kept.
     """
 
     chart: Chart
@@ -256,6 +265,7 @@ class PoissonStructure:
         self._jacobi = None
         self._jacobiator = None
         self._volume = None
+        self.adapted_verdict: Optional[Verdict] = None  # of the check that accepted the pair
         self._beta = None
         self._mu = None
         self._modular = None
@@ -341,8 +351,8 @@ class PoissonStructure:
 
     # -- corank evidence -------------------------------------------------------
 
-    def corank_evidence(self, n: Optional[int] = None, samples: int = 10) -> CorankReport:
-        n = self.corank_n if n is None else n
+    def corank_evidence(self, samples: int = 10) -> CorankReport:
+        n = self.corank_n
         if n is None:
             raise NotCorankOneError("no corank declared and chart dimension is even")
         top = power(self.bivector, n)
@@ -399,21 +409,10 @@ class PoissonStructure:
         return self.alpha, self.omega
 
     def _bordered_pair(self):
-        """Read (alpha, omega) off the dual two-form of Pi + v ^ @s.
-
-        On the chart extended by a coordinate s the bordered bivector is
-        nondegenerate exactly when v is transversal, and its dual two-form
-        is omega + alpha ^ ds, the same bordering as the extension
-        (dt/t) ^ alpha + omega.
-        """
+        """Read (alpha, omega) off the dual two-form omega + alpha ^ ds of Pi + v ^ @s."""
         chart = self.chart
         dim = chart.dim
-        bordered = [row + [ex.ZERO] for row in skew_matrix(self.bivector)]
-        bordered.append([ex.ZERO] * (dim + 1))
-        for (i,), c in self.transversal.coeffs.items():
-            bordered[i][dim] = c
-            bordered[dim][i] = -c
-        inv, pf = _skew_inverse(bordered)
+        inv, pf = _skew_inverse(_bordered(self.bivector, self.transversal))
         pv = self.tester.is_zero(pf)
         if pv.kind is ex.VerdictKind.UNKNOWN:
             raise PivotUndecidableError(
@@ -430,40 +429,40 @@ class PoissonStructure:
             raise NotTransversalError(
                 "the transversal condition alpha(v) = 1 is unsolvable"
             )
-        # the dual two-form's matrix is the transposed inverse
-        dual = [[inv[j][i] for j in range(dim + 1)] for i in range(dim + 1)]
-        alpha = DiffForm(chart, 1, {(i,): dual[i][dim] for i in range(dim)})
-        return alpha, _from_skew_matrix(DiffForm, chart, dual)
+        alpha = DiffForm(chart, 1, {(i,): inv[dim][i] for i in range(dim)})
+        return alpha, _from_inverse(DiffForm, chart, inv)
 
     def _verify_adapted(self, alpha: DiffForm, omega: DiffForm):
-        """Check the defining identities of the pair, then fix the volume.
+        """Check the pair by its bordered dual, then fix the volume.
 
-        The left-hand side contracts the adapted volume alpha ^ omega**n,
-        built on the same omega**(n-1) as the right-hand side; it is kept
-        as the volume once the identities hold.
+        The dual of omega + alpha ^ ds must be Pi + v ^ @s (without v, only
+        its Pi block is compared).  For a nonzero Pfaffian the block is Pi
+        exactly when interior(Pi, alpha ^ omega**n) == n alpha ^ omega**(n-1),
+        and the border is v exactly when alpha(v) = 1 and iota_v omega = 0.
+        As (omega + alpha ^ ds)**(n+1) == (n+1) alpha ^ omega**n ^ ds, the
+        volume is n! times the Pfaffian.
         """
         n = self.corank_n
         if n is None:
             raise NotCorankOneError("no corank declared and chart dimension is even")
+        inv, pf = _skew_inverse(_bordered(omega, alpha))
+        if inv is None or not self.tester.is_zero(pf).failed:
+            raise InternalCheckError(
+                "adapted pair fails its defining identities "
+                "(omega + alpha ^ ds is singular)"
+            )
         v = self.transversal
-        checks = []
-        if v is not None:
-            checks.append(interior(v, alpha).scalar() - ex.ONE)
-            checks.extend(interior(v, omega).coeffs.values())
-        low = power(omega, n - 1)
-        volume = wedge(alpha, wedge(low, omega))
-        lhs = interior(self.bivector, volume)
-        rhs = ex.rational(n) * wedge(alpha, low)
-        diff = lhs - rhs
-        verdicts = [self.tester.is_zero(c) for c in checks]
-        verdicts.append(is_zero_graded(diff, self.tester))
+        target = skew_matrix(self.bivector) if v is None else _bordered(self.bivector, v)
+        pairs = combinations(range(len(target)), 2)
+        verdicts = [self.tester.is_zero(inv[j][i] - target[i][j]) for i, j in pairs]
         combined = Verdict.combine(*verdicts)
         if not combined.holds:
             raise InternalCheckError(
                 "adapted pair fails its defining identities "
                 f"(verdict {combined.kind.value}, witness {combined.witness})"
             )
-        self._volume = volume
+        self._volume = volume_form(self.chart) * (ex.rational(math.factorial(n)) * pf)
+        self.adapted_verdict = combined
 
     # -- derived artifacts, each computed once ----------------------------------
     # (the invariants module imports this one, hence the local imports)

@@ -157,7 +157,7 @@ def test_criterion_03_affine_example():
         e = bundled.entry("affine", seed=SEED)
         P = e.structure
         assert P.jacobi_verdict().symbolic
-        rep = b_transversality_check(P, n=1)
+        rep = b_transversality_check(P)
         assert rep.verdict.symbolic
         assert rep.locus == "y = 0"
         assert rep.top_coefficient == symbol("y")

@@ -37,7 +37,7 @@ import bundled
 class TestBTransversality:
     def test_affine_example(self):
         e = bundled.entry("affine", seed=1)
-        rep = b_transversality_check(e.structure, n=1)
+        rep = b_transversality_check(e.structure)
         assert rep.verdict.symbolic
         assert rep.locus == "y = 0"
         assert rep.top_coefficient == parse_scalar("y", e.structure.chart)
@@ -49,7 +49,7 @@ class TestBTransversality:
             xy, MultiVector(xy, 2, {("x", "y"): 1}), corank_n=1,
             tester=ZeroTester(xy, seed=2),
         )
-        rep = b_transversality_check(P, n=1)
+        rep = b_transversality_check(P)
         assert rep.verdict.symbolic
         assert rep.locus == "empty"
 
@@ -59,7 +59,7 @@ class TestBTransversality:
             xy, MultiVector(xy, 2, {("x", "y"): "y^2"}), corank_n=1,
             tester=ZeroTester(xy, seed=3),
         )
-        rep = b_transversality_check(P, n=1)
+        rep = b_transversality_check(P)
         assert rep.verdict.failed
         assert "gradient" in rep.verdict.note
 
@@ -67,7 +67,7 @@ class TestBTransversality:
         xy = Chart(("x", "y"))
         P = PoissonStructure(xy, MultiVector(xy, 2, {}), corank_n=1,
                              tester=ZeroTester(xy, seed=4))
-        rep = b_transversality_check(P, n=1)
+        rep = b_transversality_check(P)
         assert rep.verdict.failed
         assert rep.locus == "everywhere degenerate"
 

@@ -151,6 +151,42 @@ section analyses
         assert declared["adapted"]["artifacts"] == {"alpha": "dz", "omega": "dx^dy"}
         assert declared == computed
 
+    def test_declared_zero_omega_is_refused(self):
+        # omega = 0 makes both sides of the wedge identity vanish; the
+        # bordered two-form omega + alpha ^ ds is singular
+        text = """
+schema 1
+section chart
+  coords a b c d e
+section structure
+  corank 2
+  bivector "1" a b
+  bivector "1" c d
+  transversal "1" e
+  alpha "1" e
+  omega "0" a b
+section analyses
+  jacobi
+  adapted
+  beta
+  modular
+  weinstein
+"""
+        report = analyze(loads_problem(text))
+        for name in ("adapted", "beta", "modular", "weinstein"):
+            assert report["analyses"][name]["status"] == "skipped", name
+            assert "fails its defining identities" in report["analyses"][name]["detail"]
+        assert exit_code(report) == 0
+
+    def test_sampled_pair_check_is_labelled(self):
+        # alpha(v) - 1 = 1 - sin(x)^2 - cos(x)^2 is zero only by sampling
+        text = MINIMAL.replace('bivector "1" x y', 'bivector "1" y z').replace(
+            'transversal "1" z',
+            'transversal "sin(x)^2 + cos(x)^2" x\n  alpha "1" x\n  omega "1" y z',
+        )
+        report = analyze(loads_problem(text.replace("  jacobi", "  jacobi\n  adapted")))
+        assert report["analyses"]["adapted"]["verdict"] == "probably-true"
+
     def test_declared_pair_without_corank_is_skipped(self):
         text = MINIMAL.replace("x y z", "x y z w").replace("  corank 1\n", "")
         text = text.replace('transversal "1" z', 'transversal "1" z\n  alpha "1" z\n  omega "1" x y')

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from corankone import Chart, ZeroTester, exp, parse_scalar, rational, symbol
+from corankone import calculus
 from corankone import expr as ex
 from corankone import poisson
 from corankone.calculus import (
@@ -24,6 +25,7 @@ from corankone.calculus import (
 from corankone.cli import bundled_corpus
 from corankone.errors import (
     DegenerateError,
+    InternalCheckError,
     NotCorankOneError,
     NotTransversalError,
     PivotUndecidableError,
@@ -37,6 +39,8 @@ from corankone.poisson import (
     skew_matrix,
 )
 from corankone.problemfile import loads_problem
+
+import bundled
 
 
 @pytest.fixture
@@ -106,6 +110,14 @@ def dense_structure(seed, dim, params=(), scaled=False):
         Pi = Pi + wedge(cols[k], cols[k + 1])
     v = exp(-symbol("x1")) * cols[-1] if scaled else cols[-1]
     return PoissonStructure(chart, Pi, transversal=v, tester=ZeroTester(chart, seed=seed))
+
+
+def adapted_structures():
+    """Every bundled corank-one structure, and the dense family in dimensions 3, 5 and 7."""
+    cases = [pytest.param(e.structure, id=e.name) for e in bundled.corank_one_entries()]
+    return cases + [
+        pytest.param(dense_structure(3, dim), id=f"dense-dim{dim}") for dim in (3, 5, 7)
+    ]
 
 
 def random_bivector(rng, chart):
@@ -351,12 +363,46 @@ class TestAdaptedForms:
         assert interior(P.transversal, alpha).scalar() == rational(1)
         assert interior(P.transversal, omega).is_structural_zero
 
-    def test_postcondition_identity(self, flat):
-        alpha, omega = flat.adapted()
-        n = flat.corank_n
-        lhs = interior(flat.bivector, wedge(alpha, power(omega, n)))
+    @pytest.mark.parametrize("P", adapted_structures())
+    def test_postcondition_identity(self, P):
+        # the wedge identity and the pairings with v, the reference for the
+        # bordered-dual check, and the volume read off its Pfaffian
+        alpha, omega = P.adapted()
+        n = P.corank_n
+        volume = wedge(alpha, power(omega, n))
+        lhs = interior(P.bivector, volume)
         rhs = rational(n) * wedge(alpha, power(omega, n - 1))
         assert (lhs - rhs).is_structural_zero
+        assert interior(P.transversal, alpha).scalar() == rational(1)
+        assert interior(P.transversal, omega).is_structural_zero
+        assert P.volume() == volume
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            t3_structure,
+            lambda: bundled.entry("exp_wall").structure,
+            lambda: dense_structure(3, 5),
+        ],
+        ids=["t3", "exp_wall", "dense-dim5"],
+    )
+    def test_perturbed_declared_pair_refused(self, build):
+        # one entry of a declared alpha or omega off by one: the bordered
+        # dual no longer gives back Pi + v ^ @s
+        alpha, omega = build().adapted()
+        perturbed = [(a, omega) for a in self._bumped(alpha)]
+        perturbed += [(alpha, o) for o in self._bumped(omega)]
+        for alpha_bad, omega_bad in perturbed:
+            P = build()
+            P.alpha, P.omega = alpha_bad, omega_bad
+            with pytest.raises(InternalCheckError, match="fails its defining identities"):
+                P.adapted()
+
+    @staticmethod
+    def _bumped(form):
+        """form with one coefficient raised by one, for every coefficient."""
+        for key in itertools.combinations(range(form.chart.dim), form.degree):
+            yield form + DiffForm(form.chart, form.degree, {key: 1})
 
     def test_tangent_transversal_rejected(self, xyz):
         P = PoissonStructure(
@@ -420,7 +466,7 @@ class TestAdaptedForms:
 
 
 class TestAdaptedVolume:
-    """adapted() fixes the volume on the power chain of its own check."""
+    """adapted() fixes the volume from the Pfaffian of its own check."""
 
     @pytest.mark.parametrize(
         "build",
@@ -429,16 +475,19 @@ class TestAdaptedVolume:
     )
     def test_volume_needs_no_wedge_after_adapted(self, monkeypatch, build):
         P = build()
-        alpha, omega = P.adapted()
+        P.jacobi_verdict()  # the Schouten bracket of the Jacobi check wedges
         calls = [0]
 
         def counted(a, b):
             calls[0] += 1
             return wedge(a, b)
 
-        monkeypatch.setattr(poisson, "wedge", counted)
+        monkeypatch.setattr(calculus, "wedge", counted)
+        monkeypatch.setattr(poisson, "wedge", counted, raising=False)
+        alpha, omega = P.adapted()
         volume = P.volume()
         assert calls[0] == 0
+        monkeypatch.undo()
         assert volume == wedge(alpha, power(omega, P.corank_n))
 
 
