@@ -63,16 +63,13 @@ from .poisson import (  # noqa: F401
 )
 from .invariants import (  # noqa: F401
     ObstructionCertificate,
-    ObstructionReport,
     ObstructionResult,
     PeriodWitness,
     TransversePoissonReport,
-    build_obstruction_report,
     check_transverse_poisson,
     check_weinstein_identity,
     compute_beta,
     compute_mu,
-    first_obstruction,
     godbillon_vey,
     modular_field,
     rescaled_modular_verdict,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import expr as ex
 from .calculus import (
@@ -83,12 +83,15 @@ def _single_linear_locus(h: ScalarExpr, chart: Chart) -> Optional[str]:
     return f"{name} = 0"
 
 
-def _scan_roots(h: ScalarExpr, var: str, chart: Chart, env_base: dict, grid: int = 720):
+_GRID = 720  # scan intervals per coordinate domain
+
+
+def _scan_roots(h: ScalarExpr, var: str, chart: Chart, env_base: dict):
     lo, hi = chart.domain(var)
     periodic = var in chart.periodic
     if periodic:
         lo, hi = 0.0, 2.0 * math.pi
-    xs = [lo + (hi - lo) * k / grid for k in range(grid + 1)]
+    xs = [lo + (hi - lo) * k / _GRID for k in range(_GRID + 1)]
 
     def f(x):
         env = dict(env_base)
@@ -103,7 +106,7 @@ def _scan_roots(h: ScalarExpr, var: str, chart: Chart, env_base: dict, grid: int
         except ex.EvaluationSingularity:
             vals.append(None)
     scale = max((abs(v) for v in vals if v is not None), default=1.0)
-    for k in range(grid):
+    for k in range(_GRID):
         a, b = vals[k], vals[k + 1]
         if a is None or b is None:
             continue
@@ -132,10 +135,7 @@ def _scan_roots(h: ScalarExpr, var: str, chart: Chart, env_base: dict, grid: int
     return sorted(out)
 
 
-def b_transversality_check(
-    P: PoissonStructure,
-    declared_roots: Optional[Sequence[float]] = None,
-) -> BTransversalityReport:
+def b_transversality_check(P: PoissonStructure) -> BTransversalityReport:
     """Whether the top power of the bivector vanishes linearly.
 
     Computes the single top-degree coefficient h of the power, locates the
@@ -164,7 +164,7 @@ def b_transversality_check(
             h,
             locus="empty",
         )
-    if len(depends) > 1 and declared_roots is None:
+    if len(depends) > 1:
         return BTransversalityReport(
             Verdict.unknown(
                 "no zero-set points located (top power depends on several coordinates)"
@@ -175,10 +175,7 @@ def b_transversality_check(
     var = depends[0]
     rng_tester = tester.clone(seed=tester.seed + 7)
     env_base = rng_tester.sample()
-    if declared_roots is not None:
-        roots = [float(r) for r in declared_roots]
-    else:
-        roots = _scan_roots(h, var, chart, env_base)
+    roots = _scan_roots(h, var, chart, env_base)
     if not roots:
         return BTransversalityReport(
             Verdict.unknown("no zero-set points located by the scan"),
@@ -200,7 +197,7 @@ def b_transversality_check(
     bad = [p for p in points if p.residual > 1e-6]
     if bad:
         return BTransversalityReport(
-            Verdict.unknown(f"declared root {bad[0].value} has residual {bad[0].residual}"),
+            Verdict.unknown(f"located root {bad[0].value} has residual {bad[0].residual}"),
             h,
             locus="unverified roots",
             points=points,
@@ -299,33 +296,7 @@ def extend_to_b(P: PoissonStructure, t_name: str = "t") -> BExtension:
     tester_forms = ZeroTester(chart_forms, seed=tester.seed + 1, trials=tester.trials)
     pi_ext_forms = invert_twoform(omega_ext, tester_forms)
     pi_ext = MultiVector(chart_smooth, 2, dict(pi_ext_forms.coeffs))
-
-    # restriction to t = 0 is the base bivector extended by zero
-    restricted = MultiVector(
-        chart_smooth,
-        2,
-        {idx: c.subs({t_name: ex.ZERO}) for idx, c in pi_ext.coeffs.items()},
-    )
-    base_lift = lift(P.bivector, MultiVector, chart_smooth)
-    tester_smooth = ZeroTester(chart_smooth, seed=tester.seed + 2, trials=tester.trials)
-    if not is_zero_graded(restricted - base_lift, tester_smooth).holds:
-        raise InternalCheckError("dual bivector does not restrict to the base")
-
-    # top power divisible by t with nonvanishing quotient
-    n = P.corank_n
-    top = power(pi_ext, n + 1)
-    h = top.coeffs.get(tuple(range(chart_smooth.dim)), ex.ZERO)
-    at_zero = h.subs({t_name: ex.ZERO})
-    if not at_zero.is_structural_zero:
-        raise InternalCheckError("top power is not divisible by t")
-    quotient = h / ex.symbol(t_name)
-    qv = tester_smooth.is_zero(quotient)
-    if not qv.failed:
-        raise InternalCheckError(
-            f"t-quotient of the top power is not definitely nonzero ({qv.kind.value})"
-        )
-
-    # t = 1 slice recovers the base structure
+    h = power(pi_ext, P.corank_n + 1).coeffs.get(tuple(range(chart_smooth.dim)), ex.ZERO)
     ext = BExtension(
         base=P,
         t=t_name,
@@ -333,8 +304,25 @@ def extend_to_b(P: PoissonStructure, t_name: str = "t") -> BExtension:
         chart_smooth=chart_smooth,
         omega_ext=omega_ext,
         pi_ext=pi_ext,
-        quotient=quotient,
+        quotient=h / ex.symbol(t_name),
     )
+
+    # restriction to t = 0 is the base bivector extended by zero
+    base_lift = lift(P.bivector, MultiVector, chart_smooth)
+    tester_smooth = ZeroTester(chart_smooth, seed=tester.seed + 2, trials=tester.trials)
+    if not is_zero_graded(ext.restriction() - base_lift, tester_smooth).holds:
+        raise InternalCheckError("dual bivector does not restrict to the base")
+
+    # top power divisible by t with nonvanishing quotient
+    if not h.subs({t_name: ex.ZERO}).is_structural_zero:
+        raise InternalCheckError("top power is not divisible by t")
+    qv = tester_smooth.is_zero(ext.quotient)
+    if not qv.failed:
+        raise InternalCheckError(
+            f"t-quotient of the top power is not definitely nonzero ({qv.kind.value})"
+        )
+
+    # t = 1 slice recovers the base structure
     if not is_zero_graded(ext.slice_at_one() - P.bivector, tester).holds:
         raise InternalCheckError("t = 1 slice does not recover the base bivector")
     return ext
@@ -366,7 +354,6 @@ def build_product_bpoisson(
     X: MultiVector,
     pi: MultiVector,
     tester: Optional[ZeroTester] = None,
-    declared_roots: Optional[Sequence[float]] = None,
 ) -> ProductBPoisson:
     """Assemble f(theta) @theta ^ X + pi on a circle-times-leaf chart.
 
@@ -427,7 +414,7 @@ def build_product_bpoisson(
             "X is not transverse to the symplectic leaves of pi"
         ) from None
 
-    report = b_transversality_check(P, declared_roots=declared_roots)
+    report = b_transversality_check(P)
     roots = [p.value for p in report.points]
     linear = bool(report.points) and all(p.linear for p in report.points)
     if not report.points:

@@ -20,7 +20,7 @@ probabilistic evidence without saying so.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import expr as ex
@@ -123,7 +123,6 @@ class ObstructionCertificate:
     kind: str  # "first" | "second"
     f: Optional[ScalarExpr] = None
     nu: Optional[DiffForm] = None
-    gamma: Optional[DiffForm] = None
     origin: str = "supplied"
 
     def __post_init__(self):
@@ -251,6 +250,15 @@ def _integrate(e: ScalarExpr, name: str):
     return total / den_expr
 
 
+def _monomial(exps, coeff, gens) -> ScalarExpr:
+    """One canonical term of parts() rebuilt as an expression."""
+    mono = ex.rational(coeff)
+    for g, k in zip(gens, exps):
+        if k:
+            mono = mono * ex._gen_expr(g) ** k
+    return mono
+
+
 def _coordinate_free_part(e: ScalarExpr, chart: Chart) -> ScalarExpr:
     """The monomials of e free of every chart coordinate (zero if the
     denominator itself involves coordinates)."""
@@ -269,12 +277,7 @@ def _coordinate_free_part(e: ScalarExpr, chart: Chart) -> ScalarExpr:
             else:
                 involved = involved or any(s in coords for s in g.arg.free_symbols())
         if not involved:
-            mono = ex.rational(coeff)
-            for g, k in zip(e.gens, exps):
-                if k:
-                    base = ex.symbol(g) if isinstance(g, str) else ex._gen_expr(g)
-                    mono = mono * base**k
-            const = const + mono
+            const = const + _monomial(exps, coeff, e.gens)
     return const / den_expr
 
 
@@ -332,66 +335,48 @@ def _homotopy_two_form(mu0: DiffForm) -> Optional[DiffForm]:
             deg = sum(
                 k for g, k in zip(c.gens, exps) if isinstance(g, str) and g in coords
             )
-            mono = ex.rational(coeff)
-            for g, k in zip(c.gens, exps):
-                if k:
-                    base = ex.symbol(g) if isinstance(g, str) else ex._gen_expr(g)
-                    mono = mono * base**k
-            weight = mono / den_expr / (deg + 2)
+            weight = _monomial(exps, coeff, c.gens) / den_expr / (deg + 2)
             out = out + DiffForm(chart, 1, {(j,): weight * xi, (i,): -(weight * xj)})
     return out
 
 
 # ---------------------------------------------------------------------------
-# obstruction reports
+# the two obstruction classes
 
 
 @dataclass
 class ObstructionResult:
     """Verdict about one obstruction class, with its certificate trail."""
 
-    kind: str
     verdict: Verdict
     representative: DiffForm
-    transverse_representative: DiffForm
     certificate: Optional[ObstructionCertificate] = None
     certificate_verdict: Optional[Verdict] = None
     period: Optional[Verdict] = None
     detail: str = ""
 
-    @property
-    def vanishes(self) -> bool:
-        return self.verdict.holds
 
-
-def first_obstruction(
-    alpha: DiffForm,
-    v: MultiVector,
-    tester: ZeroTester,
+def unimodularity_check(
+    P: PoissonStructure,
     certificate: Optional[ObstructionCertificate] = None,
     witness: Optional[PeriodWitness] = None,
 ) -> ObstructionResult:
-    """Decide whether the first obstruction class vanishes.
+    """Unimodularity of P as the vanishing of the first obstruction class.
 
-    Order of attack: beta already a multiple of alpha; a supplied
-    certificate; an automatic certificate by antidifferentiation; a
-    supplied or automatic leafwise-period disproof; otherwise UNKNOWN.
+    Reads alpha, beta, the transversal and the tester from P.  Order of
+    attack: beta already a multiple of alpha; a supplied certificate; an
+    automatic certificate by antidifferentiation; a supplied or automatic
+    leafwise-period disproof; otherwise UNKNOWN.
     """
-    beta = compute_beta(alpha, v, tester)
-    return _first_obstruction(alpha, beta, v, tester, certificate, witness)
-
-
-def _first_obstruction(alpha, beta, v, tester, certificate, witness):
-    pairing = interior(v, beta).scalar()
-    beta0 = beta - pairing * alpha
+    alpha, _ = P.adapted()
+    beta, tester = P.beta(), P.tester
+    beta0 = beta - interior(P.transversal, beta).scalar() * alpha
     trivially = is_zero_graded(wedge(beta, alpha), tester)
     if trivially.holds:
         cert = ObstructionCertificate("first", f=ex.ZERO, origin="trivial")
         return ObstructionResult(
-            "first",
             Verdict(trivially.kind, note="beta lies in the alpha ideal"),
             beta,
-            beta0,
             certificate=cert,
             certificate_verdict=verify_certificate(cert, alpha, None, tester),
             detail="alpha is already closed up to the recorded verdict",
@@ -400,10 +385,8 @@ def _first_obstruction(alpha, beta, v, tester, certificate, witness):
         cv = verify_certificate(certificate, alpha, None, tester)
         if cv.holds:
             return ObstructionResult(
-                "first",
                 Verdict(cv.kind, note="supplied certificate verifies"),
                 beta,
-                beta0,
                 certificate=certificate,
                 certificate_verdict=cv,
                 detail="supplied rescaling closes alpha",
@@ -418,10 +401,8 @@ def _first_obstruction(alpha, beta, v, tester, certificate, witness):
             cv = verify_certificate(cert, alpha, None, tester)
             if cv.holds:
                 return ObstructionResult(
-                    "first",
                     Verdict(cv.kind, note="automatic certificate verifies"),
                     beta,
-                    beta0,
                     certificate=cert,
                     certificate_verdict=cv,
                     detail="transverse representative integrated exactly",
@@ -433,53 +414,39 @@ def _first_obstruction(alpha, beta, v, tester, certificate, witness):
                 w = witness if witness and witness.cycle == name else PeriodWitness(name)
                 pv = w.verify(alpha, beta0, tester)
                 if pv.failed:
-                    return ObstructionResult(
-                        "first",
-                        pv,
-                        beta,
-                        beta0,
-                        period=pv,
-                        detail=pv.note,
-                    )
+                    return ObstructionResult(pv, beta, period=pv, detail=pv.note)
     if witness is not None:
         pv = witness.verify(alpha, beta0, tester)
         if pv.failed:
-            return ObstructionResult(
-                "first", pv, beta, beta0, period=pv, detail=pv.note
-            )
+            return ObstructionResult(pv, beta, period=pv, detail=pv.note)
     return ObstructionResult(
-        "first",
         Verdict.unknown("no certificate found and no period disproof applies"),
         beta,
-        beta0,
         detail="class vanishing undecided",
     )
 
 
 def second_obstruction(
+    P: PoissonStructure,
     omega: DiffForm,
-    alpha: DiffForm,
-    v: MultiVector,
-    tester: ZeroTester,
     certificate: Optional[ObstructionCertificate] = None,
 ) -> ObstructionResult:
-    """Decide whether the second obstruction class vanishes."""
-    mu = compute_mu(omega, alpha, v, tester)
-    return _second_obstruction(omega, alpha, mu, v, tester, certificate)
+    """Decide whether the second obstruction class of a defining two-form vanishes.
 
-
-def _second_obstruction(omega, alpha, mu, v, tester, certificate):
-    mu0 = mu - wedge(alpha, interior(v, mu))
+    Reads alpha, mu = P.mu(omega), the transversal and the tester from P;
+    omega is the adapted one or a declared non-adapted defining two-form.
+    """
+    alpha, _ = P.adapted()
+    mu, tester = P.mu(omega), P.tester
+    mu0 = mu - wedge(alpha, interior(P.transversal, mu))
     trivially = is_zero_graded(ext_deriv(omega), tester)
     if trivially.holds:
         cert = ObstructionCertificate(
             "second", nu=zero_form(omega.chart, 1), origin="trivial"
         )
         return ObstructionResult(
-            "second",
             Verdict(trivially.kind, note="omega is already closed"),
             mu,
-            mu0,
             certificate=cert,
             certificate_verdict=verify_certificate(cert, alpha, omega, tester),
         )
@@ -487,10 +454,8 @@ def _second_obstruction(omega, alpha, mu, v, tester, certificate):
         cv = verify_certificate(certificate, alpha, omega, tester)
         if cv.holds:
             return ObstructionResult(
-                "second",
                 Verdict(cv.kind, note="supplied certificate verifies"),
                 mu,
-                mu0,
                 certificate=certificate,
                 certificate_verdict=cv,
             )
@@ -501,18 +466,14 @@ def _second_obstruction(omega, alpha, mu, v, tester, certificate):
             cv = verify_certificate(cert, alpha, omega, tester)
             if cv.holds:
                 return ObstructionResult(
-                    "second",
                     Verdict(cv.kind, note="automatic certificate verifies"),
                     mu,
-                    mu0,
                     certificate=cert,
                     certificate_verdict=cv,
                 )
     return ObstructionResult(
-        "second",
         Verdict.unknown("no certificate found; 2-form periods are not decided"),
         mu,
-        mu0,
     )
 
 
@@ -559,19 +520,6 @@ def check_weinstein_identity(P: PoissonStructure) -> Verdict:
     """Leafwise identity iota_{v_mod} omega = beta for the adapted volume."""
     alpha, omega = P.adapted()
     return leafwise_equal(interior(P.modular(), omega), P.beta(), alpha, P.tester)
-
-
-def unimodularity_check(
-    P: PoissonStructure,
-    certificate: Optional[ObstructionCertificate] = None,
-    witness: Optional[PeriodWitness] = None,
-) -> ObstructionResult:
-    """Unimodularity as the vanishing of the first obstruction class."""
-    alpha, _ = P.adapted()
-    result = _first_obstruction(
-        alpha, P.beta(), P.transversal, P.tester, certificate, witness
-    )
-    return replace(result, kind="unimodularity")
 
 
 def rescaled_modular_verdict(
@@ -657,64 +605,4 @@ def check_transverse_poisson(P: PoissonStructure) -> TransversePoissonReport:
             if lv_verdict.holds == (da_verdict.holds and do_verdict.holds)
             else "sides disagree; see verdicts"
         ),
-    )
-
-
-# ---------------------------------------------------------------------------
-# full report
-
-
-@dataclass
-class ObstructionReport:
-    """All first/second obstruction artifacts for one structure."""
-
-    alpha: DiffForm
-    beta: DiffForm
-    dbeta_in_ideal: Verdict
-    first: ObstructionResult
-    omega: DiffForm
-    mu: Optional[DiffForm]
-    second: Optional[ObstructionResult]
-    godbillon_vey: DiffForm
-    modular: MultiVector
-    unimodular: Verdict
-    weinstein: Verdict
-    seed: int
-
-
-def build_obstruction_report(
-    P: PoissonStructure,
-    certificate: Optional[ObstructionCertificate] = None,
-    second_certificate: Optional[ObstructionCertificate] = None,
-    witness: Optional[PeriodWitness] = None,
-) -> ObstructionReport:
-    alpha, omega = P.adapted()
-    tester = P.tester
-    beta = P.beta()
-    dbeta_ideal = is_zero_graded(wedge(ext_deriv(beta), alpha), tester)
-    first = _first_obstruction(
-        alpha, beta, P.transversal, tester, certificate, witness
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ToolkitWarning)
-        mu = P.mu(omega)
-    second = _second_obstruction(
-        omega, alpha, mu, P.transversal, tester, second_certificate
-    )
-    gv = godbillon_vey(beta)
-    vmod = P.modular()
-    weinstein = check_weinstein_identity(P)
-    return ObstructionReport(
-        alpha=alpha,
-        beta=beta,
-        dbeta_in_ideal=dbeta_ideal,
-        first=first,
-        omega=omega,
-        mu=mu,
-        second=second,
-        godbillon_vey=gv,
-        modular=vmod,
-        unimodular=first.verdict,
-        weinstein=weinstein,
-        seed=tester.seed,
     )

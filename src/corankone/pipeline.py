@@ -13,17 +13,16 @@ import warnings
 from typing import Optional
 
 from . import __version__
-from . import expr as ex
 from .bgeom import b_transversality_check, extend_to_b
 from .calculus import ext_deriv, is_zero_graded, volume_form, wedge
 from .errors import ToolkitError, ToolkitWarning
 from .expr import Verdict
 from .invariants import (
-    _second_obstruction,
     check_transverse_poisson,
     check_weinstein_identity,
     godbillon_vey,
     modular_field,
+    second_obstruction,
     unimodularity_check,
 )
 from .problemfile import ANALYSES, ProblemFile
@@ -43,6 +42,13 @@ def _verdict_payload(v: Verdict) -> dict:
         out["witness"] = {k: float(x) for k, x in sorted(v.witness.items())}
         out["witness_value"] = float(v.value)
     return out
+
+
+def _quietly(fn, *args):
+    """fn(*args) without the ToolkitWarning that mu gives over a non-closed alpha."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ToolkitWarning)
+        return fn(*args)
 
 
 class _Runner:
@@ -73,11 +79,6 @@ class _Runner:
         if self.problem.omega_alt is not None:
             return self.problem.omega_alt
         return self.P.omega
-
-    def mu(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ToolkitWarning)
-            return self.P.mu(self.defining_two_form())
 
     # -- analysis entries -------------------------------------------------------
 
@@ -160,15 +161,14 @@ class _Runner:
         }
 
     def run_mu(self):
-        return {"status": "ok", "verdict": "true", "artifacts": {"mu": str(self.mu())}}
+        mu = _quietly(self.P.mu, self.defining_two_form())
+        return {"status": "ok", "verdict": "true", "artifacts": {"mu": str(mu)}}
 
     def run_sigma(self):
-        res = _second_obstruction(
+        res = _quietly(
+            second_obstruction,
+            self.P,
             self.defining_two_form(),
-            self.P.alpha,
-            self.mu(),
-            self.P.transversal,
-            self.P.tester,
             self.problem.second_certificate,
         )
         out = {"status": "ok", **_verdict_payload(res.verdict)}

@@ -223,12 +223,13 @@ def invert_bivector(Pi: MultiVector, tester: Optional[ZeroTester] = None) -> Dif
 # reports
 
 
+_CORANK_SAMPLES = 10
+
+
 @dataclass
 class CorankReport:
     n: int
     top_power: MultiVector
-    coefficient_verdicts: dict
-    samples: list
     nonvanishing_at_samples: bool
 
 
@@ -351,39 +352,26 @@ class PoissonStructure:
 
     # -- corank evidence -------------------------------------------------------
 
-    def corank_evidence(self, samples: int = 10) -> CorankReport:
+    def corank_evidence(self) -> CorankReport:
+        """Whether Pi**n is nonzero at each of _CORANK_SAMPLES sample points."""
         n = self.corank_n
         if n is None:
             raise NotCorankOneError("no corank declared and chart dimension is even")
         top = power(self.bivector, n)
-        verdicts = {
-            idx: self.tester.is_zero(c) for idx, c in top.coeffs.items()
-        }
         rng_tester = self.tester.clone(seed=self.tester.seed + 101)
-        sample_rows = []
         all_nonzero = True
-        for _ in range(samples):
+        for _ in range(_CORANK_SAMPLES):
             env = rng_tester.sample()
-            vals = {}
             best = 0.0
-            for idx, c in top.coeffs.items():
+            for c in top.coeffs.values():
                 try:
-                    val = c.evaluate(env)
+                    best = max(best, abs(c.evaluate(env)))
                 except ex.EvaluationSingularity:
-                    val = float("nan")
-                vals[idx] = val
-                if val == val:
-                    best = max(best, abs(val))
-            sample_rows.append((env, vals))
+                    pass
             if best <= 1e-9:
                 all_nonzero = False
-        return CorankReport(
-            n=n,
-            top_power=top,
-            coefficient_verdicts=verdicts,
-            samples=sample_rows,
-            nonvanishing_at_samples=all_nonzero,
-        )
+                break
+        return CorankReport(n=n, top_power=top, nonvanishing_at_samples=all_nonzero)
 
     # -- adapted defining forms -------------------------------------------------
 

@@ -518,6 +518,11 @@ class TestBenchmarkTracer:
             f"import sys; sys.path.insert(0, {PERFBENCH!r})\n"
             "import corankone.cli, layertrace\n"
             "layertrace.install(layertrace.Tracer())\n"
+            # it finds the invariants it counts by discovery, so a renamed
+            # one would silently read 0 calls instead of failing
+            "from corankone import invariants\n"
+            "for name in layertrace.INVARIANTS_COUNTED:\n"
+            "    assert hasattr(getattr(invariants, name), '__wrapped__'), name\n"
         )
         proc = run_python("-c", code, timeout=60)
         assert proc.returncode == 0, proc.stderr

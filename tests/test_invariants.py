@@ -26,12 +26,10 @@ from corankone.invariants import (
     ObstructionCertificate,
     PeriodWitness,
     antidifferentiate_oneform,
-    build_obstruction_report,
     check_transverse_poisson,
     check_weinstein_identity,
     compute_beta,
     compute_mu,
-    first_obstruction,
     godbillon_vey,
     modular_field,
     rescaled_modular_verdict,
@@ -39,6 +37,7 @@ from corankone.invariants import (
     unimodularity_check,
     verify_certificate,
 )
+from corankone.pipeline import analyze
 from corankone.poisson import PoissonStructure
 
 import bundled
@@ -240,26 +239,20 @@ class TestSecondObstruction:
     def test_closed_omega_trivially_vanishes(self):
         e = bundled.entry("flat", seed=29)
         P = e.structure
-        alpha, omega = P.adapted()
-        res = second_obstruction(omega, alpha, P.transversal, P.tester)
+        _, omega = P.adapted()
+        res = second_obstruction(P, omega)
         assert res.verdict.symbolic
 
     def test_twisted_omega_automatic_certificate(self):
         e = bundled.entry("twisted_omega", seed=31)
-        P = e.structure
-        alpha, _ = P.adapted()
-        res = second_obstruction(e.problem.omega_alt, alpha, P.transversal, P.tester)
+        res = second_obstruction(e.structure, e.problem.omega_alt)
         assert res.verdict.holds
         assert res.certificate.origin == "automatic"
 
     def test_twisted_omega_supplied_certificate(self):
         e = bundled.entry("twisted_omega", seed=37)
-        P = e.structure
-        alpha, _ = P.adapted()
         cert = ObstructionCertificate("second", nu=e.problem.second_certificate.nu)
-        res = second_obstruction(
-            e.problem.omega_alt, alpha, P.transversal, P.tester, certificate=cert
-        )
+        res = second_obstruction(e.structure, e.problem.omega_alt, certificate=cert)
         assert res.verdict.holds
 
 
@@ -451,21 +444,11 @@ class TestDecomposableFamily:
 
 class TestObstructionReport:
     def test_report_assembles_for_t3(self):
-        e = bundled.entry("t3_example", seed=109)
-        rep = build_obstruction_report(e.structure)
-        assert rep.unimodular.holds
-        assert rep.first.verdict.holds
-        assert rep.second.verdict.holds
-        assert rep.weinstein.holds
-        assert rep.dbeta_in_ideal.holds
-        assert rep.godbillon_vey.is_structural_zero
-        assert rep.modular.is_structural_zero
-
-    def test_unimodularity_equals_first_obstruction(self):
-        for e in bundled.corank_one_entries(seed=113):
-            rep = build_obstruction_report(
-                e.structure,
-                certificate=e.problem.first_certificate,
-                witness=e.problem.period_witness,
-            )
-            assert rep.unimodular.kind == rep.first.verdict.kind
+        report = analyze(bundled.entry("t3_example").problem, seed=109)["analyses"]
+        holds = ("true", "probably-true")
+        assert report["unimodularity"]["verdict"] in holds
+        assert report["sigma"]["verdict"] in holds
+        assert report["weinstein"]["verdict"] in holds
+        assert report["beta"]["dbeta_in_ideal"] in holds
+        assert report["godbillon_vey"]["artifacts"]["godbillon_vey"] == "0"
+        assert report["modular"]["artifacts"]["field"] == "0"

@@ -320,9 +320,6 @@ class TestCorankEvidence:
         rep = P.corank_evidence()
         assert rep.n == 1
         assert rep.nonvanishing_at_samples
-        assert all(
-            v.failed or v.holds is False for v in rep.coefficient_verdicts.values()
-        ) or any(v.failed for v in rep.coefficient_verdicts.values())
 
     def test_affine_vanishes_on_axis(self):
         xy = Chart(("x", "y"))
