@@ -260,22 +260,25 @@ class BExtension:
         return MultiVector(self.base.chart, 2, coeffs)
 
 
-def extend_to_b(P: PoissonStructure, t_name: str = "t") -> BExtension:
+def extend_to_b(
+    P: PoissonStructure, t_name: str = "t", checks: Optional[dict] = None
+) -> BExtension:
     """Extension across a transversally vanishing hypersurface.
 
     Requires the adapted forms to be closed; builds (dt/t) ^ alpha + omega
     on the extended chart, dualizes, and verifies: closedness of the
     extended two-form, restriction of the dual bivector to t = 0, linear
     t-divisibility of its top power, and recovery of the base structure
-    on the t = 1 slice.
+    on the t = 1 slice.  When checks is a dict, it receives the verdict of
+    each of these zero checks.
     """
     alpha, omega = P.adapted()
     tester = P.tester
-    bad = []
-    if not is_zero_graded(ext_deriv(alpha), tester).holds:
-        bad.append("d(alpha) != 0")
-    if not is_zero_graded(ext_deriv(omega), tester).holds:
-        bad.append("d(omega) != 0")
+    verdicts = {
+        "d(alpha)": is_zero_graded(ext_deriv(alpha), tester),
+        "d(omega)": is_zero_graded(ext_deriv(omega), tester),
+    }
+    bad = [f"{name} != 0" for name, v in verdicts.items() if not v.holds]
     if bad:
         raise InvariantsNotVanishingError(", ".join(bad))
     chart = P.chart
@@ -291,7 +294,8 @@ def extend_to_b(P: PoissonStructure, t_name: str = "t") -> BExtension:
     omega_e = lift(omega, DiffForm, chart_forms)
     dlogt = ext_deriv(scalar_form(chart_forms, ex.log(ex.symbol(t_name))))
     omega_ext = wedge(dlogt, alpha_e) + omega_e
-    if not is_zero_graded(ext_deriv(omega_ext), tester).holds:
+    verdicts["d(omega_ext)"] = is_zero_graded(ext_deriv(omega_ext), tester)
+    if not verdicts["d(omega_ext)"].holds:
         raise InternalCheckError("extended two-form is not closed")
     tester_forms = ZeroTester(chart_forms, seed=tester.seed + 1, trials=tester.trials)
     pi_ext_forms = invert_twoform(omega_ext, tester_forms)
@@ -310,7 +314,8 @@ def extend_to_b(P: PoissonStructure, t_name: str = "t") -> BExtension:
     # restriction to t = 0 is the base bivector extended by zero
     base_lift = lift(P.bivector, MultiVector, chart_smooth)
     tester_smooth = ZeroTester(chart_smooth, seed=tester.seed + 2, trials=tester.trials)
-    if not is_zero_graded(ext.restriction() - base_lift, tester_smooth).holds:
+    verdicts["restriction"] = is_zero_graded(ext.restriction() - base_lift, tester_smooth)
+    if not verdicts["restriction"].holds:
         raise InternalCheckError("dual bivector does not restrict to the base")
 
     # top power divisible by t with nonvanishing quotient
@@ -323,8 +328,11 @@ def extend_to_b(P: PoissonStructure, t_name: str = "t") -> BExtension:
         )
 
     # t = 1 slice recovers the base structure
-    if not is_zero_graded(ext.slice_at_one() - P.bivector, tester).holds:
+    verdicts["slice"] = is_zero_graded(ext.slice_at_one() - P.bivector, tester)
+    if not verdicts["slice"].holds:
         raise InternalCheckError("t = 1 slice does not recover the base bivector")
+    if checks is not None:
+        checks.update(verdicts)
     return ext
 
 

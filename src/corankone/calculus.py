@@ -532,11 +532,14 @@ def exterior_divide(
     alpha: DiffForm,
     v: MultiVector | None = None,
     tester: ZeroTester | None = None,
+    checks: dict | None = None,
 ) -> DiffForm:
     """Solve eta = xi ^ alpha for xi, given eta ^ alpha = 0 and alpha(v) = 1.
 
     The returned representative is xi = (-1)^(k+1) interior(v, eta); the
-    identity eta == xi ^ alpha is re-verified before returning.
+    identity eta == xi ^ alpha is re-verified before returning.  When
+    checks is a dict, the verdict of each of the three checks is stored
+    in it under the identity it tests.
     """
     if alpha.degree != 1:
         raise DegreeError("alpha must be a 1-form")
@@ -567,6 +570,8 @@ def exterior_divide(
         raise DivisionObstructedError(
             "division residual does not vanish", witness=rv.witness
         )
+    if checks is not None:
+        checks.update({"alpha(v) = 1": pv, "eta ^ alpha = 0": ov, "eta = xi ^ alpha": rv})
     return xi
 
 

@@ -1,7 +1,13 @@
 """Exception taxonomy shared across the toolkit."""
 
+import os
+import sys
+import warnings
+
 # validation errors quote at most this many characters of the offending text
 QUOTE_LIMIT = 80
+
+_PACKAGE = os.path.dirname(os.path.abspath(__file__)) + os.sep
 
 
 def quote(text: str) -> str:
@@ -17,6 +23,14 @@ class ToolkitError(Exception):
 
 class ToolkitWarning(UserWarning):
     """Non-fatal diagnostics (e.g. proceeding formally past a soft precondition)."""
+
+
+def warn(message: str) -> None:
+    """Issue a ToolkitWarning attributed to the first caller outside this package."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and os.path.abspath(frame.f_code.co_filename).startswith(_PACKAGE):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, ToolkitWarning, stacklevel=level)
 
 
 class ExprError(ToolkitError):

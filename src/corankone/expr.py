@@ -1505,6 +1505,24 @@ class Verdict:
         return f"Verdict({self.kind.value}{extra})"
 
 
+def _sample_value(e, env):
+    """(numerator value, largest numerator term, denominator value) of e at env.
+
+    None where e is singular there: an evaluation error, or a denominator
+    within 1e-9 of zero relative to its own largest term.
+    """
+    try:
+        num_terms, den_terms = _eval_terms(e, env)
+    except EvaluationSingularity:
+        return None
+    den_val = math.fsum(den_terms)
+    den_scale = max((abs(t) for t in den_terms), default=0.0)
+    if abs(den_val) <= 1e-9 * max(den_scale, 1e-300):
+        return None
+    scale = max((abs(t) for t in num_terms), default=0.0)
+    return math.fsum(num_terms), scale, den_val
+
+
 class ZeroTester:
     """Semi-decision procedure for `expression == 0` over a chart's domain.
 
@@ -1539,6 +1557,18 @@ class ZeroTester:
     def sample(self) -> dict:
         return self.chart.sample(self._rng)
 
+    def nonzero_at(self, e, env) -> bool:
+        """Whether e is confidently nonzero at env, measured as is_zero measures a sample.
+
+        The value is compared with the largest term of e's numerator there,
+        so the verdict does not depend on the scale of e.
+        """
+        point = _sample_value(_coerce(e), env)
+        if point is None:
+            return False
+        val, scale, _ = point
+        return abs(val) > self.WITNESS_FACTOR * self.tol * scale
+
     def is_zero(self, e) -> Verdict:
         e = _coerce(e)
         if e.is_structural_zero:
@@ -1551,16 +1581,10 @@ class ZeroTester:
             if successes >= self.trials:
                 break
             env = self.chart.sample(rng)
-            try:
-                num_terms, den_terms = _eval_terms(e, env)
-            except EvaluationSingularity:
+            point = _sample_value(e, env)
+            if point is None:
                 continue
-            den_val = math.fsum(den_terms)
-            den_scale = max((abs(t) for t in den_terms), default=0.0)
-            if abs(den_val) <= 1e-9 * max(den_scale, 1e-300):
-                continue
-            val = math.fsum(num_terms)
-            scale = max((abs(t) for t in num_terms), default=0.0)
+            val, scale, den_val = point
             if scale == 0.0:
                 successes += 1
                 continue

@@ -14,7 +14,7 @@ from typing import Optional
 
 from . import __version__
 from .bgeom import b_transversality_check, extend_to_b
-from .calculus import ext_deriv, is_zero_graded, volume_form, wedge
+from .calculus import is_zero_graded, volume_form
 from .errors import ToolkitError, ToolkitWarning
 from .expr import Verdict
 from .invariants import (
@@ -128,12 +128,11 @@ class _Runner:
 
     def run_beta(self):
         beta = self.P.beta()
-        ideal = is_zero_graded(wedge(ext_deriv(beta), self.P.alpha), self.P.tester)
         return {
             "status": "ok",
-            "verdict": "true",
+            "verdict": self.P.beta_verdict.label,
             "artifacts": {"beta": str(beta)},
-            "dbeta_in_ideal": ideal.label,
+            "dbeta_in_ideal": self.P.dbeta_verdict.label,
         }
 
     def run_unimodularity(self):
@@ -162,7 +161,7 @@ class _Runner:
 
     def run_mu(self):
         mu = _quietly(self.P.mu, self.defining_two_form())
-        return {"status": "ok", "verdict": "true", "artifacts": {"mu": str(mu)}}
+        return {"status": "ok", "verdict": self.P.mu_verdict.label, "artifacts": {"mu": str(mu)}}
 
     def run_sigma(self):
         res = _quietly(
@@ -180,19 +179,22 @@ class _Runner:
 
     def run_modular(self):
         # modular_field verifies L_v(volume) = 0 and L_v(Pi) = 0 on return,
-        # so a successful construction is the "true" verdict here
+        # so the verdict is the weakest of those checks (and of the pair's)
         if self.adapted() is not None:
             vmod = self.P.modular()
+            verdict = self.P.modular_verdict
             note = "volume = alpha ^ omega^n"
         elif self.P.chart.dim % 2:
             return self._skip(self._adapted_error)
         else:
-            vmod = modular_field(self.P, volume_form(self.P.chart))
+            checks = {}
+            vmod = modular_field(self.P, volume_form(self.P.chart), checks=checks)
+            verdict = Verdict.combine(*checks.values())
             note = "volume = standard chart volume"
         v = is_zero_graded(vmod, self.P.tester)
         return {
             "status": "ok",
-            "verdict": "true",
+            "verdict": verdict.label,
             "detail": f"preservation laws verified; {note}",
             "field_vanishes": v.label,
             "artifacts": {"field": str(vmod)},
@@ -234,10 +236,11 @@ class _Runner:
         }
 
     def run_b_extension(self):
-        ext = extend_to_b(self.P)
+        checks = {}
+        ext = extend_to_b(self.P, checks=checks)
         return {
             "status": "ok",
-            "verdict": "true",
+            "verdict": Verdict.combine(self.P.adapted_verdict, *checks.values()).label,
             "detail": "extension constructed and all invariants verified",
             "artifacts": {
                 "omega_ext": str(ext.omega_ext),

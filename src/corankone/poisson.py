@@ -10,7 +10,8 @@ Pinned conventions (see the test suite):
   ``interior(Pi, alpha ^ omega**n) == n alpha ^ omega**(n-1)`` and the
   restriction behaviour of the b-extension both hold with no stray signs.
   On the chart extended by s, the adapted pair is read off the dual of
-  ``Pi + v ^ @s`` and checked by the dual of ``omega + alpha ^ ds``.
+  ``Pi + v ^ @s``; that pair is exact by construction, and only a
+  declared pair is checked by the dual of ``omega + alpha ^ ds``.
 """
 
 from __future__ import annotations
@@ -242,8 +243,10 @@ class PoissonStructure:
     interior(Pi, alpha ^ omega**n) = n alpha ^ omega**(n-1).  On first use
     with a transversal field v it is read off one Pfaffian inverse: on the
     chart extended by a coordinate s, the inverse of Pi + v ^ @s is
-    omega + alpha ^ ds, and inverting back checks the pair.  The artifacts
-    (volume, beta, mu and the modular field) are computed once and kept.
+    omega + alpha ^ ds.  That pair is exact by construction; a declared
+    alpha or omega is checked by inverting the bordered two-form back.
+    The artifacts (volume, beta, mu and the modular field) are computed
+    once and kept, with the verdicts of the checks that accepted them.
     """
 
     chart: Chart
@@ -266,7 +269,13 @@ class PoissonStructure:
         self._jacobi = None
         self._jacobiator = None
         self._volume = None
-        self.adapted_verdict: Optional[Verdict] = None  # of the check that accepted the pair
+        # the weakest verdict of the checks that accepted each artifact; the
+        # artifacts derived from the pair include the pair's verdict
+        self.adapted_verdict: Optional[Verdict] = None
+        self.beta_verdict: Optional[Verdict] = None
+        self.dbeta_verdict: Optional[Verdict] = None  # of d(beta) ^ alpha = 0 alone
+        self.mu_verdict: Optional[Verdict] = None  # for the two-form last asked about
+        self.modular_verdict: Optional[Verdict] = None
         self._beta = None
         self._mu = None
         self._modular = None
@@ -353,7 +362,12 @@ class PoissonStructure:
     # -- corank evidence -------------------------------------------------------
 
     def corank_evidence(self) -> CorankReport:
-        """Whether Pi**n is nonzero at each of _CORANK_SAMPLES sample points."""
+        """Whether Pi**n is nonzero at each of _CORANK_SAMPLES sample points.
+
+        A coefficient is nonzero at a point when the zero tester would take
+        its value there as a witness: far from zero relative to the terms
+        it is summed from, whatever the scale of the structure.
+        """
         n = self.corank_n
         if n is None:
             raise NotCorankOneError("no corank declared and chart dimension is even")
@@ -362,13 +376,7 @@ class PoissonStructure:
         all_nonzero = True
         for _ in range(_CORANK_SAMPLES):
             env = rng_tester.sample()
-            best = 0.0
-            for c in top.coeffs.values():
-                try:
-                    best = max(best, abs(c.evaluate(env)))
-                except ex.EvaluationSingularity:
-                    pass
-            if best <= 1e-9:
+            if not any(self.tester.nonzero_at(c, env) for c in top.coeffs.values()):
                 all_nonzero = False
                 break
         return CorankReport(n=n, top_power=top, nonvanishing_at_samples=all_nonzero)
@@ -388,16 +396,22 @@ class PoissonStructure:
                 raise NotTransversalError("no transversal vector field supplied")
             if self.jacobi_verdict().failed:
                 raise InternalCheckError("bivector is not Poisson; no adapted forms")
-            if not declared:
-                bordered_alpha, bordered_omega = self._bordered_pair()
-                alpha = bordered_alpha if alpha is None else alpha
-                omega = bordered_omega if omega is None else omega
-            self._verify_adapted(alpha, omega)
+            if alpha is None and omega is None:
+                # Pf(A^-T) = 1 / Pf(A) for the bordered bivector A
+                alpha, omega, pf = self._bordered_pair()
+                self._fix_volume(ex.ONE / pf, Verdict.zero("exact by construction"))
+            else:
+                if not declared:
+                    bordered_alpha, bordered_omega, _ = self._bordered_pair()
+                    alpha = bordered_alpha if alpha is None else alpha
+                    omega = bordered_omega if omega is None else omega
+                self._verify_adapted(alpha, omega)
             self.alpha, self.omega = alpha, omega
         return self.alpha, self.omega
 
     def _bordered_pair(self):
-        """Read (alpha, omega) off the dual two-form omega + alpha ^ ds of Pi + v ^ @s."""
+        """(alpha, omega, Pf(Pi + v ^ @s)), the pair read off the dual two-form
+        omega + alpha ^ ds of Pi + v ^ @s."""
         chart = self.chart
         dim = chart.dim
         inv, pf = _skew_inverse(_bordered(self.bivector, self.transversal))
@@ -418,17 +432,15 @@ class PoissonStructure:
                 "the transversal condition alpha(v) = 1 is unsolvable"
             )
         alpha = DiffForm(chart, 1, {(i,): inv[dim][i] for i in range(dim)})
-        return alpha, _from_inverse(DiffForm, chart, inv)
+        return alpha, _from_inverse(DiffForm, chart, inv), pf
 
     def _verify_adapted(self, alpha: DiffForm, omega: DiffForm):
-        """Check the pair by its bordered dual, then fix the volume.
+        """Check a declared or half-declared pair by its bordered dual, then fix the volume.
 
         The dual of omega + alpha ^ ds must be Pi + v ^ @s (without v, only
         its Pi block is compared).  For a nonzero Pfaffian the block is Pi
         exactly when interior(Pi, alpha ^ omega**n) == n alpha ^ omega**(n-1),
         and the border is v exactly when alpha(v) = 1 and iota_v omega = 0.
-        As (omega + alpha ^ ds)**(n+1) == (n+1) alpha ^ omega**n ^ ds, the
-        volume is n! times the Pfaffian.
         """
         n = self.corank_n
         if n is None:
@@ -449,14 +461,24 @@ class PoissonStructure:
                 "adapted pair fails its defining identities "
                 f"(verdict {combined.kind.value}, witness {combined.witness})"
             )
+        self._fix_volume(pf, combined)
+
+    def _fix_volume(self, pf, verdict: Verdict):
+        """Keep the volume n! Pf(omega + alpha ^ ds) dx_0^...^dx_2n and the pair's verdict.
+
+        (omega + alpha ^ ds)**(n+1) == (n+1) alpha ^ omega**n ^ ds, so the
+        Pfaffian of the bordered two-form is the coefficient of the volume
+        up to n!.
+        """
+        n = self.corank_n
         self._volume = volume_form(self.chart) * (ex.rational(math.factorial(n)) * pf)
-        self.adapted_verdict = combined
+        self.adapted_verdict = verdict
 
     # -- derived artifacts, each computed once ----------------------------------
     # (the invariants module imports this one, hence the local imports)
 
     def volume(self) -> DiffForm:
-        """The adapted volume alpha ^ omega**n, fixed when adapted() checks the pair."""
+        """The adapted volume alpha ^ omega**n, fixed when adapted() accepts the pair."""
         self.adapted()
         return self._volume
 
@@ -466,7 +488,10 @@ class PoissonStructure:
             from .invariants import compute_beta
 
             alpha, _ = self.adapted()
-            self._beta = compute_beta(alpha, self.transversal, self.tester)
+            checks = {}
+            self._beta = compute_beta(alpha, self.transversal, self.tester, checks=checks)
+            self.beta_verdict = Verdict.combine(self.adapted_verdict, *checks.values())
+            self.dbeta_verdict = checks["d(beta) ^ alpha = 0"]
         return self._beta
 
     def mu(self, omega: DiffForm) -> DiffForm:
@@ -479,7 +504,10 @@ class PoissonStructure:
             from .invariants import compute_mu
 
             alpha, _ = self.adapted()
-            self._mu = (omega, compute_mu(omega, alpha, self.transversal, self.tester))
+            checks = {}
+            mu = compute_mu(omega, alpha, self.transversal, self.tester, checks=checks)
+            self._mu = (omega, mu)
+            self.mu_verdict = Verdict.combine(self.adapted_verdict, *checks.values())
         return self._mu[1]
 
     def modular(self) -> MultiVector:
@@ -487,5 +515,7 @@ class PoissonStructure:
         if self._modular is None:
             from .invariants import modular_field
 
-            self._modular = modular_field(self)
+            checks = {}
+            self._modular = modular_field(self, checks=checks)
+            self.modular_verdict = Verdict.combine(self.adapted_verdict, *checks.values())
         return self._modular

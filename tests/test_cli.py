@@ -187,6 +187,20 @@ section analyses
         report = analyze(loads_problem(text.replace("  jacobi", "  jacobi\n  adapted")))
         assert report["analyses"]["adapted"]["verdict"] == "probably-true"
 
+    def test_artifacts_of_a_sampled_pair_are_labelled(self):
+        # every artifact rests on the pair, and the division checks alpha(v) = 1
+        # again: none of them may claim more than the pair's probably-true
+        text = MINIMAL.replace('bivector "1" x y', 'bivector "1" y z').replace(
+            'transversal "1" z',
+            'transversal "sin(x)^2 + cos(x)^2" x\n  alpha "1" x\n  omega "1" y z',
+        )
+        analyses = "  jacobi\n  adapted\n  beta\n  mu\n  modular\n  b_extension"
+        report = analyze(loads_problem(text.replace("  jacobi", analyses)))
+        for name in ("adapted", "beta", "mu", "modular", "b_extension"):
+            assert report["analyses"][name]["verdict"] == "probably-true", name
+        # d(beta) ^ alpha is zero symbolically, and is reported as decided
+        assert report["analyses"]["beta"]["dbeta_in_ideal"] == "true"
+
     def test_declared_pair_without_corank_is_skipped(self):
         text = MINIMAL.replace("x y z", "x y z w").replace("  corank 1\n", "")
         text = text.replace('transversal "1" z', 'transversal "1" z\n  alpha "1" z\n  omega "1" x y')
@@ -225,7 +239,7 @@ section analyses
 
             return wrapper
 
-        def default_volume(P, volume=None):
+        def default_volume(P, volume=None, checks=None):
             return volume is None
 
         for name, counted in (

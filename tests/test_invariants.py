@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from corankone import Chart, ZeroTester, exp, parse_scalar, rational, symbol
+from corankone import Chart, ZeroTester, exp, invariants, parse_scalar, rational, symbol
 from corankone.calculus import (
     DiffForm,
     MultiVector,
@@ -130,6 +130,15 @@ class TestComputeMu:
         omega = wedge(basis_form(xyz, "x"), basis_form(xyz, "y"))
         with pytest.warns(ToolkitWarning):
             compute_mu(omega, alpha, v, tester)
+
+    def test_warning_names_the_caller(self):
+        # the structure reaches compute_mu through P.mu; the warning still
+        # points at the code that asked for the second obstruction
+        P = bundled.entry("exp_wall", seed=11).structure
+        _, omega = P.adapted()
+        with pytest.warns(ToolkitWarning, match="alpha is not closed") as record:
+            second_obstruction(P, omega)
+        assert {w.filename for w in record} == {__file__}
 
 
 class TestCertificates:
@@ -393,6 +402,25 @@ class TestTransversePoisson:
         bracket_side = -interior(schouten(P.transversal, u), alpha).scalar()
         assert (value - bracket_side).is_structural_zero
         assert P.tester.is_zero(value).failed
+
+    def test_closed_alpha_needs_one_schouten(self, monkeypatch):
+        # d(alpha) = 0: only L_v Pi is bracketed, and no Hamiltonian field is built
+        P = bundled.entry("sheared", seed=101).structure
+        P.adapted()
+        counts = {"schouten": 0, "hamiltonian_vf": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(invariants, "schouten", counted("schouten", invariants.schouten))
+        monkeypatch.setattr(P, "hamiltonian_vf", counted("hamiltonian_vf", P.hamiltonian_vf))
+        rep = check_transverse_poisson(P)
+        assert rep.dalpha_verdict.symbolic and rep.pair_witness is None
+        assert counts == {"schouten": 1, "hamiltonian_vf": 0}
 
     def test_explicit_shears_against_flat(self, xyz):
         # v = @z + x @y commutes with @x^@y (the bracket oracle says so);

@@ -15,6 +15,7 @@ from corankone.calculus import (
     MultiVector,
     basis_form,
     basis_vector,
+    ext_deriv,
     interior,
     lie_derivative,
     parse_graded,
@@ -38,6 +39,7 @@ from corankone.poisson import (
     linear_solve,
     skew_matrix,
 )
+from corankone.pipeline import analyze
 from corankone.problemfile import loads_problem
 
 import bundled
@@ -337,6 +339,16 @@ class TestCorankEvidence:
         rep = P.corank_evidence()
         assert not rep.nonvanishing_at_samples
 
+    def test_small_scale_is_not_vanishing(self):
+        # a top power of 1e-10 everywhere is nonzero relative to its own terms,
+        # as the Pfaffian of the adapted check says symbolically
+        text = dict(bundled_corpus())["flat.prob"].replace(
+            'bivector "1" x y', 'bivector "1/10000000000" x y'
+        )
+        report = analyze(loads_problem(text))
+        assert report["analyses"]["corank"]["verdict"] == "probably-true"
+        assert report["analyses"]["adapted"]["verdict"] == "true"
+
 
 class TestAdaptedForms:
     def test_flat_case(self, flat):
@@ -486,6 +498,90 @@ class TestAdaptedVolume:
         assert calls[0] == 0
         monkeypatch.undo()
         assert volume == wedge(alpha, power(omega, P.corank_n))
+
+
+class TestExactByConstruction:
+    """The identities a computed adapted pair satisfies by construction.
+
+    adapted() takes the pair off the exact Pfaffian-minor inverse of
+    A = Pi + v ^ @s and its volume off 1 / Pf(A), with no second inverse;
+    these tests hold what that second inverse used to re-derive on every run.
+    """
+
+    @pytest.mark.parametrize("P", adapted_structures())
+    def test_bordered_dual_inverts_back(self, P):
+        alpha, omega, pf = P._bordered_pair()
+        ext = P.chart.with_coordinate("s")
+        ds, at_s = basis_form(ext, "s"), basis_vector(ext, "s")
+        bordered_form = DiffForm(ext, 2, dict(omega.coeffs)) + wedge(
+            DiffForm(ext, 1, dict(alpha.coeffs)), ds
+        )
+        bordered_bivector = MultiVector(ext, 2, dict(P.bivector.coeffs)) + wedge(
+            MultiVector(ext, 1, dict(P.transversal.coeffs)), at_s
+        )
+        assert invert_twoform(bordered_form, ZeroTester(ext, seed=3)) == bordered_bivector
+        # Pf(A^-T) * Pf(A) == 1, hence the volume n! / Pf(A)
+        _, pf_dual = poisson._skew_inverse(skew_matrix(bordered_form))
+        assert pf_dual * pf == ex.ONE
+        assert pf_dual == poisson._skew_inverse(poisson._bordered(omega, alpha))[1]
+
+    @pytest.mark.parametrize("P", adapted_structures())
+    def test_cartan_expansion_on_coordinate_hamiltonians(self, P):
+        # d(alpha)(v, u_f) = v(alpha(u_f)) - u_f(alpha(v)) - alpha([v, u_f])
+        alpha, _ = P.adapted()
+        v = P.transversal
+        v_dalpha = interior(v, ext_deriv(alpha))
+        alpha_v = interior(v, alpha).scalar()
+        for name in P.chart.coords:
+            u = P.hamiltonian_vf(symbol(name))
+            direct = interior(u, v_dalpha).scalar()
+            expanded = (
+                v(interior(u, alpha).scalar())
+                - u(alpha_v)
+                - interior(schouten(v, u), alpha).scalar()
+            )
+            assert (direct - expanded).is_structural_zero, name
+
+
+class TestInversionCounts:
+    """A computed pair is inverted once; a declared half is checked by a second inverse."""
+
+    @pytest.fixture
+    def inversions(self, monkeypatch):
+        calls = [0]
+        original = poisson._skew_inverse
+
+        def counted(matrix):
+            calls[0] += 1
+            return original(matrix)
+
+        monkeypatch.setattr(poisson, "_skew_inverse", counted)
+        return calls
+
+    def test_computed_pair_inverts_once(self, inversions):
+        P = dense_structure(3, 5)
+        P.adapted()
+        assert inversions[0] == 1
+        assert P.adapted_verdict.symbolic
+
+    def test_half_declared_pair_inverts_twice(self, inversions):
+        alpha, omega = dense_structure(3, 5).adapted()
+        inversions[0] = 0
+        for declared in ({"alpha": alpha}, {"omega": omega}):
+            P = dense_structure(3, 5)
+            P.alpha, P.omega = declared.get("alpha"), declared.get("omega")
+            P.adapted()
+            assert inversions[0] == 2, declared
+            inversions[0] = 0
+
+    def test_declared_pair_is_inverted_back(self, inversions):
+        alpha, omega = dense_structure(3, 5).adapted()
+        inversions[0] = 0
+        P = dense_structure(3, 5)
+        P.alpha, P.omega = alpha, omega
+        P.adapted()
+        # no bordered pair to read off, only the check of the declared one
+        assert inversions[0] == 1
 
 
 def pfaffian_reference(m):
