@@ -63,10 +63,15 @@ class _Graded:
     basis_prefix = "?"
 
     def __init__(self, chart: Chart, degree: int, coeffs=None):
+        """coeffs maps basis index tuples (names or indices) to coefficients,
+        or is an iterable of such pairs in which a basis element may repeat:
+        the terms on one basis element, permuted or not, add up with the
+        sign of their permutation."""
         if degree < 0:
             raise DegreeError("degree must be nonnegative")
         table = {}
-        for key, value in dict(coeffs or {}).items():
+        pairs = coeffs.items() if hasattr(coeffs, "items") else coeffs or ()
+        for key, value in pairs:
             idx = tuple(
                 chart.index(k) if isinstance(k, str) else int(k) for k in key
             )

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from importlib import resources
 
 from .errors import ProblemFileError, ToolkitError, quote
@@ -26,7 +27,11 @@ def _build_parser():
     check.add_argument("--trials", type=int, default=None)
     check.add_argument("--tolerance", type=float, default=None)
     check.add_argument("--output", default=None, help="write the report here instead of stdout")
-    check.add_argument("--timing", action="store_true", help="include wall-clock timing in meta")
+    check.add_argument(
+        "--timing",
+        action="store_true",
+        help="include the wall-clock time of loading the file and of each analysis in meta",
+    )
 
     render = sub.add_parser("render", help="pretty-print the structures of a problem file")
     render.add_argument("file")
@@ -53,7 +58,9 @@ def _cmd_check(args) -> int:
         why = None if value is None else sampling_range_error(name, value)
         if why:
             raise ProblemFileError(f"--{why}, got {quote(str(value))}")
+    start = time.monotonic()
     problem = load_problem(args.file)
+    load_ms = round(1000.0 * (time.monotonic() - start), 3)
     report = analyze(
         problem,
         seed=args.seed,
@@ -61,6 +68,8 @@ def _cmd_check(args) -> int:
         tolerance=args.tolerance,
         timing=args.timing,
     )
+    if args.timing:
+        report["meta"]["load_ms"] = load_ms
     text = render_report(report)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -1094,9 +1094,11 @@ def _render(e: ScalarExpr) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))"
-)
+# a token is a number, a name or one operator character; _TOKENS_RE matches
+# the longest run of whole tokens at the start of a text
+_TOKEN = r"\d+(?:\.\d+)?|[A-Za-z_][A-Za-z0-9_]*|[-+*/^()]"
+_TOKEN_RE = re.compile(rf"\s*({_TOKEN})")
+_TOKENS_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*")
 
 
 # a power is expanded by repeated multiplication, so its exponent is bounded
@@ -1113,13 +1115,6 @@ MAX_TERMS = 10_000
 MAX_DEGREE = _MAX_DEGREE // 2
 
 
-def _check_terms(predicted, what, at):
-    if predicted > MAX_TERMS:
-        raise ExprSyntaxError(
-            f"{what} may expand to {predicted} terms, more than {MAX_TERMS}", at
-        )
-
-
 def _degrees(e):
     """Total degrees of e's numerator and denominator."""
     if not e.gens:
@@ -1128,179 +1123,280 @@ def _degrees(e):
     return max(e.num) >> top, max(e.den) >> top
 
 
-def _check_degree_bound(predicted, what, at):
-    if predicted > MAX_DEGREE:
-        raise ExprSyntaxError(
-            f"{what} has total degree {predicted}, more than {MAX_DEGREE}", at
-        )
+def _q_reduced(p, d):
+    """The polynomial quotient p / d with d > 0, over the gcd of d and p's
+    coefficients (zero is ``({}, 1)``)."""
+    g = math.gcd(d, *p.values())
+    if g == 1:
+        return p, d
+    return {k: c // g for k, c in p.items()}, d // g
 
 
-def _literal(kind, text, at):
-    """Convert a number token; one too long for Python's integer
-    conversion is a syntax error."""
-    try:
-        return kind(text)
-    except ValueError:
-        raise ExprSyntaxError(
-            f"number literal of {len(text)} characters is too long", at
-        ) from None
+def _q_add(a, b):
+    (p, d), (q, r) = a, b
+    if d == r:
+        return _q_reduced(_p_add(p, q), d)
+    g = math.gcd(d, r)
+    s, t = r // g, d // g
+    return _q_reduced(
+        _p_add({k: c * s for k, c in p.items()}, {k: c * t for k, c in q.items()}), d * s
+    )
+
+
+def _q_pow(a, n):
+    """a ** n, for n >= 0 or a nonzero constant a."""
+    p, d = a
+    if n < 0:
+        c = p[0]
+        p, d, n = {0: d if c > 0 else -d}, abs(c), -n
+    out = {0: 1}
+    for _ in range(n):
+        out = _p_mul(out, p)
+    return out, d**n
 
 
 class _Parser:
+    """Recursive descent over the tokens of one expression.
+
+    The text is split into tokens once, up to the first character that
+    starts no token; that character is reported when the parser reaches
+    it, at the position where the last token before it ends.  Token
+    positions are found only for an error message.
+
+    A polynomial subterm is kept as a pair ``(p, d)``: ``p`` a packed
+    integer polynomial over the chart symbols that occur in the text (sorted
+    by name, as ScalarExpr sorts its generators), ``d > 0`` an integer that
+    shares no factor with all of ``p``'s coefficients.  A ScalarExpr is
+    made, and normalized once, only at a function call, at a division by a
+    non-constant, at a negative power of a non-constant and at the end of
+    the text; the arithmetic on it is then ScalarExpr arithmetic.  The bounds
+    read the sizes of the normalized expression, which a pair gives without
+    normalizing (``len(p)`` terms over one), so either way they trigger at
+    the same input, with the same message and position.
+    """
+
     def __init__(self, text: str, chart: "Chart"):
         self.text = text
-        self.chart = chart
-        self.pos = 0
-        self._ahead = None  # (token, end) of the token at pos, once scanned
+        self.end = _TOKENS_RE.match(text).end()
+        # the last token, "", is the end of the text or the character there
+        self.toks = _TOKEN_RE.findall(text, 0, self.end) + [""]
+        self.starts = None
+        self.i = 0
+        names = chart.coords + chart.params
+        self.gens = tuple(sorted(t for t in set(self.toks) if t in names))
+        w = len(self.gens)
+        self.units = {g: _unit(i, w) for i, g in enumerate(self.gens)}
+        self.top = _FIELD * w
 
-    def _scan(self):
-        if self.pos >= len(self.text):
-            return ("eof", "", self.pos), self.pos
-        m = _TOKEN_RE.match(self.text, self.pos)
-        if m is None or m.end() == self.pos and not m.group():
-            raise ExprSyntaxError(
-                f"unexpected character {self.text[self.pos:self.pos + 1]!r}", self.pos
-            )
-        if m.lastgroup is None:
-            # only whitespace matched until end of string
-            return ("eof", "", m.end()), m.end()
-        return (m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)), m.end()
+    # -- tokens ----------------------------------------------------------------
 
-    def _next(self):
-        tok, self.pos = self._ahead or self._scan()
-        self._ahead = None
-        return tok
+    def _at(self, i):
+        """Where token i starts."""
+        if self.starts is None:
+            self.starts = [m.start(1) for m in _TOKEN_RE.finditer(self.text, 0, self.end)]
+            self.starts.append(self.end)
+        return self.starts[i]
 
     def peek(self):
-        if self._ahead is None:
-            self._ahead = self._scan()
-        return self._ahead[0]
+        tok = self.toks[self.i]
+        if not tok and self.end < len(self.text):
+            raise ExprSyntaxError(
+                f"unexpected character {self.text[self.end]!r}", self.end
+            )
+        return tok
+
+    def _next(self):
+        tok = self.peek()
+        if tok:
+            self.i += 1
+        return tok
 
     def expect_op(self, op):
-        kind, val, at = self._next()
-        if kind != "op" or val != op:
-            raise ExprSyntaxError(f"expected '{op}'", at)
+        i = self.i
+        if self._next() != op:
+            raise ExprSyntaxError(f"expected '{op}'", self._at(i))
+
+    def _literal(self, kind, i):
+        """Convert number token i; one too long for Python's integer
+        conversion is a syntax error."""
+        text = self.toks[i]
+        try:
+            return kind(text)
+        except ValueError:
+            raise ExprSyntaxError(
+                f"number literal of {len(text)} characters is too long", self._at(i)
+            ) from None
+
+    # -- bounds ------------------------------------------------------------------
+
+    def _check_terms(self, predicted, what, i):
+        if predicted > MAX_TERMS:
+            raise ExprSyntaxError(
+                f"{what} may expand to {predicted} terms, more than {MAX_TERMS}",
+                self._at(i),
+            )
+
+    def _check_degree_bound(self, predicted, what, i):
+        if predicted > MAX_DEGREE:
+            raise ExprSyntaxError(
+                f"{what} has total degree {predicted}, more than {MAX_DEGREE}",
+                self._at(i),
+            )
+
+    # -- values ------------------------------------------------------------------
+
+    def _expr(self, v) -> ScalarExpr:
+        """v as a normalized ScalarExpr."""
+        if type(v) is tuple:
+            return _new(self.gens, v[0], {0: v[1]})
+        return v
+
+    def _size(self, v):
+        """Terms of v's numerator and denominator, then their total degrees."""
+        if type(v) is tuple:
+            p = v[0]
+            return len(p), 1, max(p) >> self.top if p else 0, 0
+        return (len(v.num), len(v.den), *_degrees(v))
+
+    # -- grammar -------------------------------------------------------------------
 
     def parse(self) -> ScalarExpr:
         e = self.expr()
-        kind, val, at = self._next()
-        if kind != "eof":
-            raise ExprSyntaxError(f"unexpected trailing input {quote(val)}", at)
-        return e
+        i = self.i
+        tok = self._next()
+        if tok:
+            raise ExprSyntaxError(f"unexpected trailing input {quote(tok)}", self._at(i))
+        return self._expr(e)
 
     def expr(self):
         e = self.term()
         while True:
-            kind, val, at = self.peek()
-            if kind == "op" and val in "+-":
-                self._next()
-                rhs = self.term()
-                if e.den != rhs.den:
-                    # the numerators cross-multiply with the denominators
-                    _check_terms(
-                        max(
-                            len(e.num) * len(rhs.den) + len(rhs.num) * len(e.den),
-                            len(e.den) * len(rhs.den),
-                        ),
-                        "a sum of quotients",
-                        at,
-                    )
-                e = e + rhs if val == "+" else e - rhs
-                _check_degree_bound(max(_degrees(e)), "a sum", at)
-            else:
+            op = self.peek()
+            if op != "+" and op != "-":
                 return e
+            i = self.i
+            self.i += 1
+            rhs = self.term()
+            if type(e) is tuple and type(rhs) is tuple:
+                apart = e[1] != rhs[1]
+            else:
+                e, rhs = self._expr(e), self._expr(rhs)
+                apart = e.den != rhs.den
+            if apart:
+                # the numerators cross-multiply with the denominators
+                (en, ed, _, _), (rn, rd, _, _) = self._size(e), self._size(rhs)
+                self._check_terms(max(en * rd + rn * ed, ed * rd), "a sum of quotients", i)
+            if type(e) is tuple:
+                e = _q_add(e, rhs if op == "+" else (_p_neg(rhs[0]), rhs[1]))
+            else:
+                e = e + rhs if op == "+" else e - rhs
+            self._check_degree_bound(max(self._size(e)[2:]), "a sum", i)
 
     def term(self):
         e = self.unary()
         while True:
-            kind, val, at = self.peek()
-            if kind == "op" and val in "*/":
-                self._next()
-                rhs = self.unary()
-                # numerators and denominators multiply crosswise in "/"
-                top, bottom = (rhs.num, rhs.den) if val == "*" else (rhs.den, rhs.num)
-                _check_terms(
-                    max(len(e.num) * len(top), len(e.den) * len(bottom)), "a product", at
-                )
-                (dn, dd), (rn, rd) = _degrees(e), _degrees(rhs)
-                if val == "/":
-                    rn, rd = rd, rn
-                _check_degree_bound(max(dn + rn, dd + rd), "a product", at)
-                if val == "/":
-                    if rhs.is_structural_zero:
-                        raise ExprSyntaxError("division by zero", at)
-                    e = e / rhs
-                else:
-                    e = e * rhs
-            else:
+            op = self.peek()
+            if op != "*" and op != "/":
                 return e
+            i = self.i
+            self.i += 1
+            rhs = self.unary()
+            (en, ed, edn, edd), (rn, rd, rdn, rdd) = self._size(e), self._size(rhs)
+            if op == "/":
+                # numerators and denominators multiply crosswise
+                rn, rd, rdn, rdd = rd, rn, rdd, rdn
+            self._check_terms(max(en * rn, ed * rd), "a product", i)
+            self._check_degree_bound(max(edn + rdn, edd + rdd), "a product", i)
+            polys = type(e) is tuple and type(rhs) is tuple
+            if op == "*":
+                if polys:
+                    e = _q_reduced(_p_mul(e[0], rhs[0]), e[1] * rhs[1])
+                else:
+                    e = self._expr(e) * self._expr(rhs)
+            elif not rd:  # the divisor's numerator is empty
+                raise ExprSyntaxError("division by zero", self._at(i))
+            elif polys and _p_const(rhs[0]):
+                c = rhs[0][0]
+                s = rhs[1] if c > 0 else -rhs[1]
+                e = _q_reduced({k: v * s for k, v in e[0].items()}, e[1] * abs(c))
+            else:
+                e = self._expr(e) / self._expr(rhs)
 
     def unary(self):
         sign = 1
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self._next()
-                if val == "-":
-                    sign = -sign
-            else:
+            op = self.peek()
+            if op != "+" and op != "-":
                 break
+            self.i += 1
+            if op == "-":
+                sign = -sign
         e = self.power()
-        return e if sign > 0 else -e
+        if sign > 0:
+            return e
+        return (_p_neg(e[0]), e[1]) if type(e) is tuple else -e
 
     def power(self):
         base = self.atom()
-        kind, val, at = self.peek()
-        if kind == "op" and val == "^":
-            self._next()
-            n = self.exponent()
-            if abs(n) > MAX_EXPONENT:
-                shown = str(n) if len(str(n)) <= QUOTE_LIMIT else quote(str(n))
-                raise ExprSyntaxError(
-                    f"exponent {shown} is outside -{MAX_EXPONENT}..{MAX_EXPONENT}", at
-                )
-            if n < 0 and base.is_structural_zero:
-                raise ExprSyntaxError("negative power of zero", self.pos)
-            # a sum of k terms to the power |n| has at most C(k+|n|-1, |n|)
-            k = max(len(base.num), len(base.den))
-            _check_terms(math.comb(k + abs(n) - 1, abs(n)), "a power", at)
-            _check_degree_bound(max(_degrees(base)) * abs(n), "a power", at)
-            return base**n
-        return base
+        if self.peek() != "^":
+            return base
+        i = self.i
+        self.i += 1
+        n = self.exponent()
+        if abs(n) > MAX_EXPONENT:
+            shown = str(n) if len(str(n)) <= QUOTE_LIMIT else quote(str(n))
+            raise ExprSyntaxError(
+                f"exponent {shown} is outside -{MAX_EXPONENT}..{MAX_EXPONENT}", self._at(i)
+            )
+        bn, bd, bdn, bdd = self._size(base)
+        if n < 0 and not bn:
+            # reported where the exponent ends
+            last = self.i - 1
+            raise ExprSyntaxError("negative power of zero", self._at(last) + len(self.toks[last]))
+        # a sum of k terms to the power |n| has at most C(k+|n|-1, |n|)
+        self._check_terms(math.comb(max(bn, bd) + abs(n) - 1, abs(n)), "a power", i)
+        self._check_degree_bound(max(bdn, bdd) * abs(n), "a power", i)
+        if type(base) is tuple and (n >= 0 or _p_const(base[0])):
+            return _q_pow(base, n)
+        return self._expr(base) ** n
 
     def exponent(self) -> int:
-        kind, val, at = self._next()
-        if kind == "op" and val == "(":
+        i = self.i
+        tok = self._next()
+        if tok == "(":
             n = self.exponent()
             self.expect_op(")")
             return n
-        neg = False
-        if kind == "op" and val == "-":
-            neg = True
-            kind, val, at = self._next()
-        if kind != "num" or "." in val:
-            raise ExprSyntaxError("exponent must be an integer", at)
-        n = _literal(int, val, at)
+        neg = tok == "-"
+        if neg:
+            i = self.i
+            tok = self._next()
+        if not tok[:1].isdecimal() or "." in tok:
+            raise ExprSyntaxError("exponent must be an integer", self._at(i))
+        n = self._literal(int, i)
         return -n if neg else n
 
     def atom(self):
-        kind, val, at = self._next()
-        if kind == "num":
-            return rational(_literal(Fraction if "." in val else int, val, at))
-        if kind == "op" and val == "(":
+        i = self.i
+        tok = self._next()
+        if tok[:1].isdecimal():
+            q = self._literal(Fraction if "." in tok else int, i)
+            return {0: q.numerator} if q else {}, q.denominator
+        if tok == "(":
             e = self.expr()
             self.expect_op(")")
             return e
-        if kind == "name":
-            if val in FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return apply_function(val, arg)
-            if val in self.chart.coords or val in self.chart.params:
-                return symbol(val)
-            raise UnknownIdentifierError(val, at)
-        raise ExprSyntaxError(f"unexpected token {quote(val)}", at)
+        if tok in FUNCTIONS:
+            self.expect_op("(")
+            arg = self.expr()
+            self.expect_op(")")
+            return apply_function(tok, self._expr(arg))
+        unit = self.units.get(tok)
+        if unit is not None:
+            return {unit: 1}, 1
+        if tok[:1].isalpha() or tok[:1] == "_":
+            raise UnknownIdentifierError(tok, self._at(i))
+        raise ExprSyntaxError(f"unexpected token {quote(tok)}", self._at(i))
 
 
 def parse_scalar(text: str, chart: "Chart") -> ScalarExpr:

@@ -371,12 +371,13 @@ def unimodularity_check(
     beta0 = beta - interior(P.transversal, beta).scalar() * alpha
     trivially = is_zero_graded(wedge(beta, alpha), tester)
     if trivially.holds:
+        # f = 0 closes alpha: d(alpha) = beta ^ alpha, and that vanishes
         cert = ObstructionCertificate("first", f=ex.ZERO, origin="trivial")
         return ObstructionResult(
             Verdict(trivially.kind, note="beta lies in the alpha ideal"),
             beta,
             certificate=cert,
-            certificate_verdict=verify_certificate(cert, alpha, None, tester),
+            certificate_verdict=Verdict.combine(trivially, P.beta_verdict),
             detail="alpha is already closed up to the recorded verdict",
         )
     if certificate is not None:
@@ -439,6 +440,7 @@ def second_obstruction(
     mu0 = mu - wedge(alpha, interior(P.transversal, mu))
     trivially = is_zero_graded(ext_deriv(omega), tester)
     if trivially.holds:
+        # nu = 0 leaves omega - nu ^ alpha = omega, closed by this verdict
         cert = ObstructionCertificate(
             "second", nu=zero_form(omega.chart, 1), origin="trivial"
         )
@@ -446,7 +448,7 @@ def second_obstruction(
             Verdict(trivially.kind, note="omega is already closed"),
             mu,
             certificate=cert,
-            certificate_verdict=verify_certificate(cert, alpha, omega, tester),
+            certificate_verdict=trivially,
         )
     if certificate is not None:
         cv = verify_certificate(certificate, alpha, omega, tester)

@@ -257,11 +257,14 @@ def analyze(problem: ProblemFile, seed=None, trials=None, tolerance=None, timing
     failures = 0
     errors = 0
     skipped = 0
+    spent = {}
     t0 = time.monotonic()
     for name in ANALYSES:
         if name not in problem.analyses:
             continue
+        start = time.monotonic()
         entry = runner.run(name)
+        spent[name] = round(1000.0 * (time.monotonic() - start), 3)
         if entry["status"] == "error":
             errors += 1
         elif entry["status"] == "skipped":
@@ -294,6 +297,7 @@ def analyze(problem: ProblemFile, seed=None, trials=None, tolerance=None, timing
     }
     if timing:
         report["meta"]["timing_ms"] = round(1000.0 * (time.monotonic() - t0), 3)
+        report["meta"]["analysis_ms"] = spent
     return report
 
 

@@ -1,14 +1,15 @@
 """Line-oriented problem files: chart, structure, certificates, analyses.
 
 The format is plain text with shell-style quoting (see README for the
-full grammar).  Lines are directives inside `section` blocks; expression
-arguments are quoted strings in the scalar grammar; forms and fields are
-accumulated term by term as  coefficient, then basis coordinate names.
+full grammar), split into words by `split_line`.  Lines are directives
+inside `section` blocks; expression arguments are quoted strings in the
+scalar grammar; forms and fields are accumulated term by term as
+coefficient, then basis coordinate names.
 """
 
 from __future__ import annotations
 
-import shlex
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -43,6 +44,58 @@ OPTION_TYPES = {"seed": int, "trials": int, "tolerance": float}
 # costing tens of microseconds on a small expression, so this bound keeps one
 # sampled test under about half a second; a billion trials would run for hours.
 MAX_TRIALS = 4096
+
+
+# The words of a line, split as a POSIX shell splits them (and as
+# shlex.split(line, comments=True) does).  A word is a run of plain
+# characters, backslash escapes, "double-quoted" strings, in which a
+# backslash escapes only a backslash or a double quote, and 'single-quoted'
+# strings, which escape nothing.  Whitespace (space, tab, CR, LF) ends a
+# word, and so does a # outside quotes, which starts a comment.  A quote or
+# backslash that starts no complete piece is unterminated.
+_WORD_RE = re.compile(
+    r"""[ \t\r\n]*(?:
+        (?P<word>(?:[^ \t\r\n"'\\\#]+|\\.|"(?:[^"\\]|\\.)*"|'[^']*')+)
+      | (?P<open>["'\\])
+      | \#
+    )""",
+    re.VERBOSE | re.DOTALL,
+)
+_PIECE_RE = re.compile(r"""\\(.)|"((?:[^"\\]|\\.)*)"|'([^']*)'""", re.DOTALL)
+_QUOTED_ESCAPE_RE = re.compile(r'\\([\\"])')
+
+
+def _unquote(piece):
+    escaped, double, single = piece.groups()
+    if escaped is not None:
+        return escaped
+    if double is not None:
+        return _QUOTED_ESCAPE_RE.sub(r"\1", double)
+    return single
+
+
+def split_line(line: str) -> list:
+    """The words of one line, as ``shlex.split(line, comments=True)`` gives them.
+
+    An unterminated quote or escape raises ValueError with shlex's message,
+    "No closing quotation" or "No escaped character".
+    """
+    words = []
+    for m in _WORD_RE.finditer(line):
+        word, open_ = m.group("word", "open")
+        if word is not None:
+            if '"' in word or "'" in word or "\\" in word:
+                word = _PIECE_RE.sub(_unquote, word)
+            words.append(word)
+        elif open_ is None:
+            break  # a comment
+        # an unclosed double quote that ends in a lone backslash, like a bare
+        # trailing backslash, ends in an escape without its character
+        elif open_ == "'" or not (len(line) - len(line.rstrip("\\"))) % 2:
+            raise ValueError("No closing quotation")
+        else:
+            raise ValueError("No escaped character")
+    return words
 
 
 def sampling_range_error(name: str, value) -> Optional[str]:
@@ -135,7 +188,7 @@ class _Loader:
     def load(self) -> ProblemFile:
         for lineno, raw in enumerate(self.lines, start=1):
             try:
-                tokens = shlex.split(raw, comments=True)
+                tokens = split_line(raw)
             except ValueError as exc:
                 self.fail(f"bad quoting: {exc}", lineno)
             if not tokens:
@@ -270,7 +323,7 @@ class _Loader:
             self.fail(f"bad expression {quote(text)}: {exc}", lineno)
 
     def _graded(self, kind, cls, degree):
-        out = cls(self.chart, degree, {})
+        terms = []
         for text, names, lineno in self.terms[kind]:
             if len(names) != degree:
                 self.fail(
@@ -280,9 +333,8 @@ class _Loader:
             for n in names:
                 if n not in self.chart.coords:
                     self.fail(f"unknown coordinate {quote(n)} in {kind} term", lineno)
-            coeff = self._parse(text, lineno)
-            out = out + cls(self.chart, degree, {names: coeff})
-        return out
+            terms.append((names, self._parse(text, lineno)))
+        return cls(self.chart, degree, terms)
 
     def finish(self) -> ProblemFile:
         if self.coords is None:
@@ -317,11 +369,12 @@ class _Loader:
             )
         second_cert = None
         if self.second_nu_terms:
-            nu = DiffForm(self.chart, 1, {})
+            terms = []
             for text, names, lineno in self.second_nu_terms:
                 if names[0] not in self.chart.coords:
                     self.fail(f"unknown coordinate {quote(names[0])}", lineno)
-                nu = nu + DiffForm(self.chart, 1, {names: self._parse(text, lineno)})
+                terms.append((names, self._parse(text, lineno)))
+            nu = DiffForm(self.chart, 1, terms)
             second_cert = ObstructionCertificate("second", nu=nu, origin="supplied")
         witness = None
         if self.period is not None:

@@ -98,6 +98,16 @@ class TestProblemFileParsing:
         with pytest.raises(ProblemFileError):
             loads_problem(bad)
 
+    def test_terms_on_one_basis_element_add_up(self):
+        text = MINIMAL.replace(
+            'bivector "1" x y',
+            'bivector "x" x y\n  bivector "2" y x\n  bivector "y" x y\n  bivector "5" z z',
+        ).replace("section analyses", 'section certificates\n  second "x" y\n  second "1" y\nsection analyses')
+        p = loads_problem(text)
+        assert str(p.bivector.coefficient("x", "y")) == "x + y - 2"
+        assert list(p.bivector.coeffs) == [(0, 1)]
+        assert str(p.second_certificate.nu.coefficient("y")) == "x + 1"
+
     def test_unknown_coordinate_in_term(self):
         bad = MINIMAL.replace('bivector "1" x y', 'bivector "1" x w')
         with pytest.raises(ProblemFileError):
@@ -220,10 +230,25 @@ section analyses
         report = analyze(p, seed=99)
         assert report["meta"]["seed"] == 99
 
-    def test_timing_gated(self):
-        p = loads_problem(MINIMAL)
-        assert "timing_ms" not in analyze(p)["meta"]
-        assert "timing_ms" in analyze(p, timing=True)["meta"]
+    def test_timing_gated(self, tmp_path):
+        p = loads_problem(MINIMAL.replace("  jacobi", "  jacobi\n  adapted"))
+        timed = ("timing_ms", "analysis_ms", "load_ms")
+        assert not set(timed) & set(analyze(p)["meta"])
+        meta = analyze(p, timing=True)["meta"]
+        assert "timing_ms" in meta
+        assert list(meta["analysis_ms"]) == ["jacobi", "adapted"]
+        assert all(ms >= 0 for ms in meta["analysis_ms"].values())
+        # the CLI adds the time of reading the file, and only with --timing
+        path = tmp_path / "minimal.prob"
+        path.write_text(MINIMAL)
+        plain, timed_out = tmp_path / "plain.json", tmp_path / "timed.json"
+        assert main(["check", str(path), "--output", str(plain)]) == 0
+        assert main(["check", str(path), "--output", str(timed_out), "--timing"]) == 0
+        plain_meta = json.loads(plain.read_text())["meta"]
+        timed_meta = json.loads(timed_out.read_text())["meta"]
+        assert not set(timed) & set(plain_meta)
+        assert set(timed) <= set(timed_meta)
+        assert {k: v for k, v in timed_meta.items() if k not in timed} == plain_meta
 
     def test_shared_artifacts_built_once(self, monkeypatch):
         # beta, mu, the adapted volume and its modular field serve several
@@ -386,6 +411,25 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("validation error:")
         with pytest.raises(ProblemFileError, match=message):
             loads_problem(text)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('bivector "x y', "No closing quotation"),
+            ("bivector 'x y", "No closing quotation"),
+            ('bivector "x\\', "No escaped character"),
+            ("bivector x\\", "No escaped character"),
+        ],
+        ids=["double", "single", "escape-in-quotes", "escape"],
+    )
+    def test_unterminated_quote_is_exit_2(self, tmp_path, capsys, line, message):
+        text = MINIMAL.replace('bivector "1" x y', line)
+        lineno = text.splitlines().index(f"  {line}") + 1
+        path = tmp_path / "quote.prob"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:{lineno}: bad quoting: {message}" in err
 
     def test_term_blowup_is_exit_2(self, tmp_path):
         # C(39, 32) = 15,380,937 terms: the expansion would run for minutes
