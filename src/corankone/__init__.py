@@ -4,9 +4,10 @@ The package provides an exact scalar-expression field (`expr`), the graded
 exterior algebra of forms and multivector fields with the operators of
 foliated Poisson geometry (`calculus`), structure analysis and adapted
 defining forms (`poisson`), the obstruction/modular invariants
-(`invariants`), transversally vanishing extensions and product families
-(`bgeom`), plus problem files (`problemfile`), their analysis reports
-(`pipeline`) and a batch CLI (`cli`) that runs the bundled example files.
+(`invariants`), transversality of the top power and the extension across a
+transversally vanishing hypersurface (`bgeom`), plus problem files
+(`problemfile`), their analysis reports (`pipeline`) and a batch CLI
+(`cli`) that runs the bundled example files.
 """
 
 __version__ = "0.1.0"
@@ -20,22 +21,16 @@ from .expr import (  # noqa: F401
     ZeroTester,
     apply_function,
     cos,
-    derive,
     exp,
-    is_zero,
     log,
     parse_scalar,
     rational,
-    simplify,
     sin,
     symbol,
 )
 from .calculus import (  # noqa: F401
-    ChartMap,
     DiffForm,
     MultiVector,
-    VectorField,
-    apply_form,
     basis_form,
     basis_vector,
     ext_deriv,
@@ -46,7 +41,6 @@ from .calculus import (  # noqa: F401
     lie_derivative,
     parse_graded,
     power,
-    pullback,
     scalar_form,
     schouten,
     volume_form,
@@ -72,7 +66,6 @@ from .invariants import (  # noqa: F401
     compute_mu,
     godbillon_vey,
     modular_field,
-    rescaled_modular_verdict,
     second_obstruction,
     unimodularity_check,
     verify_certificate,
@@ -80,9 +73,6 @@ from .invariants import (  # noqa: F401
 from .bgeom import (  # noqa: F401
     BExtension,
     BTransversalityReport,
-    ProductBPoisson,
     b_transversality_check,
-    build_product_bpoisson,
     extend_to_b,
-    mapping_torus_check,
 )

@@ -1,7 +1,6 @@
 """Constructions around Poisson structures with transversally vanishing
-top power: transversality evidence, the one-parameter extension of a
-corank-one structure with closed defining forms, the circle-times-leaf
-product family, and chart-level mapping-torus compatibility.
+top power: transversality evidence and the one-parameter extension of a
+corank-one structure with closed defining forms.
 
 The extension lives on the base chart with one extra coordinate t.  The
 extended two-form (dt/t) ^ alpha + omega is singular along t = 0, so the
@@ -18,16 +17,12 @@ from typing import Optional
 
 from . import expr as ex
 from .calculus import (
-    ChartMap,
     DiffForm,
     MultiVector,
-    basis_vector,
     ext_deriv,
     is_zero_graded,
     power,
-    pullback,
     scalar_form,
-    schouten,
     wedge,
 )
 from .errors import (
@@ -35,8 +30,6 @@ from .errors import (
     DegreeError,
     InternalCheckError,
     InvariantsNotVanishingError,
-    NotPoissonFieldError,
-    NotTransversalError,
 )
 from .expr import Chart, ScalarExpr, Verdict, ZeroTester
 from .poisson import PoissonStructure, invert_twoform
@@ -334,122 +327,3 @@ def extend_to_b(
     if checks is not None:
         checks.update(verdicts)
     return ext
-
-
-# ---------------------------------------------------------------------------
-# the circle-times-leaf product family
-
-
-@dataclass
-class ProductBPoisson:
-    chart: Chart
-    theta: str
-    factor: ScalarExpr
-    field: MultiVector
-    leaf_bivector: MultiVector
-    bivector: MultiVector
-    structure: PoissonStructure
-    critical_thetas: list
-    linear_vanishing: bool
-    transversality: BTransversalityReport
-    leaf_annihilator: Optional[DiffForm] = None
-
-
-def build_product_bpoisson(
-    chart: Chart,
-    theta: str,
-    factor: ScalarExpr,
-    X: MultiVector,
-    pi: MultiVector,
-    tester: Optional[ZeroTester] = None,
-) -> ProductBPoisson:
-    """Assemble f(theta) @theta ^ X + pi on a circle-times-leaf chart.
-
-    Preconditions checked: f depends on theta only, X and pi have no
-    @theta component and no theta dependence, pi is Poisson, and X is a
-    Poisson field for pi.  The assembled bivector is re-verified to be
-    Poisson, and its transversality report carries the critical circle
-    positions (zeros of f) with per-root linear-vanishing evidence.
-    """
-    tester = tester or ZeroTester(chart, seed=0)
-    ti = chart.index(theta)
-    extra = factor.free_symbols() - {theta} - set(chart.params)
-    if extra:
-        raise ChartError(f"factor must depend on {theta} only; found {sorted(extra)}")
-    for obj, label in ((X, "transversal field"), (pi, "leaf bivector")):
-        for idx, c in obj.coeffs.items():
-            if ti in idx:
-                raise ChartError(f"{label} must have no @{theta} component")
-            if theta in c.free_symbols():
-                raise ChartError(f"{label} must not depend on {theta}")
-    if not is_zero_graded(schouten(pi, pi), tester).holds:
-        raise NotPoissonFieldError("leaf bivector is not Poisson")
-    if not is_zero_graded(schouten(X, pi), tester).holds:
-        raise NotPoissonFieldError("[X, pi] does not vanish")
-    Pi = wedge(factor * basis_vector(chart, theta), X) + pi
-    P = PoissonStructure(chart, Pi, corank_n=chart.dim // 2, tester=tester)
-    if not P.jacobi_verdict().holds:
-        raise InternalCheckError("assembled product bivector fails Jacobi")
-
-    # transversality of X to the leaves of pi on the leaf factor:
-    # the kernel one-form of pi must pair invertibly with X
-    leaf_names = tuple(c for c in chart.coords if c != theta)
-    sub = chart.subchart(leaf_names)
-    reindex = {chart.index(c): i for i, c in enumerate(leaf_names)}
-    pi_sub = MultiVector(
-        sub,
-        2,
-        {tuple(reindex[i] for i in idx): c for idx, c in pi.coeffs.items()},
-    )
-    X_sub = MultiVector(
-        sub,
-        1,
-        {tuple(reindex[i] for i in idx): c for idx, c in X.coeffs.items()},
-    )
-    sub_tester = ZeroTester(sub, seed=tester.seed + 3, trials=tester.trials)
-    leaf_structure = PoissonStructure(
-        sub,
-        pi_sub,
-        corank_n=(sub.dim - 1) // 2,
-        transversal=X_sub,
-        tester=sub_tester,
-    )
-    annihilator = None
-    try:
-        annihilator, _ = leaf_structure.adapted()
-    except NotTransversalError:
-        raise NotTransversalError(
-            "X is not transverse to the symplectic leaves of pi"
-        ) from None
-
-    report = b_transversality_check(P)
-    roots = [p.value for p in report.points]
-    linear = bool(report.points) and all(p.linear for p in report.points)
-    if not report.points:
-        linear = report.verdict.symbolic  # empty critical set: regular structure
-    return ProductBPoisson(
-        chart=chart,
-        theta=theta,
-        factor=factor,
-        field=X,
-        leaf_bivector=pi,
-        bivector=Pi,
-        structure=P,
-        critical_thetas=roots,
-        linear_vanishing=linear,
-        transversality=report,
-        leaf_annihilator=annihilator,
-    )
-
-
-# ---------------------------------------------------------------------------
-# mapping-torus compatibility
-
-
-def mapping_torus_check(phi: ChartMap, omega_L: DiffForm, tester: ZeroTester) -> Verdict:
-    """Whether the leaf map preserves the leaf symplectic form
-    (pullback(phi, omega_L) == omega_L), the chart-level condition for the
-    glued structure to be well defined."""
-    if phi.source != phi.target:
-        raise ChartError("mapping-torus check needs an endomorphism of the leaf chart")
-    return is_zero_graded(pullback(phi, omega_L) - omega_L, tester)

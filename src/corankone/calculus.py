@@ -227,9 +227,6 @@ class MultiVector(_Graded):
         return out
 
 
-VectorField = MultiVector
-
-
 def zero_form(chart: Chart, degree: int) -> DiffForm:
     return DiffForm(chart, degree, {})
 
@@ -342,18 +339,6 @@ def interior(X: MultiVector, eta: DiffForm) -> DiffForm:
     return eta._like(eta.degree - X.degree, _contract(X.coeffs, eta.coeffs))
 
 
-def apply_form(eta: DiffForm, *vectors: MultiVector) -> ScalarExpr:
-    """Evaluate a k-form on k vector fields."""
-    if len(vectors) != eta.degree:
-        raise DegreeError("wrong number of vector arguments")
-    cur = eta
-    for v in vectors:
-        if v.degree != 1:
-            raise DegreeError("apply_form takes vector fields")
-        cur = interior(v, cur)
-    return cur.scalar()
-
-
 def _covector_contract(theta: DiffForm, Q: MultiVector) -> MultiVector:
     """Contract a 1-form into the first slot of a multivector."""
     if theta.degree != 1:
@@ -445,63 +430,6 @@ def lie_derivative(v: MultiVector, target):
 
 
 # ---------------------------------------------------------------------------
-# chart maps and pullback
-
-
-class ChartMap:
-    """Map between charts given by one target-coordinate expression each."""
-
-    __slots__ = ("source", "target", "components")
-
-    def __init__(self, source: Chart, target: Chart, components):
-        components = tuple(_coerce_coeff(c, source) for c in components)
-        if len(components) != target.dim:
-            raise ChartError(
-                f"map needs {target.dim} components, got {len(components)}"
-            )
-        allowed = set(source.coords) | set(source.params)
-        for c in components:
-            bad = c.free_symbols() - allowed
-            if bad:
-                raise ChartError(f"component uses unknown symbols {sorted(bad)}")
-        missing = set(target.params) - set(source.params)
-        if missing:
-            raise ChartError(
-                f"target parameters {sorted(missing)} must be declared on the source chart"
-            )
-        self.source = source
-        self.target = target
-        self.components = components
-
-    @classmethod
-    def identity(cls, chart: Chart) -> "ChartMap":
-        return cls(chart, chart, [ex.symbol(c) for c in chart.coords])
-
-    def __repr__(self):
-        comps = ", ".join(str(c) for c in self.components)
-        return f"ChartMap({self.target.coords} <- [{comps}])"
-
-
-def pullback(phi: ChartMap, eta: DiffForm) -> DiffForm:
-    """Pullback of a form along a chart map; commutes with ext_deriv."""
-    if eta.chart != phi.target:
-        raise ChartMismatchError("form does not live on the map's target chart")
-    mapping = {
-        name: comp for name, comp in zip(phi.target.coords, phi.components)
-    }
-    dcomps = [
-        ext_deriv(scalar_form(phi.source, comp)) for comp in phi.components
-    ]
-    out = zero_form(phi.source, eta.degree)
-    for idx, c in eta.coeffs.items():
-        term = scalar_form(phi.source, c.subs(mapping))
-        for j in idx:
-            term = wedge(term, dcomps[j])
-        out = out + term
-    return out
-
-
-# ---------------------------------------------------------------------------
 # zero verdicts on graded objects
 
 
@@ -521,21 +449,10 @@ def leafwise_equal(eta1: DiffForm, eta2: DiffForm, alpha: DiffForm, tester: Zero
     return is_zero_graded(wedge(eta1 - eta2, alpha), tester)
 
 
-def default_transversal(alpha: DiffForm, tester: ZeroTester) -> MultiVector:
-    """First coordinate direction where alpha has a definitely-nonzero
-    coefficient, normalized so that alpha(v) = 1."""
-    for (i,), c in alpha.coeffs.items():
-        if tester.is_zero(c).failed:
-            return MultiVector(alpha.chart, 1, {(i,): ex.ONE / c})
-    raise BadTransversalError(
-        "no coordinate direction with a definitely nonzero alpha-coefficient"
-    )
-
-
 def exterior_divide(
     eta: DiffForm,
     alpha: DiffForm,
-    v: MultiVector | None = None,
+    v: MultiVector,
     tester: ZeroTester | None = None,
     checks: dict | None = None,
 ) -> DiffForm:
@@ -554,8 +471,6 @@ def exterior_divide(
         raise DivisionObstructedError("nonzero scalar is not a multiple of alpha")
     if tester is None:
         tester = ZeroTester(eta.chart)
-    if v is None:
-        v = default_transversal(alpha, tester)
     pairing = interior(v, alpha).scalar() - ex.ONE
     pv = tester.is_zero(pairing)
     if not pv.holds:

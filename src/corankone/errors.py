@@ -104,10 +104,6 @@ class InvariantsNotVanishingError(ToolkitError):
     pass
 
 
-class NotPoissonFieldError(ToolkitError):
-    pass
-
-
 class PivotUndecidableError(ToolkitError):
     """A linear-solve pivot had an UNKNOWN zero verdict; refusing to guess."""
 

@@ -8,11 +8,10 @@ chart coordinates, the free parameters, and whole function applications
 ``exp(...)``, ``log(...)``, ``sin(...)``, ``cos(...)`` treated as opaque
 generators (their arguments are themselves canonical expressions).
 
-Because the representation is always canonical, ``simplify`` is the
-identity and structural equality is cheap.  Zero testing is exact on the
-rational fragment (the numerator polynomial is empty) and falls back to
-seeded randomized evaluation for transcendental mixtures, reported as a
-distinct "probably zero" verdict.
+Because the representation is always canonical, structural equality is
+cheap.  Zero testing is exact on the rational fragment (the numerator
+polynomial is empty) and falls back to seeded randomized evaluation for
+transcendental mixtures, reported as a distinct "probably zero" verdict.
 
 Expression grammar (EBNF)::
 
@@ -30,10 +29,12 @@ Expression grammar (EBNF)::
 
 Names must resolve to chart coordinates or parameters, an exponent
 lies within ``-MAX_EXPONENT..MAX_EXPONENT``, no power, product or sum
-of quotients may expand to more than ``MAX_TERMS`` terms, and no power,
-product or sum may reach a total degree above ``MAX_DEGREE``.  The printer
-emits canonical text whose re-parse is structurally identical
-(parse -> print -> parse is the identity on canonical forms).
+of quotients may expand to more than ``MAX_TERMS`` terms, no power,
+product or sum may reach a total degree above ``MAX_DEGREE``, and
+parentheses nest at most ``MAX_DEPTH`` deep.  Whitespace may surround any
+token, including the first and the last.  The printer emits canonical
+text whose re-parse is structurally identical (parse -> print -> parse is
+the identity on canonical forms).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import re
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import (
     ChartError,
@@ -1018,17 +1019,6 @@ def _gen_derivative(g, name: str) -> ScalarExpr:
     return -sin(g.arg) * da
 
 
-def derive(e: ScalarExpr, name: str, chart: "Chart | None" = None) -> ScalarExpr:
-    if chart is not None and name not in chart.coords:
-        raise ChartError(f"unknown coordinate {quote(name)}")
-    return _coerce(e).derive(name)
-
-
-def simplify(e: ScalarExpr) -> ScalarExpr:
-    """Re-normalize; the canonical representation makes this idempotent."""
-    return ScalarExpr(e.gens, dict(e.num), dict(e.den))
-
-
 # ---------------------------------------------------------------------------
 # printing
 
@@ -1114,6 +1104,10 @@ MAX_TERMS = 10_000
 # coefficients still fits
 MAX_DEGREE = _MAX_DEGREE // 2
 
+# the parser descends five calls per parenthesis, so it refuses nesting
+# deeper than this bound before Python's recursion limit (1000) is reached
+MAX_DEPTH = 150
+
 
 def _degrees(e):
     """Total degrees of e's numerator and denominator."""
@@ -1177,11 +1171,14 @@ class _Parser:
 
     def __init__(self, text: str, chart: "Chart"):
         self.text = text
-        self.end = _TOKENS_RE.match(text).end()
+        end = _TOKENS_RE.match(text).end()
+        # trailing whitespace ends the text as its end does
+        self.end = len(text) if text[end:].isspace() else end
         # the last token, "", is the end of the text or the character there
         self.toks = _TOKEN_RE.findall(text, 0, self.end) + [""]
         self.starts = None
         self.i = 0
+        self.depth = 0
         names = chart.coords + chart.params
         self.gens = tuple(sorted(t for t in set(self.toks) if t in names))
         w = len(self.gens)
@@ -1235,6 +1232,18 @@ class _Parser:
                 f"{what} may expand to {predicted} terms, more than {MAX_TERMS}",
                 self._at(i),
             )
+
+    def _open(self, i):
+        """Enter the parenthesis at token i, within MAX_DEPTH levels."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExprSyntaxError(
+                f"parentheses nest more than {MAX_DEPTH} deep", self._at(i)
+            )
+
+    def _close(self):
+        self.expect_op(")")
+        self.depth -= 1
 
     def _check_degree_bound(self, predicted, what, i):
         if predicted > MAX_DEGREE:
@@ -1364,8 +1373,9 @@ class _Parser:
         i = self.i
         tok = self._next()
         if tok == "(":
+            self._open(i)
             n = self.exponent()
-            self.expect_op(")")
+            self._close()
             return n
         neg = tok == "-"
         if neg:
@@ -1383,13 +1393,15 @@ class _Parser:
             q = self._literal(Fraction if "." in tok else int, i)
             return {0: q.numerator} if q else {}, q.denominator
         if tok == "(":
+            self._open(i)
             e = self.expr()
-            self.expect_op(")")
+            self._close()
             return e
         if tok in FUNCTIONS:
             self.expect_op("(")
+            self._open(i + 1)
             arg = self.expr()
-            self.expect_op(")")
+            self._close()
             return apply_function(tok, self._expr(arg))
         unit = self.units.get(tok)
         if unit is not None:
@@ -1495,26 +1507,13 @@ class Chart:
             env[n] = rng.uniform(lo, hi)
         return env
 
-    def with_coordinate(self, name: str, domain=None, periodic=False) -> "Chart":
+    def with_coordinate(self, name: str, domain=None) -> "Chart":
         dom = {k: v for k, v in self.domains}
         if domain is not None:
             dom[name] = domain
         return Chart(
             self.coords + (name,),
-            periodic=self.periodic | ({name} if periodic else set()),
-            params=self.params,
-            domains=dom,
-            torus_strict=self.torus_strict,
-        )
-
-    def subchart(self, names: Sequence[str]) -> "Chart":
-        names = tuple(names)
-        for n in names:
-            self.index(n)
-        dom = {k: v for k, v in self.domains if k in names or k in self.params}
-        return Chart(
-            names,
-            periodic=self.periodic & set(names),
+            periodic=self.periodic,
             params=self.params,
             domains=dom,
             torus_strict=self.torus_strict,
@@ -1703,6 +1702,3 @@ class ZeroTester:
             )
         return Verdict.probably_zero(f"{successes} random samples, |value| <= tol")
 
-
-def is_zero(e, chart: Chart, seed: int = 0, trials: int = 32, tol: float = 1e-9) -> Verdict:
-    return ZeroTester(chart, seed=seed, trials=trials, tol=tol).is_zero(e)

@@ -527,16 +527,6 @@ def check_weinstein_identity(P: PoissonStructure) -> Verdict:
     return leafwise_equal(interior(P.modular(), omega), P.beta(), alpha, P.tester)
 
 
-def rescaled_modular_verdict(
-    P: PoissonStructure, certificate: ObstructionCertificate
-) -> Verdict:
-    """Whether the modular field of the certificate-rescaled volume vanishes."""
-    if certificate.kind != "first" or certificate.f is None:
-        raise DegreeError("need a first-kind certificate")
-    volume = ex.exp(-certificate.f) * P.volume()
-    return is_zero_graded(modular_field(P, volume), P.tester)
-
-
 # ---------------------------------------------------------------------------
 # transverse Poisson vector fields (both directions)
 

@@ -25,14 +25,13 @@ from corankone import (
     interior,
     lie_derivative,
     parse_graded,
-    parse_scalar,
     power,
     rational,
     schouten,
     symbol,
     wedge,
 )
-from corankone.bgeom import b_transversality_check, build_product_bpoisson, extend_to_b
+from corankone.bgeom import b_transversality_check, extend_to_b
 from corankone.calculus import is_zero_graded, volume_form
 from corankone.cli import bundled_corpus, main
 from corankone.invariants import (
@@ -41,13 +40,13 @@ from corankone.invariants import (
     compute_beta,
     compute_mu,
     modular_field,
-    rescaled_modular_verdict,
     unimodularity_check,
 )
 from corankone.pipeline import analyze, exit_code, render_report
 from corankone.problemfile import loads_problem
 
 import bundled
+from oracles import rescaled_modular_verdict
 
 SEED = 20260809
 
@@ -304,39 +303,27 @@ def test_criterion_08_representative_independence():
 
 def test_criterion_09_product_family():
     with criterion(9, "sin factor: critical circles at 0 and pi; constant factor regular"):
-        chart = Chart(("theta", "x", "y", "z"), periodic=("theta",))
-        prod = build_product_bpoisson(
-            chart,
-            "theta",
-            parse_scalar("sin(theta)", chart),
-            basis_vector(chart, "z"),
-            parse_graded("@x^@y", chart, "multivector"),
-            ZeroTester(chart, seed=SEED + 9),
-        )
-        assert prod.structure.jacobi_verdict().holds
-        assert len(prod.critical_thetas) == 2
-        assert abs(prod.critical_thetas[0] - 0.0) <= 1e-9
-        assert abs(prod.critical_thetas[1] - math.pi) <= 1e-9
-        assert prod.linear_vanishing
+        P = bundled.entry("product_sin", seed=SEED + 9).structure
+        assert P.jacobi_verdict().holds
+        rep = b_transversality_check(P)
+        assert rep.verdict.holds
+        assert len(rep.points) == 2
+        assert abs(rep.points[0].value - 0.0) <= 1e-9
+        assert abs(rep.points[1].value - math.pi) <= 1e-9
+        assert all(p.linear for p in rep.points)
 
-        const = build_product_bpoisson(
-            chart,
-            "theta",
-            parse_scalar("1", chart),
-            basis_vector(chart, "z"),
-            parse_graded("@x^@y", chart, "multivector"),
-            ZeroTester(chart, seed=SEED + 10),
-        )
-        assert const.transversality.verdict.symbolic
-        assert const.critical_thetas == []
+        const = b_transversality_check(bundled.entry("product_const", seed=SEED + 10).structure)
+        assert const.verdict.symbolic
+        assert const.points == []
+        assert const.locus == "empty"
         # the leaf factor has a Poisson transversal, so both of its
         # invariants vanish with closed representatives
-        sub = chart.subchart(("x", "y", "z"))
+        chart = Chart(("x", "y", "z"))
         leaf = PoissonStructure(
-            sub,
-            parse_graded("@x^@y", sub, "multivector"),
-            transversal=basis_vector(sub, "z"),
-            tester=ZeroTester(sub, seed=SEED + 11),
+            chart,
+            parse_graded("@x^@y", chart, "multivector"),
+            transversal=basis_vector(chart, "z"),
+            tester=ZeroTester(chart, seed=SEED + 11),
         )
         a, w = leaf.adapted()
         assert ext_deriv(a).is_structural_zero

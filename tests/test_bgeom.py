@@ -3,32 +3,9 @@ import math
 import pytest
 
 from corankone import Chart, ZeroTester, parse_scalar, rational
-from corankone.calculus import (
-    ChartMap,
-    DiffForm,
-    MultiVector,
-    basis_form,
-    basis_vector,
-    ext_deriv,
-    interior,
-    is_zero_graded,
-    leafwise_equal,
-    parse_graded,
-    power,
-    wedge,
-)
-from corankone.errors import (
-    ChartError,
-    InvariantsNotVanishingError,
-    NotPoissonFieldError,
-    NotTransversalError,
-)
-from corankone.bgeom import (
-    b_transversality_check,
-    build_product_bpoisson,
-    extend_to_b,
-    mapping_torus_check,
-)
+from corankone.calculus import MultiVector, basis_vector, ext_deriv, parse_graded, power
+from corankone.errors import ChartError, InvariantsNotVanishingError
+from corankone.bgeom import b_transversality_check, extend_to_b
 from corankone.poisson import PoissonStructure, invert_bivector
 
 import bundled
@@ -134,140 +111,45 @@ class TestExtension:
 
 
 class TestProductFamily:
-    @pytest.fixture
-    def chart(self):
-        return Chart(("theta", "x", "y", "z"), periodic=("theta",))
+    """The circle-times-leaf family f(theta) @theta^@z + @x^@y: the bundled
+    product_sin.prob and product_const.prob, and a quadratic factor."""
 
-    def test_sine_factor_two_critical_circles(self, chart):
-        prod = build_product_bpoisson(
-            chart,
-            "theta",
-            parse_scalar("sin(theta)", chart),
-            basis_vector(chart, "z"),
-            parse_graded("@x^@y", chart, "multivector"),
-            ZeroTester(chart, seed=41),
-        )
-        assert prod.structure.jacobi_verdict().holds
-        assert len(prod.critical_thetas) == 2
-        assert prod.critical_thetas[0] == pytest.approx(0.0, abs=1e-9)
-        assert prod.critical_thetas[1] == pytest.approx(math.pi, abs=1e-9)
-        assert prod.linear_vanishing
-        assert prod.leaf_annihilator == basis_form(chart.subchart(("x", "y", "z")), "z")
+    def test_sine_factor_two_critical_circles(self):
+        P = bundled.entry("product_sin", seed=41).structure
+        assert P.jacobi_verdict().holds
+        rep = b_transversality_check(P)
+        assert rep.verdict.holds
+        assert [p.value for p in rep.points] == pytest.approx([0.0, math.pi], abs=1e-9)
+        assert all(p.linear for p in rep.points)
 
-    def test_constant_factor_regular(self, chart):
-        prod = build_product_bpoisson(
-            chart,
-            "theta",
-            parse_scalar("1", chart),
-            basis_vector(chart, "z"),
-            parse_graded("@x^@y", chart, "multivector"),
-            ZeroTester(chart, seed=43),
-        )
-        assert prod.transversality.verdict.symbolic
-        assert prod.critical_thetas == []
-        assert prod.linear_vanishing  # vacuously: empty critical set
+    def test_constant_factor_regular(self):
+        rep = b_transversality_check(bundled.entry("product_const", seed=43).structure)
+        assert rep.verdict.symbolic
+        assert rep.locus == "empty"
+        assert rep.points == []
 
     def test_quadratic_factor_fails_linear_vanishing(self):
         ch = Chart(("theta", "x", "y", "z"))
-        prod = build_product_bpoisson(
-            ch,
-            "theta",
-            parse_scalar("theta^2", ch),
-            basis_vector(ch, "z"),
-            parse_graded("@x^@y", ch, "multivector"),
-            ZeroTester(ch, seed=47),
-        )
-        assert prod.transversality.verdict.failed
-        assert not prod.linear_vanishing
+        Pi = parse_graded("theta^2 @theta^@z + @x^@y", ch, "multivector")
+        P = PoissonStructure(ch, Pi, corank_n=2, tester=ZeroTester(ch, seed=47))
+        assert P.jacobi_verdict().holds
+        rep = b_transversality_check(P)
+        assert rep.verdict.failed
+        assert "gradient vanishes on the zero set" in rep.verdict.note
+        assert not any(p.linear for p in rep.points)
 
-    def test_non_poisson_field_rejected(self, chart):
-        with pytest.raises(NotPoissonFieldError):
-            build_product_bpoisson(
-                chart,
-                "theta",
-                parse_scalar("sin(theta)", chart),
-                MultiVector(chart, 1, {("z",): "x"}),  # [X, pi] != 0
-                parse_graded("@x^@y", chart, "multivector"),
-                ZeroTester(chart, seed=53),
-            )
-
-    def test_tangent_field_rejected(self, chart):
-        with pytest.raises(NotTransversalError):
-            build_product_bpoisson(
-                chart,
-                "theta",
-                parse_scalar("sin(theta)", chart),
-                basis_vector(chart, "x"),  # tangent to the leaves of pi
-                parse_graded("@x^@y", chart, "multivector"),
-                ZeroTester(chart, seed=59),
-            )
-
-    def test_theta_dependence_rules(self, chart):
-        with pytest.raises(ChartError):
-            build_product_bpoisson(
-                chart,
-                "theta",
-                parse_scalar("x", chart),  # factor depends on the leaf
-                basis_vector(chart, "z"),
-                parse_graded("@x^@y", chart, "multivector"),
-                ZeroTester(chart, seed=61),
-            )
-
-    def test_constant_factor_links_to_transverse_poisson(self, chart):
+    def test_constant_factor_links_to_transverse_poisson(self):
         # with f constant the normalized field is a Poisson transversal of
-        # the corank-one product structure, so both invariants vanish
-        prod = build_product_bpoisson(
-            chart,
-            "theta",
-            parse_scalar("1", chart),
-            basis_vector(chart, "z"),
-            parse_graded("@x^@y", chart, "multivector"),
-            ZeroTester(chart, seed=67),
-        )
-        sub = chart.subchart(("x", "y", "z"))
+        # the corank-one leaf factor, so both invariants vanish
         from corankone.invariants import check_transverse_poisson
 
+        leaf = Chart(("x", "y", "z"))
         leaf_structure = PoissonStructure(
-            sub,
-            parse_graded("@x^@y", sub, "multivector"),
-            transversal=basis_vector(sub, "z"),
-            tester=ZeroTester(sub, seed=71),
+            leaf,
+            parse_graded("@x^@y", leaf, "multivector"),
+            transversal=basis_vector(leaf, "z"),
+            tester=ZeroTester(leaf, seed=71),
         )
         rep = check_transverse_poisson(leaf_structure)
         assert rep.lv_pi_verdict.symbolic
         assert rep.closed_side
-
-
-class TestMappingTorus:
-    @pytest.fixture
-    def leaf(self):
-        return Chart(("x", "y"), params=("c",))
-
-    def test_identity(self, leaf):
-        om = wedge(basis_form(leaf, "x"), basis_form(leaf, "y"))
-        v = mapping_torus_check(ChartMap.identity(leaf), om, ZeroTester(leaf, seed=73))
-        assert v.symbolic
-
-    def test_shear_is_symplectic(self, leaf):
-        om = wedge(basis_form(leaf, "x"), basis_form(leaf, "y"))
-        phi = ChartMap(leaf, leaf, ["x + c", "y"])
-        assert mapping_torus_check(phi, om, ZeroTester(leaf, seed=79)).symbolic
-
-    def test_doubling_is_not(self, leaf):
-        om = wedge(basis_form(leaf, "x"), basis_form(leaf, "y"))
-        phi = ChartMap(leaf, leaf, ["2*x", "y"])
-        v = mapping_torus_check(phi, om, ZeroTester(leaf, seed=83))
-        assert v.failed
-        assert v.witness is not None
-
-    def test_area_preserving_nonlinear(self, leaf):
-        om = wedge(basis_form(leaf, "x"), basis_form(leaf, "y"))
-        phi = ChartMap(leaf, leaf, ["x + y^2", "y"])
-        assert mapping_torus_check(phi, om, ZeroTester(leaf, seed=89)).symbolic
-
-    def test_non_endomorphism_rejected(self, leaf):
-        other = Chart(("u", "v"))
-        om = wedge(basis_form(other, "u"), basis_form(other, "v"))
-        phi = ChartMap(leaf, other, ["x", "y"])
-        with pytest.raises(ChartError):
-            mapping_torus_check(phi, om, ZeroTester(other, seed=97))

@@ -4,10 +4,8 @@ import pytest
 
 from corankone import Chart, ZeroTester, parse_scalar, rational, symbol
 from corankone.calculus import (
-    ChartMap,
     DiffForm,
     MultiVector,
-    apply_form,
     basis_form,
     basis_vector,
     exterior_divide,
@@ -18,7 +16,6 @@ from corankone.calculus import (
     lie_derivative,
     parse_graded,
     power,
-    pullback,
     scalar_form,
     schouten,
     wedge,
@@ -26,7 +23,6 @@ from corankone.calculus import (
 )
 from corankone.errors import (
     BadTransversalError,
-    ChartError,
     ChartMismatchError,
     DegreeError,
     DivisionObstructedError,
@@ -327,39 +323,6 @@ class TestPower:
         assert power(Pi, 2).is_structural_zero
 
 
-class TestPullback:
-    def test_identity(self, t3):
-        eta = t3_omega(t3)
-        assert pullback(ChartMap.identity(t3), eta) == eta
-
-    def test_t3_leaf_annihilates_alpha(self, t3):
-        leaf = Chart(("s1", "s2"), params=("a", "b", "k"))
-        phi = ChartMap(leaf, t3, ["s1", "s2", "a*s1 + b*s2 + k"])
-        assert pullback(phi, t3_alpha(t3)).is_structural_zero
-
-    def test_symplectomorphism_shear(self):
-        xy = Chart(("x", "y"))
-        phi = ChartMap(xy, xy, ["x + y^2", "y"])
-        om = wedge(basis_form(xy, "x"), basis_form(xy, "y"))
-        assert pullback(phi, om) == om
-
-    def test_commutes_with_d_random(self, xyz):
-        rng = random.Random(13)
-        src = Chart(("u", "v", "w"))
-        for _ in range(15):
-            comps = [random_poly(rng, src) for _ in range(3)]
-            phi = ChartMap(src, xyz, comps)
-            eta = random_form(rng, xyz, rng.randint(0, 2))
-            lhs = pullback(phi, ext_deriv(eta))
-            rhs = ext_deriv(pullback(phi, eta))
-            assert (lhs - rhs).is_structural_zero
-
-    def test_component_count_checked(self, xyz):
-        src = Chart(("u",))
-        with pytest.raises(ChartError):
-            ChartMap(src, xyz, ["u", "u"])
-
-
 class TestExteriorDivide:
     def test_zero_input(self, xyz):
         alpha = basis_form(xyz, "z")
@@ -399,11 +362,6 @@ class TestExteriorDivide:
             exterior_divide(
                 ext_deriv(alpha), alpha, basis_vector(xyz, "x"), ZeroTester(xyz, seed=3)
             )
-
-    def test_default_transversal_pick(self, xyz):
-        alpha = DiffForm(xyz, 1, {("z",): "exp(x)"})
-        xi = exterior_divide(ext_deriv(alpha), alpha, tester=ZeroTester(xyz, seed=4))
-        assert (ext_deriv(alpha) - wedge(xi, alpha)).is_structural_zero
 
     def test_round_trip_random(self, xyz):
         rng = random.Random(14)

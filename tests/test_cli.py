@@ -350,8 +350,10 @@ class TestExitCodes:
             ("x^(9999999999)", "exponent 9999999999 is outside"),
             # beyond Python's limit for converting a digit string to an int
             ("7" * 5000, "number literal of 5000 characters is too long"),
+            # five parser calls per level: past Python's recursion limit
+            ("(" * 300 + "x" + ")" * 300, "parentheses nest more than 150 deep"),
         ],
-        ids=["huge-exponent", "overlong-literal"],
+        ids=["huge-exponent", "overlong-literal", "deep-nesting"],
     )
     def test_hostile_expression_is_exit_2(self, tmp_path, expression, message):
         text = MINIMAL.replace('bivector "1" x y', f'bivector "{expression}" x y')
@@ -360,12 +362,26 @@ class TestExitCodes:
         # out of process first, so that a hang fails at the timeout
         proc = run_cli("check", str(path), timeout=60)
         assert proc.returncode == 2
-        assert proc.stderr.startswith("validation error:")
+        assert proc.stderr.startswith(f"validation error: {path}:7: bad expression")
         assert message in proc.stderr
         # the offending text is quoted only in part
         assert len(proc.stderr.encode()) < 300
         with pytest.raises(ProblemFileError, match=message):
             loads_problem(text)
+
+    @pytest.mark.parametrize(
+        "expression, plain",
+        [("x + 1 ", "x + 1"), ("(" * 150 + "x" + ")" * 150, "x")],
+        ids=["trailing-space", "nested-150"],
+    )
+    def test_equivalent_spelling_gives_the_same_report(self, tmp_path, capsys, expression, plain):
+        reports = []
+        for text in (expression, plain):
+            path = tmp_path / "spelling.prob"
+            path.write_text(MINIMAL.replace('bivector "1" x y', f'bivector "{text}" x y'))
+            assert main(["check", str(path)]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize(
         "old, new, message",

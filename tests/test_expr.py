@@ -9,12 +9,10 @@ from corankone import (
     ScalarExpr,
     ZeroTester,
     cos,
-    derive,
     exp,
     log,
     parse_scalar,
     rational,
-    simplify,
     sin,
     symbol,
 )
@@ -25,7 +23,7 @@ from corankone.errors import (
     UnknownIdentifierError,
 )
 from corankone import expr
-from corankone.expr import MAX_DEGREE, MAX_EXPONENT, MAX_TERMS, ONE, ZERO, VerdictKind
+from corankone.expr import MAX_DEGREE, MAX_DEPTH, MAX_EXPONENT, MAX_TERMS, ONE, ZERO, VerdictKind
 
 
 @pytest.fixture
@@ -160,6 +158,30 @@ class TestParsing:
             with pytest.raises(ExprSyntaxError, match="too long"):
                 parse_scalar(text, xyz)
 
+    def test_trailing_whitespace_ends_the_text(self, xyz):
+        for text in ("x + 1 ", "x + 1\t\n", " x + 1  "):
+            assert parse_scalar(text, xyz) == parse_scalar("x + 1", xyz)
+        with pytest.raises(ExprSyntaxError, match=r"expected '\)' \(at position 3\)"):
+            parse_scalar("(x ", xyz)
+
+    def test_nesting_bounded(self, xyz):
+        # each level costs the parser five calls; past the bound it must
+        # refuse the text instead of exhausting Python's recursion limit
+        x = symbol("x")
+        assert parse_scalar("(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH, xyz) == x
+        assert parse_scalar("exp(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH, xyz).gens[0].fn == "exp"
+        assert parse_scalar("x^" + "(" * MAX_DEPTH + "2" + ")" * MAX_DEPTH, xyz) == x**2
+        d = MAX_DEPTH + 1
+        for text, position in (
+            ("(" * d + "x" + ")" * d, MAX_DEPTH),
+            ("(" * 300 + "x" + ")" * 300, MAX_DEPTH),
+            ("exp(" * d + "x" + ")" * d, 4 * MAX_DEPTH + 3),
+            ("x^" + "(" * d + "2" + ")" * d, MAX_DEPTH + 2),
+        ):
+            with pytest.raises(ExprSyntaxError, match=f"nest more than {MAX_DEPTH} deep") as ei:
+                parse_scalar(text, xyz)
+            assert ei.value.position == position
+
     def test_decimal_literals_exact(self, xyz):
         assert parse_scalar("0.5", xyz) == parse_scalar("1/2", xyz)
 
@@ -232,10 +254,6 @@ class TestDerive:
             u, v = rng.choice(xyz.coords), rng.choice(xyz.coords)
             assert (e.derive(u).derive(v) - e.derive(v).derive(u)).is_structural_zero
 
-    def test_chart_validated_when_given(self, xyz):
-        with pytest.raises(ChartError):
-            derive(symbol("x"), "w", xyz)
-
     def test_derivative_memoized_per_instance(self, xyz):
         rng = random.Random(13)
         for _ in range(20):
@@ -253,8 +271,9 @@ class TestSimplify:
         rng = random.Random(21)
         for _ in range(50):
             e = random_expr(rng, xyz)
-            s1 = simplify(e)
-            assert simplify(s1) == s1
+            # the constructor re-normalizes; on a canonical form it is the identity
+            s1 = ScalarExpr(e.gens, dict(e.num), dict(e.den))
+            assert ScalarExpr(s1.gens, dict(s1.num), dict(s1.den)) == s1
             assert s1 == e
 
     def test_exp_product_cancellation(self, xyz):
@@ -446,13 +465,12 @@ class TestChart:
         lo, hi = ch.domain("theta")
         assert lo == 0.0 and hi == pytest.approx(2 * math.pi)
 
-    def test_with_coordinate_and_subchart(self):
+    def test_with_coordinate(self):
         ch = Chart(("x", "y"), params=("a",))
         ext = ch.with_coordinate("t", domain=(0.05, 1.0))
         assert ext.coords == ("x", "y", "t")
+        assert ext.params == ("a",)
         assert ext.domain("t") == (0.05, 1.0)
-        sub = ext.subchart(("x", "y"))
-        assert sub.coords == ("x", "y") and sub.params == ("a",)
 
 
 class TestEvaluate:

@@ -32,7 +32,6 @@ from corankone.invariants import (
     compute_mu,
     godbillon_vey,
     modular_field,
-    rescaled_modular_verdict,
     second_obstruction,
     unimodularity_check,
     verify_certificate,
@@ -41,6 +40,7 @@ from corankone.pipeline import analyze
 from corankone.poisson import PoissonStructure
 
 import bundled
+from oracles import rescaled_modular_verdict
 
 
 @pytest.fixture
