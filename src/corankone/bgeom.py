@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 from . import expr as ex
@@ -38,17 +39,14 @@ from .poisson import PoissonStructure, invert_twoform
 # ---------------------------------------------------------------------------
 # transversality of the top power
 
+_TWO_PI = 2.0 * math.pi
+
 
 @dataclass
 class CriticalPoint:
     coord: str
     value: float
-    residual: float
-    gradient_norm: float
-
-    @property
-    def linear(self) -> bool:
-        return self.gradient_norm > 1e-6
+    linear: bool
 
 
 @dataclass
@@ -76,6 +74,231 @@ def _single_linear_locus(h: ScalarExpr, chart: Chart) -> Optional[str]:
     return f"{name} = 0"
 
 
+# real roots of a univariate polynomial over Q
+#
+# A polynomial is a list of integers, constant term first, without zero
+# leading entries.  Roots are counted with Sturm sequences (G. E. Collins and
+# R. Loos, "Real zeros of polynomials", in Computer Algebra: Symbolic and
+# Algebraic Computation, 1982), each member divided by its positive integer
+# content, which keeps the signs the theorem reads.
+
+# the integers of a Sturm sequence grow to about degree * (degree + bits)
+# bits, for a polynomial of that degree with coefficients of that many bits;
+# above this product the exact path may take seconds, and h is scanned
+EXACT_MAX_SIZE = 8192
+# an isolating interval is narrowed to this width relative to its ends; its
+# midpoint then rounds to the float nearest the root, unless the root lies
+# about as close to the midpoint of two floats
+_REFINE = Fraction(1, 1 << 60)
+
+
+def _trim(p):
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _times(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _derivative(p):
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def _positive_rem(a, b):
+    """A positive multiple of the remainder of a by b, over its content."""
+    a = list(a)
+    lc, db = b[-1], len(b) - 1
+    scale, sign = abs(lc), 1 if lc > 0 else -1
+    while len(a) > db:
+        q, k = sign * a[-1], len(a) - 1 - db
+        a = [c * scale for c in a]
+        for i, c in enumerate(b):
+            a[i + k] -= q * c
+        _trim(a)
+    return _over_content(a) if a else a
+
+
+def _sturm(a, b):
+    """The remainder sequence a, b, -rem(a, b), ...; its last member is
+    gcd(a, b) up to a constant factor."""
+    seq = [a, b]
+    while len(seq[-1]) > 1:
+        r = _positive_rem(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append([-c for c in r])
+    return seq
+
+
+def _sign(p, x):
+    """The sign of p at the rational x."""
+    n, d = x.numerator, x.denominator
+    v, dk = 0, 1
+    for c in reversed(p):
+        v = v * n + c * dk
+        dk *= d
+    return (v > 0) - (v < 0)
+
+
+def _real_roots(p, lo=None, hi=None):
+    """The distinct real roots of p in [lo, hi] (on the whole line when lo
+    and hi are None), in increasing order, as pairs (value, multiple)."""
+    if len(p) < 2:
+        return []
+    seq = _sturm(p, _derivative(p))
+    gcd = seq[-1]
+    multiple = [1]
+    if len(gcd) > 1:
+        # p over gcd(p, p') has the same roots, each simple; the roots of
+        # gcd(p, p') are the multiple ones, and its own gcd with the
+        # square-free part has them simple too
+        p = _exact_quotient(p, gcd)
+        seq = _sturm(p, _derivative(p))
+        multiple = _sturm(p, gcd)[-1]
+    if lo is None:
+        bound = 1 + Fraction(max(abs(c) for c in p), abs(p[-1]))
+        lo, hi = -bound, bound
+    seen = {}
+
+    def variations(x):
+        if x not in seen:
+            signs = [s for s in (_sign(q, x) for q in seq) if s]
+            seen[x] = sum(u != v for u, v in zip(signs, signs[1:]))
+        return seen[x]
+
+    roots = [(lo, lo)] if _sign(p, lo) == 0 else []
+    todo = [(lo, hi)]
+    while todo:
+        # the roots in (a, b]
+        a, b = todo.pop()
+        n = variations(a) - variations(b)
+        if n == 0:
+            continue
+        if n == 1 and _sign(p, b) == 0:
+            roots.append((b, b))
+        elif n == 1 and _sign(p, a) != 0:
+            roots.append((a, b))
+        else:
+            mid = (a + b) / 2
+            todo += [(a, mid), (mid, b)]
+    out = []
+    for a, b in sorted(roots):
+        sa = _sign(p, a)
+        while sa and b - a > _REFINE * max(1, abs(a), abs(b)):
+            mid = (a + b) / 2
+            sm = _sign(p, mid)
+            if sm == sa:
+                a = mid
+            elif sm:
+                b = mid
+            else:
+                a = b = mid
+                sa = 0
+        if a == b:
+            many = _sign(multiple, a) == 0
+        else:
+            many = _sign(multiple, a) != _sign(multiple, b)
+        out.append(((a + b) / 2, many))
+    return out
+
+
+def _too_large(p):
+    n = len(p) - 1
+    return n * (n + max(abs(c).bit_length() for c in p)) > EXACT_MAX_SIZE
+
+
+def _over_content(p):
+    """The positive multiple of p (rational coefficients) with integer
+    coefficients that share no factor."""
+    scale = math.lcm(*(c.denominator for c in p))
+    p = [int(c * scale) for c in p]
+    g = math.gcd(*p)
+    return [c // g for c in p]
+
+
+def _exact_quotient(a, b):
+    """a / b for b dividing a, over its content."""
+    a = [Fraction(c) for c in a]
+    q = [Fraction(0)] * (len(a) - len(b) + 1)
+    for k in reversed(range(len(q))):
+        q[k] = a[k + len(b) - 1] / b[-1]
+        for i, c in enumerate(b):
+            a[i + k] -= q[k] * c
+    return _over_content(q)
+
+
+def _exact_points(h: ScalarExpr, var: str, chart: Chart):
+    """The critical points of h along var, decided exactly, or None when h
+    is of no kind decided exactly.
+
+    Decided are a polynomial in var alone, on the sampling interval of
+    var (on [0, 2 pi] when var is periodic), and a polynomial in sin(var)
+    and cos(var) of a periodic var, on the whole circle.  A point is linear
+    when it is a simple root.
+    """
+    terms, den = h.parts()
+    if h.gens == (var,):
+        p = [Fraction(0)] * (terms[0][0][0] + 1)
+        for (e,), c in terms:
+            p[e] = c
+        p = _over_content(p)
+        if _too_large(p):
+            return None
+        lo, hi = (0.0, _TWO_PI) if var in chart.periodic else chart.domain(var)
+        return [
+            CriticalPoint(var, float(r), not many)
+            for r, many in _real_roots(p, Fraction(lo), Fraction(hi))
+        ]
+    arg = ex.symbol(var)
+    if (
+        var not in chart.periodic
+        or den != ex.ONE
+        or any(not isinstance(g, ex.FuncGen) or g.fn not in ("sin", "cos") or g.arg != arg
+               for g in h.gens)
+    ):
+        return None
+    # t = tan(var / 2): sin = 2t / (1 + t^2), cos = (1 - t^2) / (1 + t^2),
+    # so h = P(t) / (1 + t^2)^d with d the total degree of h, at every var
+    # but pi; the circle without pi maps onto the line, and a root keeps its
+    # multiplicity
+    fns = [g.fn for g in h.gens]
+    d = max(sum(exps) for exps, _ in terms)
+    if (2 * d) ** 2 > EXACT_MAX_SIZE:  # P would be too large
+        return None
+    P = [0] * (2 * d + 1)
+    for exps, c in terms:
+        k = dict(zip(fns, exps))
+        term = [c]
+        for factor, n in (([0, 2], k.get("sin", 0)), ([1, 0, -1], k.get("cos", 0)),
+                          ([1, 0, 1], d - sum(exps))):
+            for _ in range(n):
+                term = _times(term, factor)
+        for i, x in enumerate(term):
+            P[i] += x
+    if not _trim(P):
+        return None
+    P = _over_content(P)
+    if _too_large(P):
+        return None
+    # near pi, u = 1/t is a coordinate with h = u^(2d) P(1/u) / (1 + u^2)^d:
+    # at pi (sin = 0, cos = -1) h vanishes to the order by which the degree
+    # of P falls short of 2d
+    at_pi = 2 * d + 1 - len(P)
+    points = []
+    for t, many in _real_roots(P):
+        theta = 2.0 * math.atan(t)
+        points.append(CriticalPoint(var, theta + _TWO_PI if theta < 0.0 else theta, not many))
+    if at_pi:
+        points.append(CriticalPoint(var, math.pi, at_pi == 1))
+    return sorted(points, key=lambda p: p.value)
+
+
 _GRID = 720  # scan intervals per coordinate domain
 
 
@@ -83,7 +306,7 @@ def _scan_roots(h: ScalarExpr, var: str, chart: Chart, env_base: dict):
     lo, hi = chart.domain(var)
     periodic = var in chart.periodic
     if periodic:
-        lo, hi = 0.0, 2.0 * math.pi
+        lo, hi = 0.0, _TWO_PI
     xs = [lo + (hi - lo) * k / _GRID for k in range(_GRID + 1)]
 
     def f(x):
@@ -121,35 +344,91 @@ def _scan_roots(h: ScalarExpr, var: str, chart: Chart, env_base: dict):
     roots.sort()
     out = []
     for r in roots:
-        if periodic and abs(r - 2.0 * math.pi) < 1e-6:
+        if periodic and abs(r - _TWO_PI) < 1e-6:
             r = 0.0
         if not any(abs(r - s) < 1e-6 for s in out):
             out.append(r)
     return sorted(out)
 
 
+def _scan_report(h: ScalarExpr, var: str, P: PoissonStructure) -> BTransversalityReport:
+    """The scan's report: the critical points it locates at a random sample
+    of the other symbols, linear where the gradient there stays away from
+    zero; at best a probable verdict."""
+    rng_tester = P.tester.clone(seed=P.tester.seed + 7)
+    env_base = rng_tester.sample()
+    roots = _scan_roots(h, var, P.chart, env_base)
+    if not roots:
+        return BTransversalityReport(
+            Verdict.unknown("no zero-set points located by the scan"),
+            h,
+            locus="no roots found on the sampling domain",
+        )
+    dh = h.derive(var)
+    points, norms, residuals = [], [], []
+    for r in roots:
+        env = dict(env_base)
+        env[var] = r
+        residuals.append(abs(h.evaluate(env)))
+        try:
+            norms.append(abs(dh.evaluate(env)))
+        except ex.EvaluationSingularity:
+            norms.append(0.0)
+        points.append(CriticalPoint(var, r, norms[-1] > 1e-6))
+    for p, residual in zip(points, residuals):
+        if residual > 1e-6:
+            return BTransversalityReport(
+                Verdict.unknown(f"located root {p.value} has residual {residual}"),
+                h,
+                locus="unverified roots",
+                points=points,
+            )
+    holds = Verdict.probably_zero("all critical points located by the scan are linear")
+    return _linearity_report(h, P.chart, points, norms, holds)
+
+
+def _linearity_report(h, chart, points, norms, holds) -> BTransversalityReport:
+    """The report on located points: the verdict holds unless a point is
+    not linear, and then the first such point, with its gradient norm, is
+    the witness."""
+    locus = _single_linear_locus(h, chart) or ", ".join(
+        f"{p.coord} = {p.value:.6f}" for p in points
+    )
+    for p, norm in zip(points, norms):
+        if not p.linear:
+            holds = Verdict.nonzero(
+                {p.coord: p.value},
+                norm,
+                note="gradient vanishes on the zero set (no linear vanishing)",
+            )
+            break
+    return BTransversalityReport(holds, h, locus=locus, points=points)
+
+
 def b_transversality_check(P: PoissonStructure) -> BTransversalityReport:
     """Whether the top power of the bivector vanishes linearly.
 
-    Computes the single top-degree coefficient h of the power, locates the
-    zero set (exactly for a linear coordinate factor, numerically along
-    the depending coordinate otherwise), and checks that the gradient of h
-    stays away from zero at every located critical point.
+    Computes the single top-degree coefficient h of the power and, when h
+    depends on one coordinate, its zero set along that coordinate.  That
+    set is found exactly when h is a polynomial in the coordinate or in its
+    sine and cosine (see ``_exact_points``), and linear vanishing is then
+    decided: it holds where every root is simple.  Any other h is scanned
+    along the sampling interval at a random sample of the other symbols,
+    and the gradient is checked at every located point, so that a verdict
+    that holds does so only probably.
     """
     chart = P.chart
     if chart.dim % 2:
         raise DegreeError("transversality of the top power needs an even chart")
     top = power(P.bivector, chart.dim // 2)
     h = top.coeffs.get(tuple(range(chart.dim)), ex.ZERO)
-    tester = P.tester
-    hv = tester.is_zero(h)
+    hv = P.tester.is_zero(h)
     if hv.holds:
         return BTransversalityReport(
             Verdict.nonzero({}, 0.0, note="top power vanishes identically"),
             h,
             locus="everywhere degenerate",
         )
-    grads = {name: h.derive(name) for name in chart.coords}
     depends = [name for name in chart.coords if name in h.free_symbols()]
     if not depends:
         return BTransversalityReport(
@@ -166,57 +445,17 @@ def b_transversality_check(P: PoissonStructure) -> BTransversalityReport:
             locus="undetermined",
         )
     var = depends[0]
-    rng_tester = tester.clone(seed=tester.seed + 7)
-    env_base = rng_tester.sample()
-    roots = _scan_roots(h, var, chart, env_base)
-    if not roots:
+    points = _exact_points(h, var, chart)
+    if points is None:
+        return _scan_report(h, var, P)
+    if not points:
         return BTransversalityReport(
-            Verdict.unknown("no zero-set points located by the scan"),
+            Verdict.zero("top power has no zero on the sampling domain; empty critical set"),
             h,
-            locus="no roots found on the sampling domain",
+            locus="empty",
         )
-    points = []
-    for r in roots:
-        env = dict(env_base)
-        env[var] = r
-        residual = abs(h.evaluate(env))
-        gn = 0.0
-        for name in chart.coords:
-            try:
-                gn += grads[name].evaluate(env) ** 2
-            except ex.EvaluationSingularity:
-                pass
-        points.append(CriticalPoint(var, r, residual, math.sqrt(gn)))
-    bad = [p for p in points if p.residual > 1e-6]
-    if bad:
-        return BTransversalityReport(
-            Verdict.unknown(f"located root {bad[0].value} has residual {bad[0].residual}"),
-            h,
-            locus="unverified roots",
-            points=points,
-        )
-    flat_pts = [p for p in points if not p.linear]
-    locus = _single_linear_locus(h, chart) or ", ".join(
-        f"{p.coord} = {p.value:.6f}" for p in points
-    )
-    if flat_pts:
-        w = {flat_pts[0].coord: flat_pts[0].value}
-        return BTransversalityReport(
-            Verdict.nonzero(
-                w,
-                flat_pts[0].gradient_norm,
-                note="gradient vanishes on the zero set (no linear vanishing)",
-            ),
-            h,
-            locus=locus,
-            points=points,
-        )
-    return BTransversalityReport(
-        Verdict.zero("all located critical points are linear"),
-        h,
-        locus=locus,
-        points=points,
-    )
+    holds = Verdict.zero("all located critical points are linear")
+    return _linearity_report(h, chart, points, [0.0] * len(points), holds)
 
 
 # ---------------------------------------------------------------------------

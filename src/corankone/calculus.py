@@ -434,10 +434,16 @@ def lie_derivative(v: MultiVector, target):
 
 
 def is_zero_graded(obj: _Graded, tester: ZeroTester) -> Verdict:
-    """Combined verdict over all coefficients (worst case wins)."""
+    """Combined verdict over all coefficients (worst case wins): the first
+    nonzero one, as soon as it is found, since no verdict is worse."""
     if obj.is_structural_zero:
         return Verdict.zero()
-    verdicts = [tester.is_zero(c) for c in obj.coeffs.values()]
+    verdicts = []
+    for c in obj.coeffs.values():
+        v = tester.is_zero(c)
+        if v.failed:
+            return v
+        verdicts.append(v)
     return Verdict.combine(*verdicts)
 
 
@@ -455,13 +461,16 @@ def exterior_divide(
     v: MultiVector,
     tester: ZeroTester | None = None,
     checks: dict | None = None,
+    obstruction: Verdict | None = None,
 ) -> DiffForm:
     """Solve eta = xi ^ alpha for xi, given eta ^ alpha = 0 and alpha(v) = 1.
 
     The returned representative is xi = (-1)^(k+1) interior(v, eta); the
     identity eta == xi ^ alpha is re-verified before returning.  When
     checks is a dict, the verdict of each of the three checks is stored
-    in it under the identity it tests.
+    in it under the identity it tests.  A caller that has already tested
+    eta ^ alpha = 0 passes that verdict as obstruction, and the product is
+    neither built nor tested again.
     """
     if alpha.degree != 1:
         raise DegreeError("alpha must be a 1-form")
@@ -475,8 +484,9 @@ def exterior_divide(
     pv = tester.is_zero(pairing)
     if not pv.holds:
         raise BadTransversalError(f"alpha(v) != 1 (verdict {pv.kind.value})")
-    obstruction = wedge(eta, alpha)
-    ov = is_zero_graded(obstruction, tester)
+    ov = obstruction
+    if ov is None:
+        ov = is_zero_graded(wedge(eta, alpha), tester)
     if ov.failed:
         raise DivisionObstructedError(
             "eta ^ alpha does not vanish", witness=ov.witness

@@ -1153,9 +1153,9 @@ class _Parser:
     """Recursive descent over the tokens of one expression.
 
     The text is split into tokens once, up to the first character that
-    starts no token; that character is reported when the parser reaches
-    it, at the position where the last token before it ends.  Token
-    positions are found only for an error message.
+    starts no token; that character is reported, at its own position, when
+    the parser reaches it.  Token positions are found only for an error
+    message.
 
     A polynomial subterm is kept as a pair ``(p, d)``: ``p`` a packed
     integer polynomial over the chart symbols that occur in the text (sorted
@@ -1171,9 +1171,10 @@ class _Parser:
 
     def __init__(self, text: str, chart: "Chart"):
         self.text = text
-        end = _TOKENS_RE.match(text).end()
-        # trailing whitespace ends the text as its end does
-        self.end = len(text) if text[end:].isspace() else end
+        rest = text[_TOKENS_RE.match(text).end():]
+        # the whitespace before the first character that starts no token is
+        # skipped, and trailing whitespace ends the text as its end does
+        self.end = len(text) - len(rest.lstrip())
         # the last token, "", is the end of the text or the character there
         self.toks = _TOKEN_RE.findall(text, 0, self.end) + [""]
         self.starts = None

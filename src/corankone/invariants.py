@@ -72,7 +72,7 @@ def compute_beta(
             "d(alpha) ^ alpha does not vanish; alpha defines no foliation",
             witness=integrability.witness,
         )
-    beta = exterior_divide(dalpha, alpha, v, tester, checks=checks)
+    beta = exterior_divide(dalpha, alpha, v, tester, checks=checks, obstruction=integrability)
     ideal = is_zero_graded(wedge(ext_deriv(beta), alpha), tester)
     if not ideal.holds:
         raise InternalCheckError("d(beta) ^ alpha should vanish but does not")

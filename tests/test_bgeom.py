@@ -1,8 +1,9 @@
 import math
+import time
 
 import pytest
 
-from corankone import Chart, ZeroTester, parse_scalar, rational
+from corankone import Chart, ScalarExpr, VerdictKind, ZeroTester, parse_scalar, rational
 from corankone.calculus import MultiVector, basis_vector, ext_deriv, parse_graded, power
 from corankone.errors import ChartError, InvariantsNotVanishingError
 from corankone.bgeom import b_transversality_check, extend_to_b
@@ -47,6 +48,125 @@ class TestBTransversality:
         rep = b_transversality_check(P)
         assert rep.verdict.failed
         assert rep.locus == "everywhere degenerate"
+
+
+def _planar(h, seed=3, domains=None):
+    """The structure h @x^@y on the plane, whose top coefficient is h (a
+    text, or a dict from powers of x to coefficients)."""
+    xy = Chart(("x", "y"), domains=domains)
+    if isinstance(h, dict):
+        h = ScalarExpr(("x",), {(k,): c for k, c in h.items()}, {(0,): 1})
+    else:
+        h = parse_scalar(h, xy)
+    return PoissonStructure(xy, MultiVector(xy, 2, {("x", "y"): h}),
+                            corank_n=1, tester=ZeroTester(xy, seed=seed))
+
+
+def _circle(h, seed=3, params=()):
+    """The structure h @theta^@z + @x^@y, whose top coefficient is 2h."""
+    ch = Chart(("theta", "x", "y", "z"), periodic=("theta",), params=params)
+    Pi = parse_graded(f"({h}) @theta^@z + @x^@y", ch, "multivector")
+    return PoissonStructure(ch, Pi, corank_n=2, tester=ZeroTester(ch, seed=seed))
+
+
+class TestExactTransversality:
+    """Top coefficients decided by root isolation over Q, and the scan
+    kept for the others."""
+
+    def test_double_root_off_the_grid_fails(self):
+        # the 720-point scan straddles no sign change here and finds nothing
+        rep = b_transversality_check(_planar("(x - 3001/10000)^2"))
+        assert rep.verdict.failed
+        assert rep.verdict.witness == {"x": 0.3001}
+        assert rep.verdict.value == 0.0
+        assert [(p.value, p.linear) for p in rep.points] == [(0.3001, False)]
+
+    def test_simple_roots_hold_exactly(self):
+        rep = b_transversality_check(_planar("x^3 - x/4"))
+        assert rep.verdict.symbolic
+        assert rep.locus == "x = -0.500000, x = 0.000000, x = 0.500000"
+        assert all(p.linear for p in rep.points)
+
+    @pytest.mark.parametrize("h", ["x^2 + 1", "x - 2", "1/(x - 1/2)"])
+    def test_no_root_on_the_domain(self, h):
+        rep = b_transversality_check(_planar(h))
+        assert rep.verdict.symbolic
+        assert rep.verdict.note == "top power has no zero on the sampling domain; empty critical set"
+        assert rep.locus == "empty" and rep.points == []
+
+    def test_sampling_interval_bounds_the_roots(self):
+        rep = b_transversality_check(_planar("x - 2", domains={"x": (0.0, 3.0)}))
+        assert rep.verdict.symbolic
+        assert [p.value for p in rep.points] == [2.0]
+
+    @pytest.mark.parametrize(
+        "h, roots, linear",
+        [
+            ("sin(theta)*cos(theta)", [0.0, math.pi / 2, math.pi, 3 * math.pi / 2], True),
+            ("sin(theta) - 1/2", [math.pi / 6, 5 * math.pi / 6], True),
+            ("1 - cos(theta)", [0.0], False),
+            ("1 + cos(theta)", [math.pi], False),
+            ("sin(theta)^2", [0.0, math.pi], False),
+        ],
+    )
+    def test_trigonometric(self, h, roots, linear):
+        rep = b_transversality_check(_circle(h))
+        assert [p.value for p in rep.points] == pytest.approx(roots, abs=1e-12)
+        assert all(p.linear == linear for p in rep.points)
+        if linear:
+            assert rep.verdict.symbolic
+        else:
+            assert rep.verdict.failed
+            assert rep.verdict.witness == {"theta": rep.points[0].value}
+
+    def test_trigonometric_without_zero(self):
+        rep = b_transversality_check(_circle("2 + sin(theta)"))
+        assert rep.verdict.symbolic and rep.locus == "empty"
+
+    @pytest.mark.parametrize(
+        "structure",
+        [
+            lambda: _planar("exp(x) - 1"),
+            lambda: _circle("sin(theta) + a*cos(theta)", params=("a",)),
+            lambda: _circle("sin(2*theta)"),
+        ],
+    )
+    def test_other_coefficients_are_scanned(self, structure, monkeypatch):
+        from corankone import bgeom
+
+        scanned = []
+        real = bgeom._scan_roots
+
+        def spy(*args):
+            scanned.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(bgeom, "_scan_roots", spy)
+        rep = b_transversality_check(structure())
+        assert scanned
+        assert rep.verdict.kind is VerdictKind.PROBABLY_ZERO
+        assert rep.verdict.note == "all critical points located by the scan are linear"
+
+    def test_dense_degree_sixty_is_decided_quickly(self):
+        import random
+
+        rng = random.Random(60)
+        h = {k: rng.randint(-99, 99) for k in range(60)}
+        h[60] = 1
+        start = time.perf_counter()
+        rep = b_transversality_check(_planar(h))
+        assert time.perf_counter() - start < 2.0
+        assert rep.verdict.symbolic and rep.points
+
+    def test_oversized_coefficient_is_scanned(self, monkeypatch):
+        from corankone import bgeom
+
+        scanned = []
+        monkeypatch.setattr(bgeom, "_scan_roots", lambda *args: scanned.append(1) or [])
+        # degree 91 with coefficients of 2 bits
+        assert 91 * (91 + 2) > bgeom.EXACT_MAX_SIZE
+        rep = b_transversality_check(_planar({91: 2, 0: -1}))
+        assert scanned and not rep.verdict.symbolic
 
 
 class TestExtension:

@@ -375,6 +375,28 @@ class TestExteriorDivide:
             assert (eta - wedge(got, alpha)).is_structural_zero
 
 
+class TestIsZeroGraded:
+    def test_stops_at_the_first_nonzero_coefficient(self, xyz):
+        tester = ZeroTester(xyz, seed=8)
+        tested = []
+        real = tester.is_zero
+
+        def spy(e):
+            tested.append(e)
+            return real(e)
+
+        tester.is_zero = spy
+        form = DiffForm(xyz, 1, {("x",): "x", ("y",): "y", ("z",): "z"})
+        v = is_zero_graded(form, tester)
+        assert v.failed and len(tested) == 1
+        assert v.witness == real(tested[0]).witness
+
+    def test_worst_verdict_of_the_rest(self, xyz):
+        form = DiffForm(xyz, 1, {("x",): "exp(x)*exp(y) - exp(x + y)", ("y",): "0", ("z",): "1"})
+        v = is_zero_graded(form, ZeroTester(xyz, seed=9))
+        assert v.failed and v.witness is not None
+
+
 class TestLeafwiseEqual:
     def test_reflexive(self, xyz):
         eta = DiffForm(xyz, 2, {("x", "y"): "x"})

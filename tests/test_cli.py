@@ -313,6 +313,17 @@ class TestDeterminism:
         assert r1.encode() == r2.encode()
         assert hashlib.sha256(r1.encode()).hexdigest() == REPORT_SHA256[name]
 
+    @pytest.mark.parametrize("name", ["affine.prob", "product_sin.prob"])
+    def test_transversality_decided_without_scan(self, name, monkeypatch):
+        from corankone import bgeom
+
+        def no_scan(*args):
+            raise AssertionError("the grid scan ran")
+
+        monkeypatch.setattr(bgeom, "_scan_roots", no_scan)
+        report = render_report(analyze(loads_problem(corpus_text(name), path=name)))
+        assert hashlib.sha256(report.encode()).hexdigest() == REPORT_SHA256[name]
+
     def test_different_seed_allowed_to_differ(self):
         text = corpus_text("t3_example.prob")
         r1 = analyze(loads_problem(text), seed=1)

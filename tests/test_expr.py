@@ -82,6 +82,13 @@ class TestParsing:
             parse_scalar("x + * y", xyz)
         assert ei.value.position == 4
 
+    @pytest.mark.parametrize("text, position", [("x $", 2), ("x + $", 4), ("x +\t $ y", 5)])
+    def test_bad_character_named_after_whitespace(self, xyz, text, position):
+        with pytest.raises(ExprSyntaxError) as ei:
+            parse_scalar(text, xyz)
+        assert ei.value.position == position
+        assert "unexpected character '$'" in str(ei.value)
+
     def test_unknown_identifier_named(self, xyz):
         with pytest.raises(UnknownIdentifierError) as ei:
             parse_scalar("x + qq", xyz)

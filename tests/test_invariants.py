@@ -89,6 +89,30 @@ class TestComputeBeta:
             assert (ext_deriv(alpha) - wedge(beta, alpha)).is_structural_zero
 
 
+    def test_integrability_product_built_and_tested_once(self, xyz, tester, monkeypatch):
+        from corankone import calculus
+
+        alpha = DiffForm(xyz, 1, {("z",): "exp(x)"})
+        dalpha = ext_deriv(alpha)
+        products = []
+        real = calculus.wedge
+
+        def spy(a, b):
+            products.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(calculus, "wedge", spy)
+        monkeypatch.setattr(invariants, "wedge", spy)
+        checks = {}
+        compute_beta(alpha, MultiVector(xyz, 1, {("z",): "exp(-x)"}), tester, checks=checks)
+        assert sum(1 for a, b in products if a == dalpha and b == alpha) == 1
+        assert checks["eta ^ alpha = 0"] is checks["d(alpha) ^ alpha = 0"]
+        assert set(checks) == {
+            "alpha(v) = 1", "eta ^ alpha = 0", "eta = xi ^ alpha",
+            "d(alpha) ^ alpha = 0", "d(beta) ^ alpha = 0",
+        }
+
+
 class TestComputeMu:
     def test_closed_omega(self, xyz, tester):
         omega = wedge(basis_form(xyz, "x"), basis_form(xyz, "y"))
