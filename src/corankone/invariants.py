@@ -93,16 +93,12 @@ def compute_mu(
     Warns and proceeds formally when alpha is not closed (the second
     obstruction is only class-well-defined over a closed alpha).  When
     checks is a dict, it receives the verdicts of the division's checks;
-    the two warnings are diagnostics, not checks of mu.
+    the warning is a diagnostic, not a check of mu.  Over a closed alpha,
+    d(mu) ^ alpha = mu ^ d(alpha) = 0 follows from d(d omega) = 0.
     """
     if not is_zero_graded(ext_deriv(alpha), tester).holds:
         warn("alpha is not closed; computing a formal mu representative")
-    domega = ext_deriv(omega)
-    mu = exterior_divide(domega, alpha, v, tester, checks=checks)
-    ideal = is_zero_graded(wedge(ext_deriv(mu), alpha), tester)
-    if not ideal.holds:
-        warn("d(mu) ^ alpha does not vanish (expected only for closed alpha)")
-    return mu
+    return exterior_divide(ext_deriv(omega), alpha, v, tester, checks=checks)
 
 
 def godbillon_vey(beta: DiffForm) -> DiffForm:
@@ -488,9 +484,10 @@ def modular_field(
 ) -> MultiVector:
     """The derivation f -> (L_{u_f} volume) / volume as a vector field.
 
-    Postconditions verified on return: the field preserves both the
-    volume and the bivector.  When checks is a dict, it receives the
-    verdicts of both.
+    For the volume theta dx_0^...^dx_k its components are
+    v^i = (1/theta) sum_j d_j(theta Pi^{ij}).  Postconditions verified on
+    return: the field preserves both the volume and the bivector.  When
+    checks is a dict, it receives the verdicts of both.
     """
     chart = P.chart
     if volume is None:
@@ -504,12 +501,15 @@ def modular_field(
         raise DegenerateVolumeError(
             f"volume coefficient is not definitely nonzero ({tv.kind.value})"
         )
-    comps = {}
-    for i, name in enumerate(chart.coords):
-        u = P.hamiltonian_vf(ex.symbol(name))
-        lu = lie_derivative(u, volume)
-        comps[(i,)] = lu.coeffs.get(top, ex.ZERO) / theta
-    vmod = MultiVector(chart, 1, comps)
+    # u_{x_i} = Pi^{ij} @j, and L_u(theta dx) = sum_j d_j(theta u^j) dx;
+    # each stored Pi^{ij} (i < j) enters row i, and -Pi^{ij} enters row j
+    coords = chart.coords
+    sums = [ex.ZERO] * chart.dim
+    for (i, j), c in P.bivector.coeffs.items():
+        weighted = theta * c
+        sums[i] = sums[i] + weighted.derive(coords[j])
+        sums[j] = sums[j] - weighted.derive(coords[i])
+    vmod = MultiVector(chart, 1, {(i,): s / theta for i, s in enumerate(sums)})
     vol_check = is_zero_graded(lie_derivative(vmod, volume), P.tester)
     pi_check = is_zero_graded(schouten(vmod, P.bivector), P.tester)
     if vol_check.failed or pi_check.failed:

@@ -1,7 +1,7 @@
 """Independent routes to verdicts that the package decides another way."""
 
-from corankone import exp
-from corankone.calculus import is_zero_graded
+from corankone import exp, rational, symbol
+from corankone.calculus import MultiVector, is_zero_graded, lie_derivative
 from corankone.invariants import modular_field
 
 
@@ -12,3 +12,17 @@ def rescaled_modular_verdict(P, certificate):
     assert certificate.kind == "first" and certificate.f is not None
     volume = exp(-certificate.f) * P.volume()
     return is_zero_graded(modular_field(P, volume), P.tester)
+
+
+def cartan_modular_field(P, volume):
+    """The modular field of a top-degree volume by Cartan's formula: its
+    component along x_i is (L_{u_i} volume) / volume, with u_i the
+    Hamiltonian field of x_i; modular_field takes the closed form
+    v^i = (1/theta) sum_j d_j(theta Pi^{ij}) instead."""
+    top = tuple(range(P.chart.dim))
+    theta = volume.coeffs[top]
+    comps = {}
+    for i, name in enumerate(P.chart.coords):
+        lu = lie_derivative(P.hamiltonian_vf(symbol(name)), volume)
+        comps[(i,)] = lu.coeffs.get(top, rational(0)) / theta
+    return MultiVector(P.chart, 1, comps)

@@ -186,9 +186,9 @@ def test_criterion_04_t3_example():
         ext = extend_to_b(P)
         assert ext_deriv(ext.omega_ext).is_structural_zero
         top = power(ext.pi_ext, P.corank_n + 1)
-        h = top.coeffs[tuple(range(ext.chart_smooth.dim))]
+        h = top.coeffs[tuple(range(ext.chart.dim))]
         assert h.subs({"t": rational(0)}).is_structural_zero
-        sampler = ZeroTester(ext.chart_smooth, seed=SEED + 4)
+        sampler = ZeroTester(ext.chart, seed=SEED + 4)
         for _ in range(10):
             env = sampler.sample()
             assert abs(ext.quotient.evaluate(env)) > 1e-9

@@ -5,7 +5,7 @@ import pytest
 
 from corankone import Chart, ScalarExpr, VerdictKind, ZeroTester, parse_scalar, rational
 from corankone.calculus import MultiVector, basis_vector, ext_deriv, parse_graded, power
-from corankone.errors import ChartError, InvariantsNotVanishingError
+from corankone.errors import ChartError, InvariantsNotVanishingError, NotTransversalError
 from corankone.bgeom import b_transversality_check, extend_to_b
 from corankone.poisson import PoissonStructure, invert_bivector
 
@@ -50,10 +50,10 @@ class TestBTransversality:
         assert rep.locus == "everywhere degenerate"
 
 
-def _planar(h, seed=3, domains=None):
+def _planar(h, seed=3, domains=None, params=()):
     """The structure h @x^@y on the plane, whose top coefficient is h (a
     text, or a dict from powers of x to coefficients)."""
-    xy = Chart(("x", "y"), domains=domains)
+    xy = Chart(("x", "y"), params=params, domains=domains)
     if isinstance(h, dict):
         h = ScalarExpr(("x",), {(k,): c for k, c in h.items()}, {(0,): 1})
     else:
@@ -147,6 +147,24 @@ class TestExactTransversality:
         assert rep.verdict.kind is VerdictKind.PROBABLY_ZERO
         assert rep.verdict.note == "all critical points located by the scan are linear"
 
+    @pytest.mark.parametrize(
+        "h, kind, witness, locus",
+        [
+            ("a - 1", VerdictKind.NONZERO, {"a": 1.0}, "everywhere degenerate at a = 1.000000"),
+            ("a + 1", VerdictKind.ZERO, None, "empty"),
+            ("(a - 1)*(b - 1)", VerdictKind.UNKNOWN, None, "undetermined"),
+            ("3", VerdictKind.ZERO, None, "empty"),
+        ],
+    )
+    def test_coefficient_of_parameters_only(self, h, kind, witness, locus):
+        # a root of the parameter makes the top power vanish everywhere
+        domains = {"a": (0.25, 1.75), "b": (0.25, 1.75)}
+        rep = b_transversality_check(_planar(h, domains=domains, params=("a", "b")))
+        assert (rep.verdict.kind, rep.verdict.witness, rep.locus) == (kind, witness, locus)
+        assert rep.points == []
+        constant = rep.verdict.note == "top power is a nonzero constant; empty critical set"
+        assert constant == (h == "3")
+
     def test_dense_degree_sixty_is_decided_quickly(self):
         import random
 
@@ -169,55 +187,69 @@ class TestExactTransversality:
         assert scanned and not rep.verdict.symbolic
 
 
+# the bundled files whose adapted pair is closed
+CLOSED_PAIRS = ("flat", "sheared", "t3_example", "twisted_omega")
+
+
 class TestExtension:
     def test_flat_case_matches_expected_dual(self):
         e = bundled.entry("flat", seed=5)
         ext = extend_to_b(e.structure)
-        ch = ext.chart_smooth
-        assert ext.pi_ext == parse_graded("@x^@y - t @z^@t", ch, "multivector")
-        assert ext.omega_ext == parse_graded(
-            "dx^dy - 1/t dz^dt", ext.chart_forms, "form"
-        )
+        assert ext.chart.coords == ("x", "y", "z", "t")
+        assert ext.chart.domain("t") == (-1.0, 1.0)
+        assert ext.pi_ext == parse_graded("@x^@y - t @z^@t", ext.chart, "multivector")
+        assert ext.omega_ext == parse_graded("dx^dy - 1/t dz^dt", ext.chart, "form")
 
     def test_extension_form_is_closed(self):
-        for name in ("flat", "sheared", "t3_example"):
+        for name in CLOSED_PAIRS:
             ext = extend_to_b(bundled.entry(name, seed=7).structure)
             assert ext_deriv(ext.omega_ext).is_structural_zero, name
 
     def test_restriction_to_zero_recovers_base(self):
-        for name in ("flat", "sheared", "t3_example"):
+        for name in CLOSED_PAIRS:
             e = bundled.entry(name, seed=11)
             ext = extend_to_b(e.structure)
-            restricted = ext.restriction()
-            lifted = MultiVector(ext.chart_smooth, 2, dict(e.structure.bivector.coeffs))
-            assert (restricted - lifted).is_structural_zero, name
+            at_zero = {idx: c.subs({"t": rational(0)}) for idx, c in ext.pi_ext.coeffs.items()}
+            lifted = MultiVector(ext.chart, 2, dict(e.structure.bivector.coeffs))
+            assert MultiVector(ext.chart, 2, at_zero) == lifted, name
 
     def test_top_power_linear_in_t(self):
-        for name in ("flat", "sheared", "t3_example"):
+        for name in CLOSED_PAIRS:
             e = bundled.entry(name, seed=13)
             ext = extend_to_b(e.structure)
             n = e.structure.corank_n
             top = power(ext.pi_ext, n + 1)
-            h = top.coeffs[tuple(range(ext.chart_smooth.dim))]
+            h = top.coeffs[tuple(range(ext.chart.dim))]
             assert h.subs({"t": rational(0)}).is_structural_zero
+            assert h == ext.quotient * parse_scalar("t", ext.chart)
             q = ext.quotient
-            tester = ZeroTester(ext.chart_smooth, seed=17)
+            tester = ZeroTester(ext.chart, seed=17)
             for _ in range(10):
                 env = tester.sample()
                 assert abs(q.evaluate(env)) > 1e-9
 
     def test_round_trip_where_t_nonzero(self):
-        e = bundled.entry("t3_example", seed=19)
-        ext = extend_to_b(e.structure)
-        pi_forms = MultiVector(ext.chart_forms, 2, dict(ext.pi_ext.coeffs))
-        back = invert_bivector(pi_forms, ZeroTester(ext.chart_forms, seed=23))
-        assert (back - ext.omega_ext).is_structural_zero
+        # the closed form is the dual of the extended two-form
+        for name in CLOSED_PAIRS:
+            ext = extend_to_b(bundled.entry(name, seed=19).structure)
+            back = invert_bivector(ext.pi_ext, ZeroTester(ext.chart, seed=23))
+            assert back == ext.omega_ext, name
 
     def test_slice_at_one_recovers_base(self):
-        for name in ("flat", "sheared", "t3_example"):
+        for name in CLOSED_PAIRS:
             e = bundled.entry(name, seed=29)
             ext = extend_to_b(e.structure)
-            assert (ext.slice_at_one() - e.structure.bivector).is_structural_zero
+            t_index = ext.chart.index("t")
+            sliced = MultiVector(
+                e.structure.chart,
+                2,
+                {
+                    idx: c.subs({"t": rational(1)})
+                    for idx, c in ext.pi_ext.coeffs.items()
+                    if t_index not in idx
+                },
+            )
+            assert sliced == e.structure.bivector, name
 
     def test_open_alpha_rejected(self):
         e = bundled.entry("exp_wall", seed=31)
@@ -228,6 +260,16 @@ class TestExtension:
         e = bundled.entry("flat", seed=37)
         with pytest.raises(ChartError):
             extend_to_b(e.structure, t_name="x")
+
+    def test_declared_pair_without_transversal_rejected(self):
+        P = bundled.entry("flat", seed=38).structure
+        alpha, omega = P.adapted()
+        declared = PoissonStructure(
+            P.chart, P.bivector, alpha=alpha, omega=omega, tester=ZeroTester(P.chart, seed=39)
+        )
+        assert declared.adapted() == (alpha, omega)
+        with pytest.raises(NotTransversalError):
+            extend_to_b(declared)
 
 
 class TestProductFamily:
