@@ -49,7 +49,6 @@ from .calculus import (  # noqa: F401
     zero_multivector,
 )
 from .poisson import (  # noqa: F401
-    CorankReport,
     PoissonStructure,
     invert_bivector,
     invert_twoform,

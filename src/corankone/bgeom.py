@@ -10,7 +10,6 @@ dual bivector is Pi - t v ^ @t in closed form, smooth across t = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -39,19 +38,25 @@ from .poisson import PoissonStructure
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass
 class CriticalPoint:
-    coord: str
-    value: float
-    linear: bool
+    __slots__ = ("coord", "value", "linear")
+
+    def __init__(self, coord: str, value: float, linear: bool):
+        self.coord, self.value, self.linear = coord, value, linear
 
 
-@dataclass
 class BTransversalityReport:
-    verdict: Verdict
-    top_coefficient: ScalarExpr
-    locus: str
-    points: list = field(default_factory=list)
+    __slots__ = ("verdict", "top_coefficient", "locus", "points")
+
+    def __init__(
+        self,
+        verdict: Verdict,
+        top_coefficient: ScalarExpr,
+        locus: str,
+        points: Optional[list] = None,
+    ):
+        self.verdict, self.top_coefficient, self.locus = verdict, top_coefficient, locus
+        self.points = [] if points is None else points
 
     @property
     def holds(self) -> bool:
@@ -496,14 +501,20 @@ def b_transversality_check(P: PoissonStructure) -> BTransversalityReport:
 # the t-extension
 
 
-@dataclass
 class BExtension:
-    base: PoissonStructure
-    t: str
-    chart: Chart  # the base chart with t, sampled on (-1, 1)
-    omega_ext: DiffForm
-    pi_ext: MultiVector
-    quotient: ScalarExpr  # top power of pi_ext divided by t
+    __slots__ = ("base", "t", "chart", "omega_ext", "pi_ext", "quotient")
+
+    def __init__(
+        self,
+        base: PoissonStructure,
+        t: str,
+        chart: Chart,  # the base chart with t, sampled on (-1, 1)
+        omega_ext: DiffForm,
+        pi_ext: MultiVector,
+        quotient: ScalarExpr,  # top power of pi_ext divided by t
+    ):
+        self.base, self.t, self.chart = base, t, chart
+        self.omega_ext, self.pi_ext, self.quotient = omega_ext, pi_ext, quotient
 
 
 def extend_to_b(

@@ -7,7 +7,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from importlib import resources
 
 from .errors import ProblemFileError, ToolkitError, quote
 from .pipeline import analyze, exit_code, expect_mismatches, render_report
@@ -44,6 +43,8 @@ def _build_parser():
 
 def bundled_corpus():
     """Names and contents of the bundled problem files, sorted by name."""
+    from importlib import resources  # here, so that `check` does not pay for it
+
     root = resources.files("corankone") / "corpus"
     out = []
     for item in sorted(root.iterdir(), key=lambda p: p.name):

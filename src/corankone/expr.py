@@ -46,7 +46,6 @@ import operator
 import random
 import re
 import zlib
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -1442,15 +1441,13 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
 class Chart:
-    """Named coordinates with periodicity flags and sampling intervals."""
+    """Named coordinates with periodicity flags and sampling intervals.
 
-    coords: tuple
-    periodic: frozenset = frozenset()
-    params: tuple = ()
-    domains: tuple = ()
-    torus_strict: bool = False
+    Immutable, and equal and hashed by its five fields.
+    """
+
+    __slots__ = ("coords", "periodic", "params", "domains", "torus_strict")
 
     def __init__(self, coords, periodic=(), params=(), domains=None, torus_strict=False):
         coords = tuple(coords)
@@ -1486,6 +1483,23 @@ class Chart:
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "domains", tuple(sorted(table.items())))
         object.__setattr__(self, "torus_strict", torus_strict)
+
+    def _key(self) -> tuple:
+        return (self.coords, self.periodic, self.params, self.domains, self.torus_strict)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def dim(self) -> int:

@@ -19,7 +19,6 @@ probabilistic evidence without saying so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import expr as ex
@@ -110,22 +109,25 @@ def godbillon_vey(beta: DiffForm) -> DiffForm:
 # certificates
 
 
-@dataclass
 class ObstructionCertificate:
     """Explicit witness that an obstruction class vanishes."""
 
-    kind: str  # "first" | "second"
-    f: Optional[ScalarExpr] = None
-    nu: Optional[DiffForm] = None
-    origin: str = "supplied"
+    __slots__ = ("kind", "f", "nu", "origin")
 
-    def __post_init__(self):
-        if self.kind not in ("first", "second"):
-            raise ValueError(f"unknown certificate kind {self.kind!r}")
-        if self.kind == "first" and self.f is None:
+    def __init__(
+        self,
+        kind: str,  # "first" | "second"
+        f: Optional[ScalarExpr] = None,
+        nu: Optional[DiffForm] = None,
+        origin: str = "supplied",
+    ):
+        if kind not in ("first", "second"):
+            raise ValueError(f"unknown certificate kind {kind!r}")
+        if kind == "first" and f is None:
             raise ValueError("first-kind certificate needs the rescaling exponent f")
-        if self.kind == "second" and self.nu is None:
+        if kind == "second" and nu is None:
             raise ValueError("second-kind certificate needs the one-form nu")
+        self.kind, self.f, self.nu, self.origin = kind, f, nu, origin
 
 
 def verify_certificate(
@@ -147,7 +149,6 @@ def verify_certificate(
     return Verdict.combine(closed, same_leafwise)
 
 
-@dataclass
 class PeriodWitness:
     """A leafwise period certifying that the first obstruction is nonzero.
 
@@ -157,8 +158,11 @@ class PeriodWitness:
     under every change beta -> beta + df + g alpha.
     """
 
-    cycle: str
-    locus: dict = field(default_factory=dict)
+    __slots__ = ("cycle", "locus")
+
+    def __init__(self, cycle: str, locus: Optional[dict] = None):
+        self.cycle = cycle
+        self.locus = {} if locus is None else locus
 
     def verify(self, alpha: DiffForm, beta: DiffForm, tester: ZeroTester) -> Verdict:
         chart = alpha.chart
@@ -338,16 +342,25 @@ def _homotopy_two_form(mu0: DiffForm) -> Optional[DiffForm]:
 # the two obstruction classes
 
 
-@dataclass
 class ObstructionResult:
     """Verdict about one obstruction class, with its certificate trail."""
 
-    verdict: Verdict
-    representative: DiffForm
-    certificate: Optional[ObstructionCertificate] = None
-    certificate_verdict: Optional[Verdict] = None
-    period: Optional[Verdict] = None
-    detail: str = ""
+    __slots__ = (
+        "verdict", "representative", "certificate", "certificate_verdict", "period", "detail"
+    )
+
+    def __init__(
+        self,
+        verdict: Verdict,
+        representative: DiffForm,
+        certificate: Optional[ObstructionCertificate] = None,
+        certificate_verdict: Optional[Verdict] = None,
+        period: Optional[Verdict] = None,
+        detail: str = "",
+    ):
+        self.verdict, self.representative = verdict, representative
+        self.certificate, self.certificate_verdict = certificate, certificate_verdict
+        self.period, self.detail = period, detail
 
 
 def unimodularity_check(
@@ -531,14 +544,23 @@ def check_weinstein_identity(P: PoissonStructure) -> Verdict:
 # transverse Poisson vector fields (both directions)
 
 
-@dataclass
 class TransversePoissonReport:
-    lv_pi: MultiVector
-    lv_pi_verdict: Verdict
-    dalpha_verdict: Verdict
-    domega_verdict: Verdict
-    pair_witness: Optional[tuple] = None
-    detail: str = ""
+    __slots__ = (
+        "lv_pi", "lv_pi_verdict", "dalpha_verdict", "domega_verdict", "pair_witness", "detail"
+    )
+
+    def __init__(
+        self,
+        lv_pi: MultiVector,
+        lv_pi_verdict: Verdict,
+        dalpha_verdict: Verdict,
+        domega_verdict: Verdict,
+        pair_witness: Optional[tuple] = None,
+        detail: str = "",
+    ):
+        self.lv_pi, self.lv_pi_verdict = lv_pi, lv_pi_verdict
+        self.dalpha_verdict, self.domega_verdict = dalpha_verdict, domega_verdict
+        self.pair_witness, self.detail = pair_witness, detail
 
     @property
     def closed_side(self) -> bool:

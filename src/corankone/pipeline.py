@@ -107,8 +107,8 @@ class _Runner:
     def run_corank(self):
         if self.P.corank_n is None:
             return self._skip("no corank declared for an even-dimensional chart")
-        rep = self.P.corank_evidence()
-        if rep.nonvanishing_at_samples:
+        n, top, nonvanishing = self.P.corank_evidence()
+        if nonvanishing:
             verdict, detail = "probably-true", "top power nonvanishing at all sample points"
         else:
             verdict, detail = "false", "top power vanished at a sample point"
@@ -116,7 +116,7 @@ class _Runner:
             "status": "ok",
             "verdict": verdict,
             "detail": detail,
-            "artifacts": {"top_power": str(rep.top_power), "n": rep.n},
+            "artifacts": {"top_power": str(top), "n": n},
         }
 
     def run_adapted(self):

@@ -17,7 +17,6 @@ Pinned conventions (see the test suite):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
@@ -221,20 +220,12 @@ def invert_bivector(Pi: MultiVector, tester: Optional[ZeroTester] = None) -> Dif
 
 
 # ---------------------------------------------------------------------------
-# reports
+# the structure
 
 
 _CORANK_SAMPLES = 10
 
 
-@dataclass
-class CorankReport:
-    n: int
-    top_power: MultiVector
-    nonvanishing_at_samples: bool
-
-
-@dataclass
 class PoissonStructure:
     """A bivector with cached analysis artifacts.
 
@@ -249,23 +240,31 @@ class PoissonStructure:
     once and kept, with the verdicts of the checks that accepted them.
     """
 
-    chart: Chart
-    bivector: MultiVector
-    corank_n: Optional[int] = None
-    transversal: Optional[MultiVector] = None
-    alpha: Optional[DiffForm] = None
-    omega: Optional[DiffForm] = None
-    tester: Optional[ZeroTester] = None
+    __slots__ = (
+        "chart", "bivector", "corank_n", "transversal", "alpha", "omega", "tester",
+        "_jacobi", "_jacobiator", "_volume", "adapted_verdict", "beta_verdict",
+        "dbeta_verdict", "mu_verdict", "modular_verdict", "_beta", "_mu", "_modular",
+    )
 
-    def __post_init__(self):
-        if self.bivector.degree != 2:
+    def __init__(
+        self,
+        chart: Chart,
+        bivector: MultiVector,
+        corank_n: Optional[int] = None,
+        transversal: Optional[MultiVector] = None,
+        alpha: Optional[DiffForm] = None,
+        omega: Optional[DiffForm] = None,
+        tester: Optional[ZeroTester] = None,
+    ):
+        if bivector.degree != 2:
             raise DegreeError("a Poisson structure needs a bivector (degree 2)")
-        if self.bivector.chart != self.chart:
+        if bivector.chart != chart:
             raise ChartMismatchError("bivector lives on a different chart")
-        if self.tester is None:
-            self.tester = ZeroTester(self.chart)
-        if self.corank_n is None and self.chart.dim % 2 == 1:
-            self.corank_n = (self.chart.dim - 1) // 2
+        if corank_n is None and chart.dim % 2 == 1:
+            corank_n = (chart.dim - 1) // 2
+        self.chart, self.bivector, self.corank_n = chart, bivector, corank_n
+        self.transversal, self.alpha, self.omega = transversal, alpha, omega
+        self.tester = ZeroTester(chart) if tester is None else tester
         self._jacobi = None
         self._jacobiator = None
         self._volume = None
@@ -361,8 +360,9 @@ class PoissonStructure:
 
     # -- corank evidence -------------------------------------------------------
 
-    def corank_evidence(self) -> CorankReport:
-        """Whether Pi**n is nonzero at each of _CORANK_SAMPLES sample points.
+    def corank_evidence(self) -> tuple:
+        """(n, Pi**n, whether Pi**n is nonzero at each of _CORANK_SAMPLES
+        sample points).
 
         A coefficient is nonzero at a point when the zero tester would take
         its value there as a witness: far from zero relative to the terms
@@ -379,7 +379,7 @@ class PoissonStructure:
             if not any(self.tester.nonzero_at(c, env) for c in top.coeffs.values()):
                 all_nonzero = False
                 break
-        return CorankReport(n=n, top_power=top, nonvanishing_at_samples=all_nonzero)
+        return n, top, all_nonzero
 
     # -- adapted defining forms -------------------------------------------------
 

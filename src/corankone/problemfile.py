@@ -10,7 +10,6 @@ coefficient, then basis coordinate names.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import expr as ex
@@ -112,24 +111,38 @@ def sampling_range_error(name: str, value) -> Optional[str]:
     return None
 
 
-@dataclass
 class ProblemFile:
-    path: str
-    chart: Chart
-    bivector: MultiVector
-    corank: Optional[int] = None
-    transversal: Optional[MultiVector] = None
-    alpha: Optional[DiffForm] = None
-    omega: Optional[DiffForm] = None
-    omega_alt: Optional[DiffForm] = None
-    first_certificate: Optional[ObstructionCertificate] = None
-    second_certificate: Optional[ObstructionCertificate] = None
-    period_witness: Optional[PeriodWitness] = None
-    analyses: tuple = ()
-    seed: int = 0
-    trials: int = 32
-    tolerance: float = 1e-9
-    expects: dict = field(default_factory=dict)
+    __slots__ = (
+        "path", "chart", "bivector", "corank", "transversal", "alpha", "omega", "omega_alt",
+        "first_certificate", "second_certificate", "period_witness", "analyses", "seed",
+        "trials", "tolerance", "expects",
+    )
+
+    def __init__(
+        self,
+        path: str,
+        chart: Chart,
+        bivector: MultiVector,
+        corank: Optional[int] = None,
+        transversal: Optional[MultiVector] = None,
+        alpha: Optional[DiffForm] = None,
+        omega: Optional[DiffForm] = None,
+        omega_alt: Optional[DiffForm] = None,
+        first_certificate: Optional[ObstructionCertificate] = None,
+        second_certificate: Optional[ObstructionCertificate] = None,
+        period_witness: Optional[PeriodWitness] = None,
+        analyses: tuple = (),
+        seed: int = 0,
+        trials: int = 32,
+        tolerance: float = 1e-9,
+        expects: Optional[dict] = None,
+    ):
+        self.path, self.chart, self.bivector, self.corank = path, chart, bivector, corank
+        self.transversal, self.alpha, self.omega = transversal, alpha, omega
+        self.omega_alt, self.period_witness = omega_alt, period_witness
+        self.first_certificate, self.second_certificate = first_certificate, second_certificate
+        self.analyses, self.seed, self.trials, self.tolerance = analyses, seed, trials, tolerance
+        self.expects = {} if expects is None else expects
 
     def structure(self, seed=None, trials=None, tolerance=None) -> PoissonStructure:
         tester = ZeroTester(

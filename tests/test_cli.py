@@ -595,6 +595,20 @@ class TestVerbs:
         assert report["analyses"]["jacobi"]["verdict"] == "true"
 
 
+class TestStartup:
+    def test_cli_import_loads_only_what_check_needs(self):
+        # every `corankone check` pays this import; -S keeps site's own
+        # imports (a .pth file may load importlib.resources) out of the count
+        code = (
+            "import sys, corankone.cli\n"
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'importlib.resources')"
+            " if m in sys.modules))\n"
+        )
+        proc = run_python("-S", "-c", code, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
 class TestBenchmarkTracer:
     def test_tracer_installs_on_this_tree(self):
         # the benchmark's layer tracer wraps functions by name, so a rename

@@ -479,6 +479,28 @@ class TestChart:
         assert ext.params == ("a",)
         assert ext.domain("t") == (0.05, 1.0)
 
+    def test_value_equality_and_hash(self):
+        args = (("x", "y"), ("y",), ("a",), {"x": (0.0, 2.0)}, True)
+        a, b = Chart(*args), Chart(*args)
+        assert a is not b and a == b and hash(a) == hash(b)
+
+    @pytest.mark.parametrize(
+        "changed",
+        [{"periodic": ()}, {"domains": {"x": (0.0, 3.0)}}, {"torus_strict": False}],
+        ids=["periodic", "domains", "torus_strict"],
+    )
+    def test_each_field_counts_for_equality(self, changed):
+        base = {"periodic": ("y",), "domains": {"x": (0.0, 2.0)}, "torus_strict": True}
+        assert Chart(("x", "y"), **base) != Chart(("x", "y"), **{**base, **changed})
+
+    def test_immutable(self):
+        ch = Chart(("x", "y"))
+        with pytest.raises(AttributeError):
+            ch.coords = ("z",)
+        with pytest.raises(AttributeError):
+            ch.torus_strict = True
+        assert ch.coords == ("x", "y") and not ch.torus_strict
+
 
 class TestEvaluate:
     def test_pole_raises_singularity(self, xyz):

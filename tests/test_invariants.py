@@ -186,6 +186,21 @@ class TestCertificates:
         cert = ObstructionCertificate("first", f=symbol("y"))
         assert verify_certificate(cert, alpha, None, tester).failed
 
+    @pytest.mark.parametrize(
+        "kind, given",
+        [("third", ("f", "nu")), ("first", ("nu",)), ("second", ("f",))],
+        ids=["unknown-kind", "first-without-f", "second-without-nu"],
+    )
+    def test_malformed_certificate_rejected(self, xyz, kind, given):
+        pieces = {"f": parse_scalar("x", xyz), "nu": basis_form(xyz, "x")}
+        with pytest.raises(ValueError):
+            ObstructionCertificate(kind, **{name: pieces[name] for name in given})
+
+    def test_witness_loci_are_not_shared(self):
+        a, b = PeriodWitness("theta"), PeriodWitness("theta")
+        a.locus["x"] = 0
+        assert a.locus is not b.locus and b.locus == {}
+
 
 class TestAntidifferentiation:
     def test_polynomial_two_variable(self, xyz, tester):
@@ -452,7 +467,8 @@ class TestTransversePoisson:
             return wrapper
 
         monkeypatch.setattr(invariants, "schouten", counted("schouten", invariants.schouten))
-        monkeypatch.setattr(P, "hamiltonian_vf", counted("hamiltonian_vf", P.hamiltonian_vf))
+        hamiltonian_vf = counted("hamiltonian_vf", PoissonStructure.hamiltonian_vf)
+        monkeypatch.setattr(PoissonStructure, "hamiltonian_vf", hamiltonian_vf)
         rep = check_transverse_poisson(P)
         assert rep.dalpha_verdict.symbolic and rep.pair_witness is None
         assert counts == {"schouten": 1, "hamiltonian_vf": 0}
