@@ -4,8 +4,9 @@ The package provides an exact scalar-expression field (`expr`), the graded
 exterior algebra of forms and multivector fields with the operators of
 foliated Poisson geometry (`calculus`), structure analysis and adapted
 defining forms (`poisson`), the obstruction/modular invariants
-(`invariants`), transversality of the top power and the extension across a
-transversally vanishing hypersurface (`bgeom`), plus problem files
+(`invariants`), exact real roots of a top coefficient (`roots`),
+transversality of the top power and the extension across a transversally
+vanishing hypersurface (`bgeom`), plus problem files
 (`problemfile`), their analysis reports (`pipeline`) and a batch CLI
 (`cli`) that runs the bundled example files.
 """

@@ -1438,8 +1438,6 @@ def _check_torus_strict(e: ScalarExpr, chart: "Chart"):
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
-_TWO_PI = 2.0 * math.pi
-
 
 class Chart:
     """Named coordinates with periodicity flags and sampling intervals.
@@ -1468,7 +1466,7 @@ class Chart:
                 raise ChartError(f"periodic flag on unknown coordinate {quote(p)}")
         table = {}
         for c in coords:
-            table[c] = (0.0, _TWO_PI) if c in periodic else (-1.0, 1.0)
+            table[c] = (0.0, math.tau) if c in periodic else (-1.0, 1.0)
         for p in params:
             table[p] = (0.25, 1.75)
         for name, iv in dict(domains or {}).items():

@@ -545,20 +545,17 @@ def check_weinstein_identity(P: PoissonStructure) -> Verdict:
 
 
 class TransversePoissonReport:
-    __slots__ = (
-        "lv_pi", "lv_pi_verdict", "dalpha_verdict", "domega_verdict", "pair_witness", "detail"
-    )
+    __slots__ = ("lv_pi_verdict", "dalpha_verdict", "domega_verdict", "pair_witness", "detail")
 
     def __init__(
         self,
-        lv_pi: MultiVector,
         lv_pi_verdict: Verdict,
         dalpha_verdict: Verdict,
         domega_verdict: Verdict,
         pair_witness: Optional[tuple] = None,
         detail: str = "",
     ):
-        self.lv_pi, self.lv_pi_verdict = lv_pi, lv_pi_verdict
+        self.lv_pi_verdict = lv_pi_verdict
         self.dalpha_verdict, self.domega_verdict = dalpha_verdict, domega_verdict
         self.pair_witness, self.detail = pair_witness, detail
 
@@ -585,8 +582,7 @@ def check_transverse_poisson(P: PoissonStructure) -> TransversePoissonReport:
     alpha, omega = P.adapted()
     v = P.transversal
     tester = P.tester
-    lv_pi = schouten(v, P.bivector)
-    lv_verdict = is_zero_graded(lv_pi, tester)
+    lv_verdict = is_zero_graded(schouten(v, P.bivector), tester)
     dalpha = ext_deriv(alpha)
     da_verdict = is_zero_graded(dalpha, tester)
     do_verdict = is_zero_graded(ext_deriv(omega), tester)
@@ -600,7 +596,6 @@ def check_transverse_poisson(P: PoissonStructure) -> TransversePoissonReport:
                 pair_witness = (name, pairing)
                 break
     return TransversePoissonReport(
-        lv_pi=lv_pi,
         lv_pi_verdict=lv_verdict,
         dalpha_verdict=da_verdict,
         domega_verdict=do_verdict,

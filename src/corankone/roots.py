@@ -1,0 +1,228 @@
+"""Exact real roots of a top coefficient along one symbol.
+
+A polynomial is a list of integers, constant term first, without zero
+leading entries.  Roots are counted with Sturm sequences (G. E. Collins and
+R. Loos, "Real zeros of polynomials", in Computer Algebra: Symbolic and
+Algebraic Computation, 1982), each member divided by its positive integer
+content, which keeps the signs the theorem reads.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from . import expr as ex
+
+# the integers of a Sturm sequence grow to about degree * (degree + bits)
+# bits, for a polynomial of that degree with coefficients of that many bits;
+# above this product the exact path may take seconds, and h is scanned
+EXACT_MAX_SIZE = 8192
+# an isolating interval is narrowed to this width relative to its ends; its
+# midpoint then rounds to the float nearest the root, unless the root lies
+# about as close to the midpoint of two floats
+_REFINE = Fraction(1, 1 << 60)
+
+
+def _trim(p):
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _times(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _derivative(p):
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def _positive_rem(a, b):
+    """A positive multiple of the remainder of a by b, over its content."""
+    a = list(a)
+    lc, db = b[-1], len(b) - 1
+    scale, sign = abs(lc), 1 if lc > 0 else -1
+    while len(a) > db:
+        q, k = sign * a[-1], len(a) - 1 - db
+        a = [c * scale for c in a]
+        for i, c in enumerate(b):
+            a[i + k] -= q * c
+        _trim(a)
+    return _over_content(a) if a else a
+
+
+def _sturm(a, b):
+    """The remainder sequence a, b, -rem(a, b), ...; its last member is
+    gcd(a, b) up to a constant factor."""
+    seq = [a, b]
+    while len(seq[-1]) > 1:
+        r = _positive_rem(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append([-c for c in r])
+    return seq
+
+
+def _sign(p, x):
+    """The sign of p at the rational x."""
+    n, d = x.numerator, x.denominator
+    v, dk = 0, 1
+    for c in reversed(p):
+        v = v * n + c * dk
+        dk *= d
+    return (v > 0) - (v < 0)
+
+
+def _real_roots(p, lo=None, hi=None):
+    """The distinct real roots of p in [lo, hi] (on the whole line when lo
+    and hi are None), in increasing order, as pairs (value, multiple)."""
+    if len(p) < 2:
+        return []
+    seq = _sturm(p, _derivative(p))
+    gcd = seq[-1]
+    multiple = [1]
+    if len(gcd) > 1:
+        # p over gcd(p, p') has the same roots, each simple; the roots of
+        # gcd(p, p') are the multiple ones, and its own gcd with the
+        # square-free part has them simple too
+        p = _exact_quotient(p, gcd)
+        seq = _sturm(p, _derivative(p))
+        multiple = _sturm(p, gcd)[-1]
+    if lo is None:
+        bound = 1 + Fraction(max(abs(c) for c in p), abs(p[-1]))
+        lo, hi = -bound, bound
+    seen = {}
+
+    def variations(x):
+        if x not in seen:
+            signs = [s for s in (_sign(q, x) for q in seq) if s]
+            seen[x] = sum(u != v for u, v in zip(signs, signs[1:]))
+        return seen[x]
+
+    roots = [(lo, lo)] if _sign(p, lo) == 0 else []
+    todo = [(lo, hi)]
+    while todo:
+        # the roots in (a, b]
+        a, b = todo.pop()
+        n = variations(a) - variations(b)
+        if n == 0:
+            continue
+        if n == 1 and _sign(p, b) == 0:
+            roots.append((b, b))
+        elif n == 1 and _sign(p, a) != 0:
+            roots.append((a, b))
+        else:
+            mid = (a + b) / 2
+            todo += [(a, mid), (mid, b)]
+    out = []
+    for a, b in sorted(roots):
+        sa = _sign(p, a)
+        while sa and b - a > _REFINE * max(1, abs(a), abs(b)):
+            mid = (a + b) / 2
+            sm = _sign(p, mid)
+            if sm == sa:
+                a = mid
+            elif sm:
+                b = mid
+            else:
+                a = b = mid
+                sa = 0
+        if a == b:
+            many = _sign(multiple, a) == 0
+        else:
+            many = _sign(multiple, a) != _sign(multiple, b)
+        out.append(((a + b) / 2, many))
+    return out
+
+
+def _too_large(p):
+    n = len(p) - 1
+    return n * (n + max(abs(c).bit_length() for c in p)) > EXACT_MAX_SIZE
+
+
+def _over_content(p):
+    """The positive multiple of p (rational coefficients) with integer
+    coefficients that share no factor."""
+    scale = math.lcm(*(c.denominator for c in p))
+    p = [int(c * scale) for c in p]
+    g = math.gcd(*p)
+    return [c // g for c in p]
+
+
+def _exact_quotient(a, b):
+    """a / b for b dividing a, over its content."""
+    a = [Fraction(c) for c in a]
+    q = [Fraction(0)] * (len(a) - len(b) + 1)
+    for k in reversed(range(len(q))):
+        q[k] = a[k + len(b) - 1] / b[-1]
+        for i, c in enumerate(b):
+            a[i + k] -= q[k] * c
+    return _over_content(q)
+
+
+def real_roots(h: ex.ScalarExpr, var: str, chart: ex.Chart):
+    """The real roots of h along var (a coordinate, or a parameter), decided
+    exactly, as increasing pairs (value, simple), or None when h is of no
+    kind decided exactly.
+
+    Decided are a polynomial in var alone, on the sampling interval of
+    var (on [0, 2 pi] when var is periodic), and a polynomial in sin(var)
+    and cos(var) of a periodic var, on the whole circle.
+    """
+    terms, den = h.parts()
+    if h.gens == (var,):
+        p = [Fraction(0)] * (terms[0][0][0] + 1)
+        for (e,), c in terms:
+            p[e] = c
+        p = _over_content(p)
+        if _too_large(p):
+            return None
+        lo, hi = (0.0, math.tau) if var in chart.periodic else chart.domain(var)
+        return [(float(r), not many) for r, many in _real_roots(p, Fraction(lo), Fraction(hi))]
+    arg = ex.symbol(var)
+    if (
+        var not in chart.periodic
+        or den != ex.ONE
+        or any(not isinstance(g, ex.FuncGen) or g.fn not in ("sin", "cos") or g.arg != arg
+               for g in h.gens)
+    ):
+        return None
+    # t = tan(var / 2): sin = 2t / (1 + t^2), cos = (1 - t^2) / (1 + t^2),
+    # so h = P(t) / (1 + t^2)^d with d the total degree of h, at every var
+    # but pi; the circle without pi maps onto the line, and a root keeps its
+    # multiplicity
+    fns = [g.fn for g in h.gens]
+    d = max(sum(exps) for exps, _ in terms)
+    if (2 * d) ** 2 > EXACT_MAX_SIZE:  # P would be too large
+        return None
+    P = [0] * (2 * d + 1)
+    for exps, c in terms:
+        k = dict(zip(fns, exps))
+        term = [c]
+        for factor, n in (([0, 2], k.get("sin", 0)), ([1, 0, -1], k.get("cos", 0)),
+                          ([1, 0, 1], d - sum(exps))):
+            for _ in range(n):
+                term = _times(term, factor)
+        for i, x in enumerate(term):
+            P[i] += x
+    if not _trim(P):
+        return None
+    P = _over_content(P)
+    if _too_large(P):
+        return None
+    # near pi, u = 1/t is a coordinate with h = u^(2d) P(1/u) / (1 + u^2)^d:
+    # at pi (sin = 0, cos = -1) h vanishes to the order by which the degree
+    # of P falls short of 2d
+    at_pi = 2 * d + 1 - len(P)
+    roots = []
+    for t, many in _real_roots(P):
+        theta = 2.0 * math.atan(t)
+        roots.append((theta + math.tau if theta < 0.0 else theta, not many))
+    if at_pi:
+        roots.append((math.pi, at_pi == 1))
+    return sorted(roots, key=lambda r: r[0])

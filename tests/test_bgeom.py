@@ -148,6 +148,39 @@ class TestExactTransversality:
         assert rep.verdict.note == "all critical points located by the scan are linear"
 
     @pytest.mark.parametrize(
+        "h, note, locus, points",
+        [
+            (
+                "x*y",
+                "no zero-set points located (top power depends on several coordinates)",
+                "undetermined",
+                [],
+            ),
+            ("exp(x) + 1", "no zero-set points located by the scan",
+             "no roots found on the sampling domain", []),
+            # steep enough that the float nearest the root leaves a residual
+            (
+                "10^11*(exp(x) - 2)",
+                "located root 0.6931471805599452 has residual 3.0517578125e-05",
+                "unverified roots",
+                [0.6931471805599452],
+            ),
+            # the bisection of the sign change lands on the pole
+            (
+                "exp(x)/(x - 3001/10000)",
+                "located root 0.3001000000002225 has residual inf",
+                "unverified roots",
+                [0.3001000000002225],
+            ),
+        ],
+    )
+    def test_undecided_coefficients(self, h, note, locus, points):
+        rep = b_transversality_check(_planar(h))
+        assert rep.verdict.kind is VerdictKind.UNKNOWN
+        assert (rep.verdict.note, rep.locus) == (note, locus)
+        assert [p.value for p in rep.points] == points
+
+    @pytest.mark.parametrize(
         "h, kind, witness, locus",
         [
             ("a - 1", VerdictKind.NONZERO, {"a": 1.0}, "everywhere degenerate at a = 1.000000"),
@@ -177,12 +210,12 @@ class TestExactTransversality:
         assert rep.verdict.symbolic and rep.points
 
     def test_oversized_coefficient_is_scanned(self, monkeypatch):
-        from corankone import bgeom
+        from corankone import bgeom, roots
 
         scanned = []
         monkeypatch.setattr(bgeom, "_scan_roots", lambda *args: scanned.append(1) or [])
         # degree 91 with coefficients of 2 bits
-        assert 91 * (91 + 2) > bgeom.EXACT_MAX_SIZE
+        assert 91 * (91 + 2) > roots.EXACT_MAX_SIZE
         rep = b_transversality_check(_planar({91: 2, 0: -1}))
         assert scanned and not rep.verdict.symbolic
 
@@ -270,6 +303,22 @@ class TestExtension:
         assert declared.adapted() == (alpha, omega)
         with pytest.raises(NotTransversalError):
             extend_to_b(declared)
+
+    def test_quotient_tester_keeps_the_tolerance(self, monkeypatch):
+        from corankone import bgeom
+
+        tols = []
+        real = bgeom.ZeroTester
+
+        def spy(*args, **kwargs):
+            tester = real(*args, **kwargs)
+            tols.append(tester.tol)
+            return tester
+
+        monkeypatch.setattr(bgeom, "ZeroTester", spy)
+        P = bundled.entry("flat").problem.structure(seed=5, tolerance=1e-7)
+        extend_to_b(P)
+        assert tols == [1e-7]
 
 
 class TestProductFamily:

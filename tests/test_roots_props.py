@@ -2,7 +2,7 @@
 
 Polynomials are drawn as products of small integer factors raised to
 powers, so that multiple roots are common.  The root isolation of
-`bgeom._real_roots` is compared with `Poly.count_roots` on an interval
+`roots._real_roots` is compared with `Poly.count_roots` on an interval
 and on the whole line, and its multiple roots with the factors of
 multiplicity two or more in `sqf_list`.  Trigonometric top coefficients
 in sin(theta) and cos(theta) go through `b_transversality_check` and are
@@ -22,9 +22,10 @@ from hypothesis import assume, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from corankone import Chart, ZeroTester, cos, rational, sin, symbol  # noqa: E402
-from corankone.bgeom import _real_roots, b_transversality_check  # noqa: E402
+from corankone.bgeom import b_transversality_check  # noqa: E402
 from corankone.calculus import MultiVector  # noqa: E402
 from corankone.poisson import PoissonStructure  # noqa: E402
+from corankone.roots import _real_roots  # noqa: E402
 
 X = sympy.Symbol("x")
 S, C, T = sympy.symbols("s c t")
