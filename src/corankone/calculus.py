@@ -58,7 +58,7 @@ def _merge_sign(left: tuple, right: tuple):
 class _Graded:
     """Shared behaviour of forms and multivectors (degree-graded coefficients)."""
 
-    __slots__ = ("chart", "degree", "coeffs")
+    __slots__ = ("chart", "degree", "coeffs", "_d")
 
     basis_prefix = "?"
 
@@ -96,6 +96,7 @@ class _Graded:
         self.coeffs = {
             k: c for k, c in sorted(table.items()) if not c.is_structural_zero
         }
+        self._d = None
 
     # -- structure -----------------------------------------------------------
 
@@ -137,6 +138,7 @@ class _Graded:
         out.chart = self.chart
         out.degree = degree
         out.coeffs = {k: c for k, c in sorted(coeffs.items()) if not c.is_structural_zero}
+        out._d = None
         return out
 
     def _check_compat(self, other):
@@ -279,22 +281,33 @@ def power(a: _Graded, m: int) -> _Graded:
     return out
 
 
+def _partials(coeffs: dict, chart: Chart) -> list:
+    """[(l, key, d_l c)] for each coefficient c = coeffs[key] and each
+    coordinate x_l among c's free symbols on which it depends: the
+    nonzero first partials, without deriving c by the other coordinates."""
+    index = {name: l for l, name in enumerate(chart.coords)}
+    out = []
+    for key, c in coeffs.items():
+        for l in sorted(index[s] for s in c.free_symbols() if s in index):
+            dc = c.derive(chart.coords[l])
+            if not dc.is_structural_zero:
+                out.append((l, key, dc))
+    return out
+
+
 def ext_deriv(eta: DiffForm) -> DiffForm:
+    """Exterior derivative, memoized per form like ScalarExpr.derive: a form
+    is immutable, so a structure's d(alpha) and d(omega) are taken once."""
     if not isinstance(eta, DiffForm):
         raise ChartMismatchError("ext_deriv applies to differential forms")
-    chart = eta.chart
-    out = {}
-    for idx, c in eta.coeffs.items():
-        for i, name in enumerate(chart.coords):
-            dc = c.derive(name)
-            if dc.is_structural_zero:
-                continue
+    if eta._d is None:
+        out = {}
+        for i, idx, dc in _partials(eta.coeffs, eta.chart):
             sign, key = _merge_sign((i,), idx)
-            if sign == 0:
-                continue
-            term = dc if sign > 0 else -dc
-            out[key] = out.get(key, ex.ZERO) + term
-    return eta._like(eta.degree + 1, out)
+            if sign:
+                out[key] = out.get(key, ex.ZERO) + (dc if sign > 0 else -dc)
+        eta._d = eta._like(eta.degree + 1, out)
+    return eta._d
 
 
 def _contract_indices(I: tuple, J: tuple):
@@ -346,72 +359,43 @@ def _covector_contract(theta: DiffForm, Q: MultiVector) -> MultiVector:
     return Q._like(Q.degree - 1, _contract(theta.coeffs, Q.coeffs))
 
 
-def _lie_multivector(v: MultiVector, Q: MultiVector) -> MultiVector:
-    """Lie derivative of a multivector along a vector field."""
-    chart = v.chart
-    out = {}
-
-    def bump(key, value):
-        out[key] = out.get(key, ex.ZERO) + value
-
-    for (i,), vc in v.coeffs.items():
-        xi = chart.coords[i]
-        dvc = [vc.derive(x) for x in chart.coords]
-        for J, qc in Q.coeffs.items():
-            dq = qc.derive(xi)
-            if not dq.is_structural_zero:
-                bump(J, vc * dq)
-            for slot, j in enumerate(J):
-                dv = dvc[j]
-                if dv.is_structural_zero:
-                    continue
-                if i != j and i in J:
-                    continue
-                seq = list(J)
-                seq[slot] = i
-                if len(set(seq)) != len(seq):
-                    continue
-                sign = _perm_sign(seq)
-                term = qc * dv if sign < 0 else -(qc * dv)
-                bump(tuple(sorted(seq)), term)
-    return Q._like(Q.degree, out)
+def _schouten_half(A: MultiVector, B: MultiVector, sign: int, out: dict):
+    """Add sign * sum_l dA/dzeta_l ^ d_l B to the coefficients in out."""
+    by_coord = {}
+    for l, J, dc in _partials(B.coeffs, B.chart):
+        by_coord.setdefault(l, []).append((J, dc))
+    for I, a in A.coeffs.items():
+        last = len(I) - 1
+        for k, l in enumerate(I):
+            # moving @l from slot k to the last slot, then dropping it
+            s = sign if (last - k) % 2 == 0 else -sign
+            rest = I[:k] + I[k + 1 :]
+            for J, dc in by_coord.get(l, ()):
+                msign, key = _merge_sign(rest, J)
+                if msign:
+                    term = a * dc if s * msign > 0 else -(a * dc)
+                    out[key] = out.get(key, ex.ZERO) + term
 
 
 def schouten(P: MultiVector, Q: MultiVector) -> MultiVector:
-    """Schouten-Nijenhuis bracket, degree p+q-1.
+    """Schouten-Nijenhuis bracket, degree p+q-1, by the coordinate formula
+    [P, Q] = sum_l dP/dzeta_l ^ d_l Q - (-1)^((p-1)(q-1)) dQ/dzeta_l ^ d_l P.
 
-    Graded symmetry [P,Q] = -(-1)^((p-1)(q-1)) [Q,P] and the graded
-    Leibniz rule over the wedge hold; on vector fields it is the
-    commutator, and [v, f] = v(f) for functions.
+    d_l derives the coefficients by x_l (only the nonzero partials are
+    taken), and d/dzeta_l moves @l to the last slot and drops it.  Graded
+    symmetry [P,Q] = -(-1)^((p-1)(q-1)) [Q,P] and the graded Leibniz rule
+    over the wedge hold; on vector fields it is the commutator, [v, f] =
+    v(f) for functions, and [f, Q] = -iota_{df} Q (first-slot contraction).
     """
     if not isinstance(P, MultiVector) or not isinstance(Q, MultiVector):
         raise ChartMismatchError("schouten takes multivectors")
     if P.chart != Q.chart:
         raise ChartMismatchError("objects live on different charts")
-    chart = P.chart
     p, q = P.degree, Q.degree
-    if p == 0 and q == 0:
-        return zero_multivector(chart, 0)
-    if p == 1:
-        return _lie_multivector(P, Q)
-    if p == 0:
-        # [f, Q] = -iota_{df} Q  (first-slot contraction)
-        f = P.scalar()
-        df = ext_deriv(scalar_form(chart, f))
-        return -_covector_contract(df, Q)
-    # split the leading factor of each term of P:
-    # [A ^ B, Q] = (-1)^((q-1) deg B) [A, Q] ^ B + A ^ [B, Q]
-    total = zero_multivector(chart, p + q - 1)
-    sign = -1 if ((q - 1) * (p - 1)) & 1 else 1
-    for I, c in P.coeffs.items():
-        A = MultiVector(chart, 1, {(I[0],): c})
-        B = MultiVector(chart, p - 1, {tuple(I[1:]): ex.ONE})
-        t1 = wedge(schouten(A, Q), B)
-        if sign < 0:
-            t1 = -t1
-        t2 = wedge(A, schouten(B, Q))
-        total = total + t1 + t2
-    return total
+    out = {}
+    _schouten_half(P, Q, 1, out)
+    _schouten_half(Q, P, 1 if (p - 1) * (q - 1) % 2 else -1, out)
+    return P._like(max(p + q - 1, 0), out)  # [f, g] = 0
 
 
 def lie_derivative(v: MultiVector, target):
@@ -425,7 +409,7 @@ def lie_derivative(v: MultiVector, target):
             out = out + ext_deriv(interior(v, target))
         return out
     if isinstance(target, MultiVector):
-        return _lie_multivector(v, target)
+        return schouten(v, target)
     raise ChartMismatchError("lie_derivative applies to forms or multivectors")
 
 

@@ -16,7 +16,9 @@ Pinned conventions (see the test suite):
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from itertools import combinations
 from typing import Optional
 
@@ -25,6 +27,7 @@ from .calculus import (
     DiffForm,
     MultiVector,
     _covector_contract,
+    _partials,
     ext_deriv,
     is_zero_graded,
     power,
@@ -103,27 +106,50 @@ def linear_solve(rows, rhs, tester: ZeroTester):
     return x
 
 
+# the rings the Pfaffian expansion runs over: (zero, mul, add, sub)
+_RINGS = {
+    ScalarExpr: (ex.ZERO, operator.mul, operator.add, operator.sub),
+    dict: ({}, ex._p_mul, ex._p_add, ex._p_sub),
+}
+
+
 def _pfaffian(matrix, idx, memo):
     """Pfaffian of the skew submatrix on the index tuple, by row expansion.
 
-    Every sub-Pfaffian is kept in memo, keyed by its index tuple, so the
-    overlapping minors of one matrix share their expansions.
+    The entries above the diagonal are ScalarExprs or packed integer
+    polynomials, and memo[()] holds the ring's one.  Every sub-Pfaffian is
+    kept in memo, so the overlapping minors of one matrix share expansions.
     """
-    if not idx:
-        return ex.ONE
     total = memo.get(idx)
     if total is not None:
         return total
-    i0 = idx[0]
-    total = ex.ZERO
+    zero, mul, add, sub = _RINGS[type(memo[()])]
+    row = matrix[idx[0]]
+    total = zero
     for jpos in range(1, len(idx)):
-        entry = matrix[i0][idx[jpos]]
-        if entry.is_structural_zero:
-            continue
-        term = entry * _pfaffian(matrix, idx[1:jpos] + idx[jpos + 1 :], memo)
-        total = total - term if (jpos - 1) % 2 else total + term
+        entry = row[idx[jpos]]
+        if entry:
+            term = mul(entry, _pfaffian(matrix, idx[1:jpos] + idx[jpos + 1 :], memo))
+            total = sub(total, term) if (jpos - 1) % 2 else add(total, term)
     memo[idx] = total
     return total
+
+
+def _cleared(matrix):
+    """(gens, D, D M) for a matrix M of entries with one-term denominators:
+    D is their lcm, and D M holds packed integer polynomials in gens, the
+    entries' generators, above the diagonal."""
+    gens = tuple(sorted({g for row in matrix for e in row for g in e.gens}, key=ex._gen_key))
+    pos, w, n = {g: i for i, g in enumerate(gens)}, len(gens), len(matrix)
+    upper = {(i, j): ex._lift(matrix[i][j], pos, w) for i in range(n) for j in range(i + 1, n)}
+    dens = [next(iter(den.items())) for _, den in upper.values()]
+    lcm = math.lcm(*(c for _, c in dens))
+    top = ex._pack([max(col) for col in zip(*(ex._unpack(mono, w) for mono, _ in dens))])
+    scaled = [[{}] * n for _ in range(n)]
+    for (i, j), (num, den) in upper.items():
+        ((mono, c),) = den.items()
+        scaled[i][j] = ex._p_mul(num, {top - mono: lcm // c})
+    return gens, {top: lcm}, scaled
 
 
 def _skew_inverse(matrix):
@@ -132,21 +158,43 @@ def _skew_inverse(matrix):
     (M^-1)_{ij} = (-1)^(i+j) Pf(M without rows/cols i, j) / Pf(M) for i < j;
     this keeps the entries in already-reduced form, unlike adjugate/det.
     The full Pfaffian and its minors share one memo of sub-Pfaffians.
+
+    When every denominator is one term (an integer or a monomial such as
+    an exp generator), the expansion runs fraction-free over packed integer
+    polynomials: with D their lcm and n = 2m, Pf(M) = Pf(D M) / D^m and
+    (M^-1)_{ij} = +-Pf_ij(D M) D / Pf(D M), each normalized once.  The rest
+    is expanded over ScalarExpr: a denominator of several terms (each of
+    those normalizations would be a gcd), rational constants (which never
+    normalize) and 4 x 4 matrices (whose minors are their entries).
     Returns (inverse, pfaffian), or (None, pfaffian) when singular.
     """
     n = len(matrix)
     if n % 2:
         return None, ex.ZERO
-    memo = {}
     full = tuple(range(n))
-    pf = _pfaffian(matrix, full, memo)
+    entries = [e for row in matrix for e in row]
+    if n > 4 and any(e.gens for e in entries) and all(len(e.den) == 1 for e in entries):
+        gens, scale, cleared = _cleared(matrix)
+        memo = {(): {0: 1}}
+        top = _pfaffian(cleared, full, memo)
+        pf = ex._new(gens, top, functools.reduce(ex._p_mul, [scale] * (n // 2)))
+
+        def minor(rest):
+            return ex._new(gens, ex._p_mul(_pfaffian(cleared, rest, memo), scale), top)
+
+    else:
+        memo = {(): ex.ONE}
+        pf = _pfaffian(matrix, full, memo)
+
+        def minor(rest):
+            return _pfaffian(matrix, rest, memo) / pf
+
     if pf.is_structural_zero:
         return None, pf
     inv = [[ex.ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            rest = full[:i] + full[i + 1 : j] + full[j + 1 :]
-            val = _pfaffian(matrix, rest, memo) / pf
+            val = minor(full[:i] + full[i + 1 : j] + full[j + 1 :])
             if (i + j) % 2:
                 val = -val
             inv[i][j] = val
@@ -234,10 +282,12 @@ class PoissonStructure:
     interior(Pi, alpha ^ omega**n) = n alpha ^ omega**(n-1).  On first use
     with a transversal field v it is read off one Pfaffian inverse: on the
     chart extended by a coordinate s, the inverse of Pi + v ^ @s is
-    omega + alpha ^ ds.  That pair is exact by construction; a declared
-    alpha or omega is checked by inverting the bordered two-form back.
-    The artifacts (volume, beta, mu and the modular field) are computed
-    once and kept, with the verdicts of the checks that accepted them.
+    omega + alpha ^ ds (by Pfaffian minors, see _skew_inverse).  That pair
+    is exact by construction; a declared alpha or omega is checked by
+    inverting the bordered two-form back.  The artifacts (volume, beta, mu
+    and the modular field) are computed once and kept, with the verdicts
+    of the checks that accepted them; d(alpha) and d(omega) are kept by
+    the forms themselves (ext_deriv memoizes per form).
     """
 
     __slots__ = (
@@ -307,22 +357,18 @@ class PoissonStructure:
 
         Since {x_i, x_j} = Pi^{ij}, the first term is
         sum_l Pi^{lk} d_l Pi^{ij}; each coefficient is derived once by
-        each coordinate, and the cyclic terms reuse those derivatives.
+        each coordinate it depends on, and the cyclic terms reuse those
+        derivatives.
         """
-        coords = self.chart.coords
-        dim = len(coords)
+        dim = self.chart.dim
         mat = skew_matrix(self.bivector)
-        grad = {
-            ij: [c.derive(x) for x in coords] for ij, c in self.bivector.coeffs.items()
-        }
+        grad = {}
+        for l, ij, dc in _partials(self.bivector.coeffs, self.chart):
+            grad.setdefault(ij, []).append((l, dc))
 
         def nested(i, j, k):
             # {{x_i, x_j}, x_k} for i < j
-            out = ex.ZERO
-            for l, dc in enumerate(grad.get((i, j), ())):
-                if not (dc.is_structural_zero or mat[l][k].is_structural_zero):
-                    out = out + mat[l][k] * dc
-            return out
+            return sum((mat[l][k] * dc for l, dc in grad.get((i, j), ()) if mat[l][k]), ex.ZERO)
 
         return {
             (i, j, k): nested(i, j, k) + nested(j, k, i) - nested(i, k, j)

@@ -3,7 +3,8 @@ import warnings
 
 import pytest
 
-from corankone import Chart, ZeroTester, exp, invariants, parse_scalar, rational, symbol
+from corankone import Chart, ZeroTester, bgeom, calculus, exp, invariants, parse_scalar, pipeline
+from corankone import rational, symbol
 from corankone.calculus import (
     DiffForm,
     MultiVector,
@@ -420,6 +421,43 @@ class TestWeinsteinIdentity:
         vmod = modular_field(P)
         assert beta == basis_form(P.chart, "x")
         assert interior(vmod, omega) == basis_form(P.chart, "x")
+
+
+class TestPairDifferentials:
+    def test_alpha_and_omega_differentiated_once_per_analyze(self, monkeypatch):
+        # compute_beta, compute_mu, check_transverse_poisson and extend_to_b
+        # each ask for d(alpha), the last three and second_obstruction for
+        # d(omega); a form keeps its exterior derivative, so each is taken
+        # once per structure
+        runners = []
+
+        class Kept(pipeline._Runner):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                runners.append(self)
+
+        asked, taken = [], []
+        ext_deriv, partials = calculus.ext_deriv, calculus._partials
+
+        def asking(eta):
+            asked.append(eta)
+            return ext_deriv(eta)
+
+        def taking(coeffs, chart):
+            taken.append(coeffs)
+            return partials(coeffs, chart)
+
+        monkeypatch.setattr(pipeline, "_Runner", Kept)
+        for module in (invariants, bgeom):
+            monkeypatch.setattr(module, "ext_deriv", asking)
+        monkeypatch.setattr(calculus, "_partials", taking)
+        analyze(bundled.entry("t3_example").problem)
+        (runner,) = runners
+        alpha, omega = runner.P.alpha, runner.P.omega
+        assert sum(f is alpha for f in asked) == 4
+        assert sum(f is omega for f in asked) == 4
+        assert sum(c is alpha.coeffs for c in taken) == 1
+        assert sum(c is omega.coeffs for c in taken) == 1
 
 
 class TestTransversePoisson:
