@@ -200,7 +200,7 @@ def b_transversality_check(P: PoissonStructure) -> BTransversalityReport:
     chart = P.chart
     if chart.dim % 2:
         raise DegreeError("transversality of the top power needs an even chart")
-    top = power(P.bivector, chart.dim // 2)
+    top = power(P.bivector, P.corank_n)
     h = top.coeffs.get(tuple(range(chart.dim)), ex.ZERO)
     if P.tester.is_zero(h).holds:
         return BTransversalityReport(
@@ -263,15 +263,14 @@ class BExtension:
         chart: Chart,  # the base chart with t, sampled on (-1, 1)
         omega_ext: DiffForm,
         pi_ext: MultiVector,
-        quotient: ScalarExpr,  # top power of pi_ext divided by t
+        quotient: ScalarExpr,  # top coefficient of pi_ext**(n+1) divided by t
     ):
         self.chart, self.omega_ext, self.pi_ext, self.quotient = chart, omega_ext, pi_ext, quotient
 
 
-def extend_to_b(
-    P: PoissonStructure, t_name: str = "t", checks: Optional[dict] = None
-) -> BExtension:
-    """Extension across a transversally vanishing hypersurface.
+def extend_to_b(P: PoissonStructure, checks: Optional[dict] = None) -> BExtension:
+    """Extension across a transversally vanishing hypersurface, in a new
+    coordinate t.
 
     Requires a transversal field v and closed adapted forms.  With
     s = -log t the extended two-form (dt/t) ^ alpha + omega is
@@ -279,9 +278,11 @@ def extend_to_b(
     that PoissonStructure.adapted rests on); since @s = -t @t, the dual
     bivector is Pi - t v ^ @t.  So it is Pi at t = 0, and Pi again on the
     t = 1 slice without its @t part, and its top power is
-    -(n+1) t Pi^n ^ v ^ @t; the quotient by t is checked to be definitely
-    nonzero.  When checks is a dict, it receives the verdicts of
-    d(alpha) = 0 and d(omega) = 0.
+    -(n+1) t Pi^n ^ v ^ @t.  The quotient by t is read off the adapted
+    volume theta dx_0^...^dx_2n = n! / Pf(Pi + v ^ @s) dx_0^...^dx_2n:
+    it is -(n+1)! Pf(Pi + v ^ @s) = -(n+1) (n!)^2 / theta, and it is
+    checked to be definitely nonzero.  When checks is a dict, it receives
+    the verdicts of d(alpha) = 0 and d(omega) = 0.
     """
     if P.transversal is None:
         raise NotTransversalError("no transversal vector field supplied")
@@ -294,20 +295,20 @@ def extend_to_b(
     bad = [f"{name} != 0" for name, v in verdicts.items() if not v.holds]
     if bad:
         raise InvariantsNotVanishingError(", ".join(bad))
-    if t_name in P.chart.coords or t_name in P.chart.params:
-        raise ChartError(f"extension coordinate {t_name!r} already in use")
-    chart = P.chart.with_coordinate(t_name, domain=(-1.0, 1.0))
-    t, k = ex.symbol(t_name), P.chart.dim
+    if "t" in P.chart.coords or "t" in P.chart.params:
+        raise ChartError("extension coordinate 't' already in use")
+    chart = P.chart.with_coordinate("t", domain=(-1.0, 1.0))
+    t, k = ex.symbol("t"), P.chart.dim
     # (dt/t) ^ alpha = -(alpha_i / t) dx_i ^ dt, and -t v ^ @t = -(t v^i) @i ^ @t
     dlogt_alpha = {(i, k): -c / t for (i,), c in alpha.coeffs.items()}
     omega_ext = DiffForm(chart, 2, {**omega.coeffs, **dlogt_alpha})
     border = {(i, k): -(t * c) for (i,), c in P.transversal.coeffs.items()}
     pi_ext = MultiVector(chart, 2, {**P.bivector.coeffs, **border})
-    h = power(pi_ext, P.corank_n + 1).coeffs.get(tuple(range(chart.dim)), ex.ZERO)
-    quotient = h / t
-    qv = ZeroTester(chart, seed=tester.seed + 2, trials=tester.trials, tol=tester.tol).is_zero(
-        quotient
-    )
+    n = P.corank_n
+    theta = P.volume().coeffs[tuple(range(k))]
+    quotient = ex.rational(-(n + 1) * math.factorial(n) ** 2) / theta
+    qtester = ZeroTester(chart, seed=tester.seed + 2, trials=tester.trials, tol=tester.tol)
+    qv = qtester.is_zero(quotient)
     if not qv.failed:
         raise InternalCheckError(
             f"t-quotient of the top power is not definitely nonzero ({qv.kind.value})"

@@ -10,7 +10,7 @@ import time
 
 from .errors import ProblemFileError, ToolkitError, quote
 from .pipeline import analyze, exit_code, expect_mismatches, render_report
-from .problemfile import load_problem, loads_problem, sampling_range_error
+from .problemfile import OPTION_TYPES, load_problem, loads_problem, sampling_range_error
 
 
 def _build_parser():
@@ -53,22 +53,24 @@ def bundled_corpus():
     return out
 
 
-def _cmd_check(args) -> int:
-    for name in ("trials", "tolerance"):
-        value = getattr(args, name)
-        why = None if value is None else sampling_range_error(name, value)
+def _override(problem, args):
+    """The problem with the sampling options given on the command line."""
+    for name in OPTION_TYPES:
+        value = getattr(args, name, None)  # corpus takes --seed alone
+        if value is None:
+            continue
+        why = sampling_range_error(name, value)
         if why:
             raise ProblemFileError(f"--{why}, got {quote(str(value))}")
+        setattr(problem, name, value)
+    return problem
+
+
+def _cmd_check(args) -> int:
     start = time.monotonic()
     problem = load_problem(args.file)
     load_ms = round(1000.0 * (time.monotonic() - start), 3)
-    report = analyze(
-        problem,
-        seed=args.seed,
-        trials=args.trials,
-        tolerance=args.tolerance,
-        timing=args.timing,
-    )
+    report = analyze(_override(problem, args), timing=args.timing)
     if args.timing:
         report["meta"]["load_ms"] = load_ms
     text = render_report(report)
@@ -104,8 +106,8 @@ def _cmd_corpus(args) -> int:
 
     ok = True
     for name, text in bundled_corpus():
-        problem = loads_problem(text, path=name)
-        report = analyze(problem, seed=args.seed)
+        problem = _override(loads_problem(text, path=name), args)
+        report = analyze(problem)
         mismatches = expect_mismatches(problem, report)
         status = "ok" if not mismatches else "MISMATCH"
         print(f"{name:28s} {status}")

@@ -47,7 +47,7 @@ import random
 import re
 import zlib
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Optional
 
 from .errors import (
     ChartError,
@@ -1439,6 +1439,16 @@ def _check_torus_strict(e: ScalarExpr, chart: "Chart"):
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
+def interval_error(name: str, lo: float, hi: float) -> Optional[str]:
+    """Why (lo, hi) is no sampling interval for name (a sample from an
+    infinite end is inf or nan, and decides no zero test), or None."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return f"sampling interval for {quote(name)} is not finite"
+    if not lo < hi:
+        return f"empty sampling interval for {quote(name)}"
+    return None
+
+
 class Chart:
     """Named coordinates with periodicity flags and sampling intervals.
 
@@ -1473,8 +1483,9 @@ class Chart:
             if name not in table:
                 raise ChartError(f"domain for unknown name {quote(name)}")
             lo, hi = float(iv[0]), float(iv[1])
-            if not lo < hi:
-                raise ChartError(f"empty sampling interval for {quote(name)}")
+            why = interval_error(name, lo, hi)
+            if why:
+                raise ChartError(why)
             table[name] = (lo, hi)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "periodic", periodic)

@@ -54,9 +54,9 @@ def _quietly(fn, *args):
 class _Runner:
     """Runs analyses on one structure; the structure keeps the artifacts."""
 
-    def __init__(self, problem: ProblemFile, seed=None, trials=None, tolerance=None):
+    def __init__(self, problem: ProblemFile):
         self.problem = problem
-        self.P = problem.structure(seed=seed, trials=trials, tolerance=tolerance)
+        self.P = problem.structure()
         self._adapted_error: Optional[str] = None
 
     def adapted(self):
@@ -105,8 +105,6 @@ class _Runner:
         return out
 
     def run_corank(self):
-        if self.P.corank_n is None:
-            return self._skip("no corank declared for an even-dimensional chart")
         n, top, nonvanishing = self.P.corank_evidence()
         if nonvanishing:
             verdict, detail = "probably-true", "top power nonvanishing at all sample points"
@@ -250,9 +248,9 @@ class _Runner:
         }
 
 
-def analyze(problem: ProblemFile, seed=None, trials=None, tolerance=None, timing=False) -> dict:
-    """Execute the requested analyses in dependency order."""
-    runner = _Runner(problem, seed=seed, trials=trials, tolerance=tolerance)
+def analyze(problem: ProblemFile, timing=False) -> dict:
+    """Execute the requested analyses in dependency order, at the problem's options."""
+    runner = _Runner(problem)
     analyses = {}
     failures = 0
     errors = 0
@@ -277,9 +275,9 @@ def analyze(problem: ProblemFile, seed=None, trials=None, tolerance=None, timing
             "schema": SCHEMA_VERSION,
             "tool": f"corankone {__version__}",
             "file": problem.path.rsplit("/", 1)[-1],
-            "seed": runner.P.tester.seed,
-            "trials": runner.P.tester.trials,
-            "tolerance": runner.P.tester.tol,
+            "seed": problem.seed,
+            "trials": problem.trials,
+            "tolerance": problem.tolerance,
         },
         "chart": {
             "coords": list(problem.chart.coords),

@@ -277,6 +277,10 @@ _CORANK_SAMPLES = 10
 class PoissonStructure:
     """A bivector with cached analysis artifacts.
 
+    Its n (corank_n) is dim // 2: the paper's structures live on a
+    (2n+1)-chart, where corank one means Pi**n != 0, and the b-side ones
+    on a 2n-chart.
+
     The adapted pair (alpha, omega) satisfies alpha(v) = 1, iota_v omega = 0,
     alpha annihilates the image of Pi, omega inverts Pi on the leaves, and
     interior(Pi, alpha ^ omega**n) = n alpha ^ omega**(n-1).  On first use
@@ -300,7 +304,6 @@ class PoissonStructure:
         self,
         chart: Chart,
         bivector: MultiVector,
-        corank_n: Optional[int] = None,
         transversal: Optional[MultiVector] = None,
         alpha: Optional[DiffForm] = None,
         omega: Optional[DiffForm] = None,
@@ -310,9 +313,7 @@ class PoissonStructure:
             raise DegreeError("a Poisson structure needs a bivector (degree 2)")
         if bivector.chart != chart:
             raise ChartMismatchError("bivector lives on a different chart")
-        if corank_n is None and chart.dim % 2 == 1:
-            corank_n = (chart.dim - 1) // 2
-        self.chart, self.bivector, self.corank_n = chart, bivector, corank_n
+        self.chart, self.bivector, self.corank_n = chart, bivector, chart.dim // 2
         self.transversal, self.alpha, self.omega = transversal, alpha, omega
         self.tester = ZeroTester(chart) if tester is None else tester
         self._jacobi = None
@@ -415,8 +416,6 @@ class PoissonStructure:
         it is summed from, whatever the scale of the structure.
         """
         n = self.corank_n
-        if n is None:
-            raise NotCorankOneError("no corank declared and chart dimension is even")
         top = power(self.bivector, n)
         rng_tester = self.tester.clone(seed=self.tester.seed + 101)
         all_nonzero = True
@@ -469,7 +468,7 @@ class PoissonStructure:
         if pv.holds:
             # at the largest rank Pi can have, a singular border means v
             # lies in the image of Pi; below it the kernel is too large
-            top = power(self.bivector, dim // 2)
+            top = power(self.bivector, self.corank_n)
             if is_zero_graded(top, self.tester).holds:
                 raise NotCorankOneError(
                     "kernel of Pi does not have the expected dimension"
@@ -488,9 +487,6 @@ class PoissonStructure:
         exactly when interior(Pi, alpha ^ omega**n) == n alpha ^ omega**(n-1),
         and the border is v exactly when alpha(v) = 1 and iota_v omega = 0.
         """
-        n = self.corank_n
-        if n is None:
-            raise NotCorankOneError("no corank declared and chart dimension is even")
         inv, pf = _skew_inverse(_bordered(omega, alpha))
         if inv is None or not self.tester.is_zero(pf).failed:
             raise InternalCheckError(
@@ -516,8 +512,8 @@ class PoissonStructure:
         Pfaffian of the bordered two-form is the coefficient of the volume
         up to n!.
         """
-        n = self.corank_n
-        self._volume = volume_form(self.chart) * (ex.rational(math.factorial(n)) * pf)
+        n_factorial = ex.rational(math.factorial(self.corank_n))
+        self._volume = volume_form(self.chart) * (n_factorial * pf)
         self.adapted_verdict = verdict
 
     # -- derived artifacts, each computed once ----------------------------------

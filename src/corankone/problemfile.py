@@ -15,7 +15,7 @@ from typing import Optional
 from . import expr as ex
 from .calculus import DiffForm, MultiVector
 from .errors import ChartError, ExprError, ProblemFileError, quote
-from .expr import Chart, ZeroTester
+from .expr import Chart, ZeroTester, interval_error
 from .invariants import ObstructionCertificate, PeriodWitness
 from .poisson import PoissonStructure
 
@@ -112,49 +112,32 @@ def sampling_range_error(name: str, value) -> Optional[str]:
 
 
 class ProblemFile:
+    """A problem file's chart, structure, certificates, analyses, options and expects.
+
+    ProblemFile(path) holds the defaults of the options; the loader writes
+    in what the file declares, and the CLI its --seed, --trials and
+    --tolerance.  The file's corank is only checked: n is dim // 2 of the
+    chart (see PoissonStructure).
+    """
+
     __slots__ = (
-        "path", "chart", "bivector", "corank", "transversal", "alpha", "omega", "omega_alt",
+        "path", "chart", "bivector", "transversal", "alpha", "omega", "omega_alt",
         "first_certificate", "second_certificate", "period_witness", "analyses", "seed",
         "trials", "tolerance", "expects",
     )
 
-    def __init__(
-        self,
-        path: str,
-        chart: Chart,
-        bivector: MultiVector,
-        corank: Optional[int] = None,
-        transversal: Optional[MultiVector] = None,
-        alpha: Optional[DiffForm] = None,
-        omega: Optional[DiffForm] = None,
-        omega_alt: Optional[DiffForm] = None,
-        first_certificate: Optional[ObstructionCertificate] = None,
-        second_certificate: Optional[ObstructionCertificate] = None,
-        period_witness: Optional[PeriodWitness] = None,
-        analyses: tuple = (),
-        seed: int = 0,
-        trials: int = 32,
-        tolerance: float = 1e-9,
-        expects: Optional[dict] = None,
-    ):
-        self.path, self.chart, self.bivector, self.corank = path, chart, bivector, corank
-        self.transversal, self.alpha, self.omega = transversal, alpha, omega
-        self.omega_alt, self.period_witness = omega_alt, period_witness
-        self.first_certificate, self.second_certificate = first_certificate, second_certificate
-        self.analyses, self.seed, self.trials, self.tolerance = analyses, seed, trials, tolerance
-        self.expects = {} if expects is None else expects
+    def __init__(self, path: str):
+        self.path, self.chart, self.bivector = path, None, None
+        self.transversal = self.alpha = self.omega = self.omega_alt = None
+        self.first_certificate = self.second_certificate = self.period_witness = None
+        self.analyses, self.expects = (), {}
+        self.seed, self.trials, self.tolerance = 0, 32, 1e-9
 
-    def structure(self, seed=None, trials=None, tolerance=None) -> PoissonStructure:
-        tester = ZeroTester(
-            self.chart,
-            seed=self.seed if seed is None else seed,
-            trials=self.trials if trials is None else trials,
-            tol=self.tolerance if tolerance is None else tolerance,
-        )
+    def structure(self) -> PoissonStructure:
+        tester = ZeroTester(self.chart, seed=self.seed, trials=self.trials, tol=self.tolerance)
         return PoissonStructure(
             self.chart,
             self.bivector,
-            corank_n=self.corank,
             transversal=self.transversal,
             alpha=self.alpha,
             omega=self.omega,
@@ -162,9 +145,16 @@ class ProblemFile:
         )
 
 
+# the graded fields of the structure section: class and degree
+_GRADED = {
+    "bivector": (MultiVector, 2), "transversal": (MultiVector, 1), "alpha": (DiffForm, 1),
+    "omega": (DiffForm, 2), "omega_alt": (DiffForm, 2),
+}
+
+
 class _Loader:
     def __init__(self, path: str, text: str):
-        self.path = path
+        self.problem = ProblemFile(path)
         self.lines = text.splitlines()
         self.section = None
         # chart pieces
@@ -173,30 +163,16 @@ class _Loader:
         self.params = []
         self.domains = {}
         self.torus_strict = False
-        self.chart = None
         # structure pieces (term lists, resolved after the chart exists)
-        self.terms = {
-            "bivector": [],
-            "transversal": [],
-            "alpha": [],
-            "omega": [],
-            "omega_alt": [],
-        }
-        self.corank = None
-        self.corank_line = 0
+        self.terms = {kind: [] for kind in _GRADED}
+        self.corank = None  # (n, line), checked against the chart
         # certificates
         self.first_f = None
         self.second_nu_terms = []
         self.period = None
-        # analyses / options / expects
-        self.analyses = []
-        self.seed = 0
-        self.trials = 32
-        self.tolerance = 1e-9
-        self.expects = {}
 
     def fail(self, message, lineno):
-        raise ProblemFileError(message, path=self.path, line=lineno)
+        raise ProblemFileError(message, path=self.problem.path, line=lineno)
 
     def load(self) -> ProblemFile:
         for lineno, raw in enumerate(self.lines, start=1):
@@ -245,33 +221,36 @@ class _Loader:
                 self.fail("param NAME [LO HI]", lineno)
             self.params.append(args[0])
             if len(args) == 3:
-                self.domains[args[0]] = self._interval(args[1:], lineno)
+                self.domains[args[0]] = self._interval(*args, lineno)
         elif head == "domain":
             if len(args) != 3:
                 self.fail("domain NAME LO HI", lineno)
-            self.domains[args[0]] = self._interval(args[1:], lineno)
+            self.domains[args[0]] = self._interval(*args, lineno)
         elif head == "torus_strict":
             self.torus_strict = True
         else:
             self.fail(f"unknown chart directive {quote(head)}", lineno)
 
-    def _interval(self, pair, lineno):
+    def _interval(self, name, lo, hi, lineno):
         try:
-            lo, hi = float(pair[0]), float(pair[1])
+            interval = float(lo), float(hi)
         except ValueError:
-            self.fail(f"bad interval {quote(' '.join(pair))}", lineno)
-        return (lo, hi)
+            self.fail(f"bad interval {quote(lo + ' ' + hi)}", lineno)
+        # the chart refuses these too, but without the line
+        why = interval_error(name, *interval)
+        if why:
+            self.fail(why, lineno)
+        return interval
 
     def _structure(self, head, args, lineno):
         if head == "corank":
             if len(args) != 1 or not args[0].isdigit():
                 self.fail("corank N", lineno)
             try:
-                self.corank = int(args[0])
+                self.corank = (int(args[0]), lineno)
             except ValueError:
                 # isdigit admits digit strings that int refuses
                 self.fail(f"corank N, got {quote(args[0])}", lineno)
-            self.corank_line = lineno
         elif head in self.terms:
             if not args:
                 self.fail(f"{head} EXPR [COORD...]", lineno)
@@ -303,8 +282,8 @@ class _Loader:
             self.fail("one analysis verb per line", lineno)
         if head not in ANALYSES:
             self.fail(f"unknown analysis {quote(head)}", lineno)
-        if head not in self.analyses:
-            self.analyses.append(head)
+        if head not in self.problem.analyses:
+            self.problem.analyses += (head,)
 
     def _options(self, head, args, lineno):
         kind = OPTION_TYPES.get(head)
@@ -320,18 +299,18 @@ class _Loader:
         why = sampling_range_error(head, value)
         if why:
             self.fail(f"option {why}, got {quote(args[0])}", lineno)
-        setattr(self, head, value)
+        setattr(self.problem, head, value)
 
     def _expects(self, head, args, lineno):
         if head not in ANALYSES or len(args) != 1 or args[0] not in VERDICT_WORDS:
             self.fail("expect lines are: ANALYSIS VERDICT", lineno)
-        self.expects[head] = args[0]
+        self.problem.expects[head] = args[0]
 
     # -- assembly ---------------------------------------------------------------
 
     def _parse(self, text, lineno):
         try:
-            return ex.parse_scalar(text, self.chart)
+            return ex.parse_scalar(text, self.problem.chart)
         except ExprError as exc:
             self.fail(f"bad expression {quote(text)}: {exc}", lineno)
 
@@ -344,16 +323,17 @@ class _Loader:
                     lineno,
                 )
             for n in names:
-                if n not in self.chart.coords:
+                if n not in self.problem.chart.coords:
                     self.fail(f"unknown coordinate {quote(n)} in {kind} term", lineno)
             terms.append((names, self._parse(text, lineno)))
-        return cls(self.chart, degree, terms)
+        return cls(self.problem.chart, degree, terms)
 
     def finish(self) -> ProblemFile:
+        problem = self.problem
         if self.coords is None:
             self.fail("missing chart section with a coords line", 0)
         try:
-            self.chart = Chart(
+            chart = problem.chart = Chart(
                 self.coords,
                 periodic=self.periodic,
                 params=tuple(self.params),
@@ -364,67 +344,39 @@ class _Loader:
             self.fail(str(exc), 0)
         if not self.terms["bivector"]:
             self.fail("structure section needs at least one bivector term", 0)
-        bivector = self._graded("bivector", MultiVector, 2)
-        transversal = (
-            self._graded("transversal", MultiVector, 1)
-            if self.terms["transversal"]
-            else None
-        )
-        alpha = self._graded("alpha", DiffForm, 1) if self.terms["alpha"] else None
-        omega = self._graded("omega", DiffForm, 2) if self.terms["omega"] else None
-        omega_alt = (
-            self._graded("omega_alt", DiffForm, 2) if self.terms["omega_alt"] else None
-        )
-        first_cert = None
+        for kind, (cls, degree) in _GRADED.items():
+            if self.terms[kind]:
+                setattr(problem, kind, self._graded(kind, cls, degree))
         if self.first_f is not None:
-            first_cert = ObstructionCertificate(
+            problem.first_certificate = ObstructionCertificate(
                 "first", f=self._parse(*self.first_f), origin="supplied"
             )
-        second_cert = None
         if self.second_nu_terms:
             terms = []
             for text, names, lineno in self.second_nu_terms:
-                if names[0] not in self.chart.coords:
+                if names[0] not in chart.coords:
                     self.fail(f"unknown coordinate {quote(names[0])}", lineno)
                 terms.append((names, self._parse(text, lineno)))
-            nu = DiffForm(self.chart, 1, terms)
-            second_cert = ObstructionCertificate("second", nu=nu, origin="supplied")
-        witness = None
+            nu = DiffForm(chart, 1, terms)
+            problem.second_certificate = ObstructionCertificate("second", nu=nu, origin="supplied")
         if self.period is not None:
             cycle, locus_raw, lineno = self.period
-            if cycle not in self.chart.coords:
+            if cycle not in chart.coords:
                 self.fail(f"unknown cycle coordinate {quote(cycle)}", lineno)
             locus = {}
             for name, (text, at) in locus_raw.items():
-                if name not in self.chart.coords:
+                if name not in chart.coords:
                     self.fail(f"unknown locus coordinate {quote(name)}", at)
                 locus[name] = self._parse(text, at)
-            witness = PeriodWitness(cycle, locus)
+            problem.period_witness = PeriodWitness(cycle, locus)
         # n, with dim = 2n+1, or 2n on a b-side chart
-        if self.corank is not None and self.corank != self.chart.dim // 2:
+        if self.corank is not None and self.corank[0] != chart.dim // 2:
             self.fail(
-                f"corank of a {self.chart.dim}-coordinate chart is {self.chart.dim // 2}, "
-                f"got {quote(str(self.corank))}",
-                self.corank_line,
+                f"corank of a {chart.dim}-coordinate chart is {chart.dim // 2}, "
+                f"got {quote(str(self.corank[0]))}",
+                self.corank[1],
             )
-        return ProblemFile(
-            path=self.path,
-            chart=self.chart,
-            bivector=bivector,
-            corank=self.corank,
-            transversal=transversal,
-            alpha=alpha,
-            omega=omega,
-            omega_alt=omega_alt,
-            first_certificate=first_cert,
-            second_certificate=second_cert,
-            period_witness=witness,
-            analyses=tuple(self.analyses),
-            seed=self.seed,
-            trials=self.trials,
-            tolerance=self.tolerance,
-            expects=dict(self.expects),
-        )
+        return problem
 
 
 def load_problem(path: str) -> ProblemFile:

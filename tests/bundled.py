@@ -20,9 +20,10 @@ def problem_texts():
 def _build(filename, text, seed):
     name = filename.removesuffix(".prob")
     problem = loads_problem(text, path=filename)
+    problem.seed = seed
     expected = problem.expects.get("unimodularity")
     unimodular = UNIMODULAR_WITHOUT_EXPECT.get(name) if expected is None else expected == "true"
-    return Entry(name, problem, problem.structure(seed=seed), unimodular)
+    return Entry(name, problem, problem.structure(), unimodular)
 
 
 def all_entries(seed=0):

@@ -140,7 +140,6 @@ def test_criterion_02_jacobi_dual_path():
             P = PoissonStructure(
                 chart,
                 random_multivector(rng, chart, 2),
-                corank_n=1,
                 tester=ZeroTester(chart, seed=SEED + i),
             )
             assert P.jacobi_verdict().holds == P.jacobiator_verdict().holds

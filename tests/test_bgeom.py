@@ -24,7 +24,7 @@ class TestBTransversality:
     def test_symplectic_case_vacuous(self):
         xy = Chart(("x", "y"))
         P = PoissonStructure(
-            xy, MultiVector(xy, 2, {("x", "y"): 1}), corank_n=1,
+            xy, MultiVector(xy, 2, {("x", "y"): 1}),
             tester=ZeroTester(xy, seed=2),
         )
         rep = b_transversality_check(P)
@@ -34,7 +34,7 @@ class TestBTransversality:
     def test_quadratic_vanishing_fails(self):
         xy = Chart(("x", "y"))
         P = PoissonStructure(
-            xy, MultiVector(xy, 2, {("x", "y"): "y^2"}), corank_n=1,
+            xy, MultiVector(xy, 2, {("x", "y"): "y^2"}),
             tester=ZeroTester(xy, seed=3),
         )
         rep = b_transversality_check(P)
@@ -43,7 +43,7 @@ class TestBTransversality:
 
     def test_identically_degenerate(self):
         xy = Chart(("x", "y"))
-        P = PoissonStructure(xy, MultiVector(xy, 2, {}), corank_n=1,
+        P = PoissonStructure(xy, MultiVector(xy, 2, {}),
                              tester=ZeroTester(xy, seed=4))
         rep = b_transversality_check(P)
         assert rep.verdict.failed
@@ -59,14 +59,14 @@ def _planar(h, seed=3, domains=None, params=()):
     else:
         h = parse_scalar(h, xy)
     return PoissonStructure(xy, MultiVector(xy, 2, {("x", "y"): h}),
-                            corank_n=1, tester=ZeroTester(xy, seed=seed))
+                            tester=ZeroTester(xy, seed=seed))
 
 
 def _circle(h, seed=3, params=()):
     """The structure h @theta^@z + @x^@y, whose top coefficient is 2h."""
     ch = Chart(("theta", "x", "y", "z"), periodic=("theta",), params=params)
     Pi = parse_graded(f"({h}) @theta^@z + @x^@y", ch, "multivector")
-    return PoissonStructure(ch, Pi, corank_n=2, tester=ZeroTester(ch, seed=seed))
+    return PoissonStructure(ch, Pi, tester=ZeroTester(ch, seed=seed))
 
 
 class TestExactTransversality:
@@ -290,9 +290,18 @@ class TestExtension:
             extend_to_b(e.structure)
 
     def test_name_collision_rejected(self):
-        e = bundled.entry("flat", seed=37)
-        with pytest.raises(ChartError):
-            extend_to_b(e.structure, t_name="x")
+        # flat.prob's structure on a chart that already names t, as a
+        # coordinate or as a parameter
+        for coords, params in ((("x", "y", "t"), ()), (("x", "y", "z"), ("t",))):
+            ch = Chart(coords, params=params)
+            P = PoissonStructure(
+                ch,
+                MultiVector(ch, 2, {coords[:2]: 1}),
+                transversal=MultiVector(ch, 1, {coords[2:]: 1}),
+                tester=ZeroTester(ch, seed=37),
+            )
+            with pytest.raises(ChartError, match="extension coordinate 't' already in use"):
+                extend_to_b(P)
 
     def test_declared_pair_without_transversal_rejected(self):
         P = bundled.entry("flat", seed=38).structure
@@ -316,7 +325,9 @@ class TestExtension:
             return tester
 
         monkeypatch.setattr(bgeom, "ZeroTester", spy)
-        P = bundled.entry("flat").problem.structure(seed=5, tolerance=1e-7)
+        problem = bundled.entry("flat").problem
+        problem.seed, problem.tolerance = 5, 1e-7
+        P = problem.structure()
         extend_to_b(P)
         assert tols == [1e-7]
 
@@ -342,7 +353,7 @@ class TestProductFamily:
     def test_quadratic_factor_fails_linear_vanishing(self):
         ch = Chart(("theta", "x", "y", "z"))
         Pi = parse_graded("theta^2 @theta^@z + @x^@y", ch, "multivector")
-        P = PoissonStructure(ch, Pi, corank_n=2, tester=ZeroTester(ch, seed=47))
+        P = PoissonStructure(ch, Pi, tester=ZeroTester(ch, seed=47))
         assert P.jacobi_verdict().holds
         rep = b_transversality_check(P)
         assert rep.verdict.failed

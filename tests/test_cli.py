@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import corankone
-from corankone import invariants, pipeline
+from corankone import ZeroTester, invariants, pipeline
 from corankone.cli import bundled_corpus, main
 from corankone.errors import ProblemFileError
 from corankone.pipeline import analyze, exit_code, expect_mismatches, render_report
@@ -216,7 +216,8 @@ section analyses
         text = text.replace('transversal "1" z', 'transversal "1" z\n  alpha "1" z\n  omega "1" x y')
         report = analyze(loads_problem(text.replace("  jacobi", "  jacobi\n  adapted")))
         assert report["analyses"]["adapted"]["status"] == "skipped"
-        assert "no corank declared" in report["analyses"]["adapted"]["detail"]
+        # n = dim // 2 = 2: omega + alpha ^ ds is a 5 x 5 skew matrix
+        assert "omega + alpha ^ ds is singular" in report["analyses"]["adapted"]["detail"]
 
     def test_empty_analysis_list_gives_metadata_only(self):
         text = MINIMAL.replace("  jacobi", "")
@@ -227,7 +228,8 @@ section analyses
 
     def test_seed_override(self):
         p = loads_problem(MINIMAL)
-        report = analyze(p, seed=99)
+        p.seed = 99
+        report = analyze(p)
         assert report["meta"]["seed"] == 99
 
     def test_timing_gated(self, tmp_path):
@@ -326,8 +328,9 @@ class TestDeterminism:
 
     def test_different_seed_allowed_to_differ(self):
         text = corpus_text("t3_example.prob")
-        r1 = analyze(loads_problem(text), seed=1)
-        r2 = analyze(loads_problem(text), seed=2)
+        p1, p2 = loads_problem(text), loads_problem(text)
+        p1.seed, p2.seed = 1, 2
+        r1, r2 = analyze(p1), analyze(p2)
         assert r1["meta"]["seed"] != r2["meta"]["seed"]
 
 
@@ -414,6 +417,14 @@ class TestExitCodes:
             ("seed 3", "trials 1000000000", r"option trials must lie in 1\.\.4096, got '1000000000'$"),
             # a known option with the wrong number of values is not unknown
             ("seed 3", "seed 1 2", r"option seed takes one value, got 2$"),
+            # every sample from an infinite end is inf or nan, and decides no
+            # zero test; the error names the line of the interval
+            ("coords x y z", "coords x y z\n  domain x 0 inf", r":5: sampling interval for 'x' is not finite$"),
+            ("coords x y z", "coords x y z\n  domain y -inf 0", r":5: sampling interval for 'y' is not finite$"),
+            ("coords x y z", "coords x y z\n  domain x nan 1", r":5: sampling interval for 'x' is not finite$"),
+            ("coords x y z", "coords x y z\n  param a 0 inf", r":5: sampling interval for 'a' is not finite$"),
+            ("coords x y z", "coords x y z\n  domain x 1 0", r":5: empty sampling interval for 'x'$"),
+            ("coords x y z", "coords x y z\n  param a 1 1", r":5: empty sampling interval for 'a'$"),
         ],
         ids=[
             "seed",
@@ -428,6 +439,12 @@ class TestExitCodes:
             "trials-zero",
             "trials-huge",
             "seed-two-values",
+            "domain-inf",
+            "domain-minus-inf",
+            "domain-nan",
+            "param-inf",
+            "domain-empty",
+            "param-empty",
         ],
     )
     def test_bad_value_is_exit_2(self, tmp_path, capsys, old, new, message):
@@ -593,6 +610,46 @@ class TestVerbs:
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["analyses"]["jacobi"]["verdict"] == "true"
+
+
+class TestSamplingOverrides:
+    """--seed, --trials and --tolerance replace the file's options, and the
+    CLI is the only place that applies them."""
+
+    def test_check_flags_reach_the_tester_and_the_report(self, tmp_path, monkeypatch):
+        from corankone import problemfile
+
+        testers = []
+        real = problemfile.ZeroTester
+
+        def spy(*args, **kwargs):
+            testers.append(real(*args, **kwargs))
+            return testers[-1]
+
+        monkeypatch.setattr(problemfile, "ZeroTester", spy)
+        path, out = tmp_path / "m.prob", tmp_path / "m.json"
+        path.write_text(MINIMAL)  # seed 3, and the default trials and tolerance
+        flags = ["--seed", "5", "--trials", "8", "--tolerance", "1e-6"]
+        assert main(["check", str(path), *flags, "--output", str(out)]) == 0
+        meta = json.loads(out.read_text())["meta"]
+        assert (meta["seed"], meta["trials"], meta["tolerance"]) == (5, 8, 1e-6)
+        assert [(t.seed, t.trials, t.tol) for t in testers] == [(5, 8, 1e-6)]
+
+    def test_corpus_seed_reaches_every_report(self, tmp_path, capsys):
+        assert main(["corpus", "--seed", "5", "--output", str(tmp_path)]) == 0
+        reports = sorted(tmp_path.glob("*.json"))
+        assert len(reports) == len(bundled_corpus())
+        for report in reports:
+            assert json.loads(report.read_text())["meta"]["seed"] == 5, report.name
+
+    def test_file_without_options_samples_as_the_default_tester(self):
+        problem = loads_problem(MINIMAL.replace("section options\n  seed 3\n", ""))
+        default = ZeroTester(problem.chart)
+        assert (problem.seed, problem.trials, problem.tolerance) == (
+            default.seed, default.trials, default.tol,
+        )
+        tester = problem.structure().tester
+        assert (tester.seed, tester.trials, tester.tol) == (default.seed, default.trials, default.tol)
 
 
 class TestStartup:

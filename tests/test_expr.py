@@ -460,6 +460,14 @@ class TestChart:
         with pytest.raises(ChartError):
             Chart(("x",), domains={"x": (1.0, 1.0)})
 
+    @pytest.mark.parametrize("interval", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)])
+    def test_non_finite_interval_rejected(self, interval):
+        # every sample from it is inf or nan, and no zero test is decided
+        with pytest.raises(ChartError, match="sampling interval for 'x' is not finite"):
+            Chart(("x",), domains={"x": interval})
+        with pytest.raises(ChartError, match="sampling interval for 'a' is not finite"):
+            Chart(("x",), params=("a",), domains={"a": interval})
+
     def test_sampling_respects_domains(self):
         ch = Chart(("t",), domains={"t": (0.05, 1.0)})
         rng = random.Random(0)

@@ -330,7 +330,7 @@ class TestModularField:
     def test_symplectic_chart_unimodular(self):
         xy = Chart(("x", "y"))
         P = PoissonStructure(
-            xy, MultiVector(xy, 2, {("x", "y"): 1}), corank_n=1,
+            xy, MultiVector(xy, 2, {("x", "y"): 1}),
             tester=ZeroTester(xy, seed=43),
         )
         vol = wedge(basis_form(xy, "x"), basis_form(xy, "y"))
@@ -561,7 +561,9 @@ class TestDecomposableFamily:
 
 class TestObstructionReport:
     def test_report_assembles_for_t3(self):
-        report = analyze(bundled.entry("t3_example").problem, seed=109)["analyses"]
+        problem = bundled.entry("t3_example").problem
+        problem.seed = 109
+        report = analyze(problem)["analyses"]
         holds = ("true", "probably-true")
         assert report["unimodularity"]["verdict"] in holds
         assert report["sigma"]["verdict"] in holds

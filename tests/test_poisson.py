@@ -330,7 +330,7 @@ class TestCorankEvidence:
     def test_affine_vanishes_on_axis(self):
         xy = Chart(("x", "y"))
         P = PoissonStructure(
-            xy, MultiVector(xy, 2, {("x", "y"): "y"}), corank_n=1
+            xy, MultiVector(xy, 2, {("x", "y"): "y"})
         )
         _, top, _ = P.corank_evidence()
         assert top == P.bivector
@@ -339,7 +339,7 @@ class TestCorankEvidence:
         assert coeff.subs({"y": rational(0)}).is_structural_zero
 
     def test_zero_bivector_degenerate(self, xyz):
-        P = PoissonStructure(xyz, MultiVector(xyz, 2, {}), corank_n=1)
+        P = PoissonStructure(xyz, MultiVector(xyz, 2, {}))
         _, _, nonvanishing = P.corank_evidence()
         assert not nonvanishing
 

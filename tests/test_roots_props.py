@@ -93,7 +93,7 @@ def circle_structure(e):
     for (a, b), c in sympy.Poly(e, S, C).terms():
         h = h + rational(int(c)) * sin(symbol("theta")) ** a * cos(symbol("theta")) ** b
     Pi = MultiVector(CIRCLE, 2, {("theta", "z"): h, ("x", "y"): 1})
-    return PoissonStructure(CIRCLE, Pi, corank_n=2, tester=ZeroTester(CIRCLE, seed=5))
+    return PoissonStructure(CIRCLE, Pi, tester=ZeroTester(CIRCLE, seed=5))
 
 
 @given(factored([1, S, C]))
