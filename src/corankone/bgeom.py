@@ -65,7 +65,7 @@ def _single_linear_locus(h: ScalarExpr, chart: Chart) -> Optional[str]:
     if name not in chart.coords:
         return None
     terms, den = h.parts()
-    if den != ex.ONE or [exps for exps, _ in terms] != [(1,)]:
+    if not den.is_rational or [exps for exps, _ in terms] != [(1,)]:
         return None
     return f"{name} = 0"
 

@@ -487,7 +487,8 @@ def exterior_divide(
 # ---------------------------------------------------------------------------
 # parsing of rendered forms (the canonical rendering is parse-stable)
 
-_BASIS_CHAIN_RE = re.compile(r"(?:(?:d|@)[A-Za-z_][A-Za-z0-9_]*)(?:\^(?:d|@)[A-Za-z_][A-Za-z0-9_]*)*$")
+# compiled (and cached by re) at the first parse_graded call, which no check makes
+_BASIS_CHAIN = r"(?:(?:d|@)[A-Za-z_][A-Za-z0-9_]*)(?:\^(?:d|@)[A-Za-z_][A-Za-z0-9_]*)*$"
 
 
 def _split_top_level(text: str):
@@ -528,7 +529,7 @@ def parse_graded(text: str, chart: Chart, kind: str):
         return cls(chart, 0, {})
     terms = []
     for sign, body in _split_top_level(text):
-        m = _BASIS_CHAIN_RE.search(body)
+        m = re.search(_BASIS_CHAIN, body)
         names = ()
         coeff_src = body
         if m is not None and (m.start() == 0 or body[m.start() - 1] in " *"):

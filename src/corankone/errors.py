@@ -55,7 +55,9 @@ class EvaluationSingularity(ExprError):
 
 
 class ChartError(ToolkitError):
-    pass
+    def __init__(self, message: str, at=None):
+        super().__init__(message)
+        self.at = at  # (Chart argument, name) at fault, such as ("periodic", "w")
 
 
 class ChartMismatchError(ToolkitError):

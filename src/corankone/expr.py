@@ -46,7 +46,6 @@ import operator
 import random
 import re
 import zlib
-from fractions import Fraction
 from typing import Mapping, Optional
 
 from .errors import (
@@ -431,7 +430,7 @@ class ScalarExpr:
     ``{}`` over ``{0: 1}``.
 
     The constructor normalizes polynomials given with packed monomials or
-    exponent tuples and with int or Fraction coefficients.
+    exponent tuples and with int, rational or float coefficients.
 
     ``+``, ``*`` and ``/`` take exact shortcuts for the operand kinds most
     arithmetic is made of, each giving the form the generic
@@ -466,7 +465,8 @@ class ScalarExpr:
     def is_rational(self) -> bool:
         return not self.gens
 
-    def as_fraction(self) -> Fraction:
+    def as_fraction(self):
+        from fractions import Fraction  # a library path: no check calls it
         if self.gens:
             raise ExprError(f"not a rational constant: {self}")
         return Fraction(self.num.get(0, 0), self.den[0])
@@ -483,12 +483,11 @@ class ScalarExpr:
 
     def parts(self):
         """``(terms, den)``: the numerator's terms in printed order, as
-        ``(exponent tuple, Fraction)`` pairs over the denominator scaled to
-        leading coefficient 1, and that denominator as an expression."""
+        ``(exponent tuple, int)`` pairs, and the denominator as an
+        expression; the expression is their sum over that denominator."""
         w = len(self.gens)
-        lc = self.den[max(self.den)]
-        terms = [(_unpack(k, w), Fraction(self.num[k], lc)) for k in sorted(self.num, reverse=True)]
-        return terms, _new(self.gens, self.den, {0: lc})
+        terms = [(_unpack(k, w), self.num[k]) for k in sorted(self.num, reverse=True)]
+        return terms, _new(self.gens, self.den, {0: 1})
 
     def __bool__(self):
         return bool(self.num)
@@ -496,11 +495,9 @@ class ScalarExpr:
     # -- equality -----------------------------------------------------------
 
     def __eq__(self, other):
-        if not isinstance(other, ScalarExpr):
-            if isinstance(other, (int, Fraction)):
-                other = rational(other)
-            else:
-                return NotImplemented
+        other = _coerce(other)
+        if other is NotImplemented:
+            return other
         return (
             self.gens == other.gens and self.num == other.num and self.den == other.den
         )
@@ -706,23 +703,15 @@ def _new(gens, num, den) -> ScalarExpr:
 def _integral(num, den):
     """num and den with packed monomials and integer coefficients.
 
-    Monomials may come as exponent tuples or packed, coefficients as ints
-    or Fractions; both polynomials are multiplied by the least common
-    denominator of the coefficients, and zero coefficients are dropped.
+    Monomials may come as exponent tuples or packed, coefficients as ints,
+    rationals (such as Fractions) or floats; both polynomials are
+    multiplied by the least common denominator of the coefficients, and
+    zero coefficients are dropped.
     """
-    scale = 1
-    for poly in (num, den):
-        for c in poly.values():
-            if type(c) is not int:
-                scale = math.lcm(scale, Fraction(c).denominator)
-    return tuple(
-        {
-            _pack(k) if type(k) is tuple else k: int(c * scale)
-            for k, c in poly.items()
-            if c
-        }
-        for poly in (num, den)
-    )
+    num, den = ({_pack(k) if type(k) is tuple else k: rational(c) for k, c in poly.items() if c}
+                for poly in (num, den))
+    scale = math.lcm(1, *(q.den[0] for q in (*num.values(), *den.values())))
+    return tuple({k: q.num[0] * (scale // q.den[0]) for k, q in p.items()} for p in (num, den))
 
 
 def _normalize(gens, num, den):
@@ -823,11 +812,14 @@ def _reciprocal(e: ScalarExpr) -> ScalarExpr:
 
 
 def _coerce(x):
+    """x as an expression, from an expression, an int or a rational with
+    integer ``numerator`` and positive ``denominator`` (a Fraction)."""
     if isinstance(x, ScalarExpr):
         return x
-    if isinstance(x, (int, Fraction)):
-        return rational(x)
-    return NotImplemented
+    if type(x) is int:
+        return _ratio(x, 1)
+    n, d = getattr(x, "numerator", None), getattr(x, "denominator", None)
+    return _ratio(n, d) if isinstance(n, int) and isinstance(d, int) else NotImplemented
 
 
 def _lift(e: ScalarExpr, pos, w):
@@ -907,9 +899,12 @@ _GEN = 1 << _FIELD | 1  # the one generator of a one-generator expression
 
 
 def rational(x) -> ScalarExpr:
-    """Exact constant from an int, Fraction, or decimal string."""
-    q = x if isinstance(x, (int, Fraction)) else Fraction(x)
-    return _ratio(q.numerator, q.denominator)
+    """Exact constant from an int, a Fraction, a float or a decimal string."""
+    q = _coerce(x)
+    if q is NotImplemented:
+        from fractions import Fraction  # no check makes a constant of a float or text
+        q = _coerce(Fraction(x))
+    return q
 
 
 def _ratio(p: int, r: int) -> ScalarExpr:
@@ -961,10 +956,10 @@ def exp(a) -> ScalarExpr:
 def log(a) -> ScalarExpr:
     a = _coerce(a)
     if a.is_rational:
-        q = a.as_fraction()
-        if q <= 0:
-            raise ExprError(f"log of non-positive constant {q}")
-        if q == 1:
+        p, r = a.num.get(0, 0), a.den[0]
+        if p <= 0:
+            raise ExprError(f"log of non-positive constant {a}")
+        if p == r:
             return ZERO
         return _gen_expr(FuncGen("log", a))
     hit = _single_exp_power(a)
@@ -1022,27 +1017,20 @@ def _gen_derivative(g, name: str) -> ScalarExpr:
 # printing
 
 
-def _term_str(exps, coeff, gens):
+def _term_str(exps, n, d, gens):
+    """Sign and text of the term (n / d) * monomial, for coprime n and d > 0."""
     parts = []
     for g, k in zip(gens, exps):
         if k == 1:
             parts.append(_gen_str(g))
         elif k > 1:
             parts.append(f"{_gen_str(g)}^{k}")
-    mag = abs(coeff)
-    if not parts:
-        body = _frac_str(mag)
-    elif mag == 1:
+    mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
+    if parts and mag == "1":
         body = "*".join(parts)
     else:
-        body = "*".join([_frac_str(mag)] + parts)
-    return coeff < 0, body
-
-
-def _frac_str(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        body = "*".join([mag] + parts)
+    return n < 0, body
 
 
 def _poly_str(poly, gens, lc):
@@ -1050,8 +1038,8 @@ def _poly_str(poly, gens, lc):
     w = len(gens)
     pieces = []
     for i, e in enumerate(sorted(poly, reverse=True)):
-        c = poly[e]
-        neg, body = _term_str(_unpack(e, w), Fraction(c, lc) if lc != 1 else c, gens)
+        g = math.gcd(poly[e], lc) if lc > 0 else -math.gcd(poly[e], lc)
+        neg, body = _term_str(_unpack(e, w), poly[e] // g, lc // g, gens)
         if i == 0:
             pieces.append(f"-{body}" if neg else body)
         else:
@@ -1213,16 +1201,23 @@ class _Parser:
         if self._next() != op:
             raise ExprSyntaxError(f"expected '{op}'", self._at(i))
 
-    def _literal(self, kind, i):
-        """Convert number token i; one too long for Python's integer
+    def _literal(self, i):
+        """Number token i as ``(n, d)`` with d > 0 and gcd(n, d) == 1; a
+        whole or fractional digit run too long for Python's integer
         conversion is a syntax error."""
         text = self.toks[i]
+        whole, _, frac = text.partition(".")
         try:
-            return kind(text)
+            if not frac:
+                return int(whole), 1
+            d = 10 ** len(frac)
+            n = int(whole) * d + int(frac)
         except ValueError:
             raise ExprSyntaxError(
                 f"number literal of {len(text)} characters is too long", self._at(i)
             ) from None
+        g = math.gcd(n, d)
+        return n // g, d // g
 
     # -- bounds ------------------------------------------------------------------
 
@@ -1383,15 +1378,15 @@ class _Parser:
             tok = self._next()
         if not tok[:1].isdecimal() or "." in tok:
             raise ExprSyntaxError("exponent must be an integer", self._at(i))
-        n = self._literal(int, i)
+        n, _ = self._literal(i)
         return -n if neg else n
 
     def atom(self):
         i = self.i
         tok = self._next()
         if tok[:1].isdecimal():
-            q = self._literal(Fraction if "." in tok else int, i)
-            return {0: q.numerator} if q else {}, q.denominator
+            n, d = self._literal(i)
+            return {0: n} if n else {}, d
         if tok == "(":
             self._open(i)
             e = self.expr()
@@ -1436,9 +1431,6 @@ def _check_torus_strict(e: ScalarExpr, chart: "Chart"):
 # ---------------------------------------------------------------------------
 # charts
 
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-
-
 def interval_error(name: str, lo: float, hi: float) -> Optional[str]:
     """Why (lo, hi) is no sampling interval for name (a sample from an
     infinite end is inf or nan, and decides no zero test), or None."""
@@ -1462,18 +1454,23 @@ class Chart:
         params = tuple(params)
         periodic = frozenset(periodic)
         names = coords + params
+        fields = [("coords", n) for n in coords] + [("params", n) for n in params]
         if len(set(names)) != len(names):
-            raise ChartError("coordinate/parameter names must be distinct")
-        for n in names:
-            if not _NAME_RE.match(n) or n in FUNCTIONS:
-                raise ChartError(f"invalid name {quote(n)}")
+            i = next(i for i, n in enumerate(names) if n in names[:i])
+            raise ChartError("coordinate/parameter names must be distinct", fields[i])
+        for at in fields:
+            n = at[1]
+            if not (n.isascii() and n.isidentifier()) or n in FUNCTIONS:
+                raise ChartError(f"invalid name {quote(n)}", at)
             if n[0] == "d" and n[1:] in coords:
                 raise ChartError(
-                    f"name {quote(n)} collides with the basis covector of {quote(n[1:])}"
+                    f"name {quote(n)} collides with the basis covector of {quote(n[1:])}", at
                 )
-        for p in periodic:
+        for p in sorted(periodic):  # not in hash order, which varies by process
             if p not in coords:
-                raise ChartError(f"periodic flag on unknown coordinate {quote(p)}")
+                raise ChartError(
+                    f"periodic flag on unknown coordinate {quote(p)}", ("periodic", p)
+                )
         table = {}
         for c in coords:
             table[c] = (0.0, math.tau) if c in periodic else (-1.0, 1.0)
@@ -1481,11 +1478,11 @@ class Chart:
             table[p] = (0.25, 1.75)
         for name, iv in dict(domains or {}).items():
             if name not in table:
-                raise ChartError(f"domain for unknown name {quote(name)}")
+                raise ChartError(f"domain for unknown name {quote(name)}", ("domains", name))
             lo, hi = float(iv[0]), float(iv[1])
             why = interval_error(name, lo, hi)
             if why:
-                raise ChartError(why)
+                raise ChartError(why, ("domains", name))
             table[name] = (lo, hi)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "periodic", periodic)

@@ -200,24 +200,17 @@ def _depends_on(e: ScalarExpr, name: str) -> bool:
 def _integrate_monomial(exps, coeff, gens, name):
     """Antiderivative of one canonical monomial in the named variable,
     or None when outside the polynomial/trig/exp-in-linear fragment."""
-    sym_pow = 0
+    sym_pow = fn_pow = 0
     fn_gen = None
-    fn_pow = 0
-    rest = ex.rational(coeff)
-    for g, k in zip(gens, exps):
-        if not k:
-            continue
-        if isinstance(g, str):
-            if g == name:
-                sym_pow = k
-            else:
-                rest = rest * ex.symbol(g) ** k
-        elif _depends_on(g.arg, name):
+    rest = list(exps)  # the factors free of name
+    for i, (g, k) in enumerate(zip(gens, exps)):
+        if k and g == name:
+            sym_pow, rest[i] = k, 0
+        elif k and not isinstance(g, str) and _depends_on(g.arg, name):
             if fn_gen is not None:
                 return None  # two name-dependent function factors
-            fn_gen, fn_pow = g, k
-        else:
-            rest = rest * ex._gen_expr(g) ** k
+            fn_gen, fn_pow, rest[i] = g, k, 0
+    rest = _monomial(rest, coeff, gens)
     if fn_gen is None:
         return rest * ex.symbol(name) ** (sym_pow + 1) / (sym_pow + 1)
     if sym_pow or fn_pow != 1 or fn_gen.fn == "log":
@@ -250,11 +243,7 @@ def _integrate(e: ScalarExpr, name: str):
 
 def _monomial(exps, coeff, gens) -> ScalarExpr:
     """One canonical term of parts() rebuilt as an expression."""
-    mono = ex.rational(coeff)
-    for g, k in zip(gens, exps):
-        if k:
-            mono = mono * ex._gen_expr(g) ** k
-    return mono
+    return ex._new(gens, {ex._pack(exps): coeff}, {0: 1})
 
 
 def _coordinate_free_part(e: ScalarExpr, chart: Chart) -> ScalarExpr:
@@ -264,19 +253,12 @@ def _coordinate_free_part(e: ScalarExpr, chart: Chart) -> ScalarExpr:
     terms, den_expr = e.parts()
     if any(s in coords for s in den_expr.free_symbols()):
         return ex.ZERO
-    const = ex.ZERO
-    for exps, coeff in terms:
-        involved = False
-        for g, k in zip(e.gens, exps):
-            if not k:
-                continue
-            if isinstance(g, str):
-                involved = involved or g in coords
-            else:
-                involved = involved or any(s in coords for s in g.arg.free_symbols())
-        if not involved:
-            const = const + _monomial(exps, coeff, e.gens)
-    return const / den_expr
+    involved = [
+        g in coords if isinstance(g, str) else not coords.isdisjoint(g.arg.free_symbols())
+        for g in e.gens
+    ]
+    free = [(exps, c) for exps, c in terms if not any(k and i for k, i in zip(exps, involved))]
+    return ex._new(e.gens, {ex._pack(exps): c for exps, c in free}, e.den)
 
 
 def antidifferentiate_oneform(beta0: DiffForm, tester: ZeroTester):

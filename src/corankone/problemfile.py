@@ -163,6 +163,7 @@ class _Loader:
         self.params = []
         self.domains = {}
         self.torus_strict = False
+        self.chart_lines = {}  # (Chart field, name) -> line, for a ChartError
         # structure pieces (term lists, resolved after the chart exists)
         self.terms = {kind: [] for kind in _GRADED}
         self.corank = None  # (n, line), checked against the chart
@@ -214,18 +215,22 @@ class _Loader:
             if not args:
                 self.fail("coords needs at least one name", lineno)
             self.coords = tuple(args)
+            self.chart_lines.update({("coords", n): lineno for n in args})
         elif head == "periodic":
             self.periodic.extend(args)
+            self.chart_lines.update({("periodic", n): lineno for n in args})
         elif head == "param":
             if len(args) not in (1, 3):
                 self.fail("param NAME [LO HI]", lineno)
             self.params.append(args[0])
+            self.chart_lines[("params", args[0])] = self.chart_lines[("domains", args[0])] = lineno
             if len(args) == 3:
                 self.domains[args[0]] = self._interval(*args, lineno)
         elif head == "domain":
             if len(args) != 3:
                 self.fail("domain NAME LO HI", lineno)
             self.domains[args[0]] = self._interval(*args, lineno)
+            self.chart_lines[("domains", args[0])] = lineno
         elif head == "torus_strict":
             self.torus_strict = True
         else:
@@ -341,7 +346,7 @@ class _Loader:
                 torus_strict=self.torus_strict,
             )
         except ChartError as exc:
-            self.fail(str(exc), 0)
+            self.fail(str(exc), self.chart_lines.get(exc.at, 0))
         if not self.terms["bivector"]:
             self.fail("structure section needs at least one bivector term", 0)
         for kind, (cls, degree) in _GRADED.items():

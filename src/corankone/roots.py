@@ -1,16 +1,16 @@
 """Exact real roots of a top coefficient along one symbol.
 
 A polynomial is a list of integers, constant term first, without zero
-leading entries.  Roots are counted with Sturm sequences (G. E. Collins and
-R. Loos, "Real zeros of polynomials", in Computer Algebra: Symbolic and
-Algebraic Computation, 1982), each member divided by its positive integer
-content, which keeps the signs the theorem reads.
+leading entries, and a rational is a pair ``(n, d)`` of integers, d > 0.
+Roots are counted with Sturm sequences (G. E. Collins and R. Loos, "Real
+zeros of polynomials", in Computer Algebra: Symbolic and Algebraic
+Computation, 1982), each member divided by its positive integer content,
+which keeps the signs the theorem reads.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from . import expr as ex
 
@@ -18,10 +18,10 @@ from . import expr as ex
 # bits, for a polynomial of that degree with coefficients of that many bits;
 # above this product the exact path may take seconds, and h is scanned
 EXACT_MAX_SIZE = 8192
-# an isolating interval is narrowed to this width relative to its ends; its
-# midpoint then rounds to the float nearest the root, unless the root lies
-# about as close to the midpoint of two floats
-_REFINE = Fraction(1, 1 << 60)
+# an isolating interval is narrowed to 2^-_REFINE of its largest end (or
+# of 1); its midpoint then rounds to the float nearest the root, unless the
+# root lies about as close to the midpoint of two floats
+_REFINE = 60
 
 
 def _trim(p):
@@ -53,7 +53,7 @@ def _positive_rem(a, b):
         for i, c in enumerate(b):
             a[i + k] -= q * c
         _trim(a)
-    return _over_content(a) if a else a
+    return _primitive(a) if a else a
 
 
 def _sturm(a, b):
@@ -70,7 +70,7 @@ def _sturm(a, b):
 
 def _sign(p, x):
     """The sign of p at the rational x."""
-    n, d = x.numerator, x.denominator
+    n, d = x
     v, dk = 0, 1
     for c in reversed(p):
         v = v * n + c * dk
@@ -78,9 +78,22 @@ def _sign(p, x):
     return (v > 0) - (v < 0)
 
 
+def _mid(a, b):
+    """The midpoint of the rationals a and b, reduced."""
+    (p, q), (r, s) = a, b
+    g = math.gcd(p * s + r * q, 2 * q * s)
+    return (p * s + r * q) // g, 2 * q * s // g
+
+
+def _wider(a, b):
+    """Whether b - a > 2^-_REFINE max(1, |a|, |b|), for rationals a <= b."""
+    (p, q), (r, s) = a, b
+    return (r * q - p * s) << _REFINE > max(q * s, abs(p) * s, abs(r) * q)
+
+
 def _real_roots(p, lo=None, hi=None):
-    """The distinct real roots of p in [lo, hi] (on the whole line when lo
-    and hi are None), in increasing order, as pairs (value, multiple)."""
+    """The distinct real roots of p in [lo, hi] (rationals, or the whole line),
+    in increasing order, as pairs (rational value, multiple)."""
     if len(p) < 2:
         return []
     seq = _sturm(p, _derivative(p))
@@ -94,8 +107,8 @@ def _real_roots(p, lo=None, hi=None):
         seq = _sturm(p, _derivative(p))
         multiple = _sturm(p, gcd)[-1]
     if lo is None:
-        bound = 1 + Fraction(max(abs(c) for c in p), abs(p[-1]))
-        lo, hi = -bound, bound
+        lead, top = abs(p[-1]), max(map(abs, p))  # Cauchy's bound 1 + top / lead
+        lo, hi = (-lead - top, lead), (lead + top, lead)
     seen = {}
 
     def variations(x):
@@ -107,7 +120,8 @@ def _real_roots(p, lo=None, hi=None):
     roots = [(lo, lo)] if _sign(p, lo) == 0 else []
     todo = [(lo, hi)]
     while todo:
-        # the roots in (a, b]
+        # the roots in (a, b]; the left half is taken first, so the
+        # isolating intervals come in increasing order
         a, b = todo.pop()
         n = variations(a) - variations(b)
         if n == 0:
@@ -117,13 +131,13 @@ def _real_roots(p, lo=None, hi=None):
         elif n == 1 and _sign(p, a) != 0:
             roots.append((a, b))
         else:
-            mid = (a + b) / 2
-            todo += [(a, mid), (mid, b)]
+            mid = _mid(a, b)
+            todo += [(mid, b), (a, mid)]
     out = []
-    for a, b in sorted(roots):
+    for a, b in roots:
         sa = _sign(p, a)
-        while sa and b - a > _REFINE * max(1, abs(a), abs(b)):
-            mid = (a + b) / 2
+        while sa and _wider(a, b):
+            mid = _mid(a, b)
             sm = _sign(p, mid)
             if sm == sa:
                 a = mid
@@ -136,7 +150,7 @@ def _real_roots(p, lo=None, hi=None):
             many = _sign(multiple, a) == 0
         else:
             many = _sign(multiple, a) != _sign(multiple, b)
-        out.append(((a + b) / 2, many))
+        out.append((_mid(a, b), many))
     return out
 
 
@@ -145,24 +159,22 @@ def _too_large(p):
     return n * (n + max(abs(c).bit_length() for c in p)) > EXACT_MAX_SIZE
 
 
-def _over_content(p):
-    """The positive multiple of p (rational coefficients) with integer
-    coefficients that share no factor."""
-    scale = math.lcm(*(c.denominator for c in p))
-    p = [int(c * scale) for c in p]
+def _primitive(p):
+    """p over the positive gcd of its coefficients."""
     g = math.gcd(*p)
     return [c // g for c in p]
 
 
 def _exact_quotient(a, b):
     """a / b for b dividing a, over its content."""
-    a = [Fraction(c) for c in a]
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
+    b = _primitive(b)  # so the quotient is over the integers (Gauss's lemma)
+    a = list(a)
+    q = [0] * (len(a) - len(b) + 1)
     for k in reversed(range(len(q))):
-        q[k] = a[k + len(b) - 1] / b[-1]
+        q[k] = a[k + len(b) - 1] // b[-1]
         for i, c in enumerate(b):
             a[i + k] -= q[k] * c
-    return _over_content(q)
+    return _primitive(q)
 
 
 def real_roots(h: ex.ScalarExpr, var: str, chart: ex.Chart):
@@ -176,18 +188,19 @@ def real_roots(h: ex.ScalarExpr, var: str, chart: ex.Chart):
     """
     terms, den = h.parts()
     if h.gens == (var,):
-        p = [Fraction(0)] * (terms[0][0][0] + 1)
+        p = [0] * (terms[0][0][0] + 1)
         for (e,), c in terms:
             p[e] = c
-        p = _over_content(p)
+        p = _primitive(p)
         if _too_large(p):
             return None
         lo, hi = (0.0, math.tau) if var in chart.periodic else chart.domain(var)
-        return [(float(r), not many) for r, many in _real_roots(p, Fraction(lo), Fraction(hi))]
+        found = _real_roots(p, lo.as_integer_ratio(), hi.as_integer_ratio())
+        return [(n / d, not many) for (n, d), many in found]  # n / d rounds correctly
     arg = ex.symbol(var)
     if (
         var not in chart.periodic
-        or den != ex.ONE
+        or not den.is_rational
         or any(not isinstance(g, ex.FuncGen) or g.fn not in ("sin", "cos") or g.arg != arg
                for g in h.gens)
     ):
@@ -212,7 +225,7 @@ def real_roots(h: ex.ScalarExpr, var: str, chart: ex.Chart):
             P[i] += x
     if not _trim(P):
         return None
-    P = _over_content(P)
+    P = _primitive(P)
     if _too_large(P):
         return None
     # near pi, u = 1/t is a coordinate with h = u^(2d) P(1/u) / (1 + u^2)^d:
@@ -221,7 +234,7 @@ def real_roots(h: ex.ScalarExpr, var: str, chart: ex.Chart):
     at_pi = 2 * d + 1 - len(P)
     roots = []
     for t, many in _real_roots(P):
-        theta = 2.0 * math.atan(t)
+        theta = 2.0 * math.atan(t[0] / t[1])
         roots.append((theta + math.tau if theta < 0.0 else theta, not many))
     if at_pi:
         roots.append((math.pi, at_pi == 1))

@@ -1,5 +1,8 @@
 """Independent routes to verdicts that the package decides another way."""
 
+import math
+from fractions import Fraction
+
 from corankone import exp, rational, symbol
 from corankone import expr as ex
 from corankone.calculus import (
@@ -96,3 +99,148 @@ def recursive_schouten(P, Q):
         t2 = wedge(A, recursive_schouten(B, Q))
         total = total + t1 + t2
     return total
+
+
+def _frac_str(q):
+    if q.denominator == 1:
+        return str(q.numerator)
+    return f"{q.numerator}/{q.denominator}"
+
+
+def _fraction_term_str(exps, coeff, gens):
+    parts = []
+    for g, k in zip(gens, exps):
+        if k == 1:
+            parts.append(ex._gen_str(g))
+        elif k > 1:
+            parts.append(f"{ex._gen_str(g)}^{k}")
+    mag = abs(coeff)
+    if not parts:
+        body = _frac_str(mag)
+    elif mag == 1:
+        body = "*".join(parts)
+    else:
+        body = "*".join([_frac_str(mag)] + parts)
+    return coeff < 0, body
+
+
+def fraction_poly_str(poly, gens, lc):
+    """poly / lc in grlex order, highest term first, each coefficient a
+    Fraction; _poly_str reduces integer pairs instead."""
+    w = len(gens)
+    pieces = []
+    for i, e in enumerate(sorted(poly, reverse=True)):
+        c = poly[e]
+        neg, body = _fraction_term_str(ex._unpack(e, w), Fraction(c, lc) if lc != 1 else c, gens)
+        if i == 0:
+            pieces.append(f"-{body}" if neg else body)
+        else:
+            pieces.append(f" - {body}" if neg else f" + {body}")
+    return "".join(pieces), len(poly)
+
+
+def _fraction_sturm(a, b):
+    seq = [a, b]
+    while len(seq[-1]) > 1:
+        a, b = list(seq[-2]), seq[-1]
+        lc, db = b[-1], len(b) - 1
+        scale, sign = abs(lc), 1 if lc > 0 else -1
+        while len(a) > db:
+            q, k = sign * a[-1], len(a) - 1 - db
+            a = [c * scale for c in a]
+            for i, c in enumerate(b):
+                a[i + k] -= q * c
+            while a and not a[-1]:
+                a.pop()
+        if not a:
+            break
+        seq.append([-c for c in _over_content(a)])
+    return seq
+
+
+def _fraction_sign(p, x):
+    n, d = x.numerator, x.denominator
+    v, dk = 0, 1
+    for c in reversed(p):
+        v = v * n + c * dk
+        dk *= d
+    return (v > 0) - (v < 0)
+
+
+def _over_content(p):
+    scale = math.lcm(*(Fraction(c).denominator for c in p))
+    p = [int(c * scale) for c in p]
+    g = math.gcd(*p)
+    return [c // g for c in p]
+
+
+def _fraction_exact_quotient(a, b):
+    a = [Fraction(c) for c in a]
+    q = [Fraction(0)] * (len(a) - len(b) + 1)
+    for k in reversed(range(len(q))):
+        q[k] = a[k + len(b) - 1] / b[-1]
+        for i, c in enumerate(b):
+            a[i + k] -= q[k] * c
+    return _over_content(q)
+
+
+def fraction_real_roots(p, lo=None, hi=None):
+    """The Sturm isolation of roots._real_roots over Fractions: the distinct
+    real roots of p in [lo, hi] (Fractions; the whole line when None) in
+    increasing order, as pairs (Fraction, multiple); _real_roots takes
+    rationals as integer pairs and halves its intervals left first."""
+    if len(p) < 2:
+        return []
+
+    def derivative(p):
+        return [i * c for i, c in enumerate(p)][1:]
+
+    seq = _fraction_sturm(p, derivative(p))
+    gcd = seq[-1]
+    multiple = [1]
+    if len(gcd) > 1:
+        p = _fraction_exact_quotient(p, gcd)
+        seq = _fraction_sturm(p, derivative(p))
+        multiple = _fraction_sturm(p, gcd)[-1]
+    if lo is None:
+        bound = 1 + Fraction(max(abs(c) for c in p), abs(p[-1]))
+        lo, hi = -bound, bound
+
+    def variations(x):
+        signs = [s for s in (_fraction_sign(q, x) for q in seq) if s]
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+
+    roots = [(lo, lo)] if _fraction_sign(p, lo) == 0 else []
+    todo = [(lo, hi)]
+    while todo:
+        a, b = todo.pop()
+        n = variations(a) - variations(b)
+        if n == 0:
+            continue
+        if n == 1 and _fraction_sign(p, b) == 0:
+            roots.append((b, b))
+        elif n == 1 and _fraction_sign(p, a) != 0:
+            roots.append((a, b))
+        else:
+            mid = (a + b) / 2
+            todo += [(a, mid), (mid, b)]
+    refine = Fraction(1, 1 << 60)
+    out = []
+    for a, b in sorted(roots):
+        sa = _fraction_sign(p, a)
+        while sa and b - a > refine * max(1, abs(a), abs(b)):
+            mid = (a + b) / 2
+            sm = _fraction_sign(p, mid)
+            if sm == sa:
+                a = mid
+            elif sm:
+                b = mid
+            else:
+                a = b = mid
+                sa = 0
+        if a == b:
+            many = _fraction_sign(multiple, a) == 0
+        else:
+            many = _fraction_sign(multiple, a) != _fraction_sign(multiple, b)
+        out.append(((a + b) / 2, many))
+    return out

@@ -489,6 +489,30 @@ class TestExitCodes:
         assert "a power may expand to 15380937 terms, more than 10000" in proc.stderr
         assert len(proc.stderr.encode()) < 300
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("periodic w", "periodic flag on unknown coordinate 'w'"),
+            ("domain w 0 1", "domain for unknown name 'w'"),
+            ("param a\n  periodic y a", "periodic flag on unknown coordinate 'a'"),
+            # of two unknown names the first in order, whatever the hash seed
+            ("periodic w\n  periodic v", "periodic flag on unknown coordinate 'v'"),
+            ("domain x -2 2\n  param dx", "name 'dx' collides with the basis covector of 'x'"),
+            ("param exp 0 1", "invalid name 'exp'"),
+            ("param y", "coordinate/parameter names must be distinct"),
+        ],
+        ids=["periodic", "domain", "periodic-param", "two-periodic", "collision", "invalid", "repeated"],
+    )
+    def test_chart_error_names_its_line(self, tmp_path, capsys, lines, message):
+        # the chart is built after the whole file is read; its error is
+        # reported at the directive that caused it, the last line inserted
+        text = MINIMAL.replace("coords x y z", f"coords x y z\n  {lines}")
+        path = tmp_path / "chart.prob"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 2
+        line = 4 + lines.count("\n") + 1
+        assert capsys.readouterr().err == f"validation error: {path}:{line}: {message}\n"
+
     def test_degree_past_the_bound_is_exit_2(self, tmp_path, capsys):
         text = MINIMAL.replace('bivector "1" x y', 'bivector "((x^32)^32)^31" x y')
         path = tmp_path / "degree.prob"
@@ -664,6 +688,31 @@ class TestStartup:
         proc = run_python("-S", "-c", code, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_no_check_loads_fractions(self):
+        # exact rationals are integer pairs: neither the import nor any
+        # check of the bundled and fixture files loads fractions, or the
+        # decimal and numbers it imports
+        problems = os.path.join(os.path.dirname(os.path.abspath(__file__)), "problems")
+        fixtures = sorted(os.path.join(problems, n) for n in os.listdir(problems) if n.endswith(".prob"))
+        assert len(fixtures) == 2
+        code = (
+            "import sys, corankone.cli\n"
+            "def loaded():\n"
+            "    print(sorted(m for m in ('fractions', 'decimal', 'numbers') if m in sys.modules))\n"
+            "loaded()\n"
+            "from corankone.pipeline import analyze, render_report\n"
+            "from corankone.problemfile import load_problem, loads_problem\n"
+            "problems = [loads_problem(text, path=name) for name, text in corankone.cli.bundled_corpus()]\n"
+            f"problems += [load_problem(path) for path in {fixtures!r}]\n"
+            "for problem in problems:\n"
+            "    render_report(analyze(problem))\n"
+            "print(len(problems))\n"
+            "loaded()\n"
+        )
+        proc = run_python("-S", "-c", code, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n") == ["[]", str(len(bundled_corpus()) + 2), "[]", ""]
 
 
 class TestBenchmarkTracer:

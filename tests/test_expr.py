@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,30 @@ class TestParsing:
             parse_scalar("x^y", xyz)
         with pytest.raises(ExprSyntaxError):
             parse_scalar("x^1.5", xyz)
+
+    # Python's limit on the digits of one int conversion (0: no limit)
+    DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+    @pytest.mark.skipif(not DIGITS, reason="no digit limit on int conversion")
+    def test_decimal_literal_digit_runs_are_bounded_apart(self, xyz):
+        # the whole and the fractional digits convert separately, each up to
+        # the limit, so a literal longer than the limit as a whole parses
+        n = self.DIGITS
+        for whole, frac in ((n, n), (2000, 2400)):
+            text = "1" * whole + "." + "2" * frac
+            assert parse_scalar(text, xyz) == rational(Fraction(text))
+        for whole, frac in ((n + 1, 1), (1, n + 1)):
+            text = "1" * whole + "." + "2" * frac
+            with pytest.raises(ExprSyntaxError) as ei:
+                parse_scalar(f"x + {text}", xyz)
+            assert str(ei.value) == (
+                f"number literal of {len(text)} characters is too long (at position 4)"
+            )
+
+    def test_decimal_literal_is_reduced(self, xyz):
+        for text, p, r in (("0.50", 1, 2), ("2.0", 2, 1), ("0.0", 0, 1), ("12.345", 2469, 200)):
+            e = parse_scalar(text, xyz)
+            assert (e.num.get(0, 0), e.den) == (p, {0: r})
 
     def test_negative_and_parenthesized_exponent(self, xyz):
         assert parse_scalar("x^-2", xyz) == parse_scalar("1/x^2", xyz)
@@ -370,9 +395,8 @@ class TestArithmeticShortcuts:
         assert ONE.num == ONE.den == rational(5).den == {0: 1}
 
     def test_arithmetic_builds_no_fraction(self, xyz, monkeypatch):
-        # rationals are ints until they are printed or read as a Fraction
+        # rationals are ints, also where they are parsed and printed
         texts = ("2/3", "-5/7", "3", "x/(x + 1)", "(x^2 - y)/(3*y + 2)", "exp(x)/2 + sin(y)")
-        operands = [parse_scalar(t, xyz) for t in texts]
         fresh = [parse_scalar(t, xyz) for t in texts]
         calls = []
         real = Fraction.__new__
@@ -382,12 +406,14 @@ class TestArithmeticShortcuts:
             return real(cls, *args, **kwargs)
 
         monkeypatch.setattr(Fraction, "__new__", counting)
+        operands = [parse_scalar(t, xyz) for t in texts + ("1.25*x - 0.5", "log(2.5)")]
         out = []
         for a in operands:
             for b in operands:
                 out += [a + b, a - b, a * b, a / b, a + 2, 3 * a, a / 4]
         for e in fresh:
             out += [e.derive("x"), e.derive("y")]
+        assert all(str(e) for e in out)
         assert calls == []
 
     def test_shortcuts_skip_normalize(self, xyz, monkeypatch):
@@ -451,6 +477,12 @@ class TestChart:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ChartError):
             Chart(("x", "x"))
+
+    @pytest.mark.parametrize("name", ["x\n", "1x", "", "x-y", "\u00e9"])
+    def test_name_outside_ascii_identifiers_rejected(self, name):
+        # a regex anchored with $ would accept the trailing newline
+        with pytest.raises(ChartError, match="invalid name"):
+            Chart([name, "y", "z"])
 
     def test_basis_name_collision_rejected(self):
         with pytest.raises(ChartError):

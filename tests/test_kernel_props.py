@@ -5,7 +5,8 @@ integers in one to four generators, packed the way the kernel packs them,
 and compared with sympy's results after unpacking.  The canonical form is
 checked for invariance under scaling numerator and denominator together,
 and `evaluate` against a reference built here from Fraction coefficients
-over the denominator scaled to leading coefficient 1.
+over the denominator scaled to leading coefficient 1; the printed text
+against `oracles.fraction_poly_str`, which prints the same coefficients.
 """
 
 import math
@@ -30,6 +31,8 @@ from corankone.expr import (  # noqa: E402
     _pack,
     _unpack,
 )
+
+from oracles import fraction_poly_str  # noqa: E402
 
 SYMS = sympy.symbols("x0:4")
 
@@ -216,3 +219,13 @@ def test_evaluate_matches_fraction_reference(e, x, y):
     except ExprError:
         return  # a pole at the sample point
     assert got == reference_value(e, env)
+
+
+@given(quotients, st.integers(-12, 12).filter(bool))
+def test_printing_matches_fraction_printer(e, k):
+    lc = e.den[max(e.den)]
+    for poly in (e.num, e.den):
+        assert expr._poly_str(poly, e.gens, lc) == fraction_poly_str(poly, e.gens, lc)
+        # over any nonzero divisor, a negative one too: the sign of each
+        # reduced coefficient goes to its numerator
+        assert expr._poly_str(poly, e.gens, k * lc) == fraction_poly_str(poly, e.gens, k * lc)

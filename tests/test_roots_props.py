@@ -7,7 +7,9 @@ and on the whole line, and its multiple roots with the factors of
 multiplicity two or more in `sqf_list`.  Trigonometric top coefficients
 in sin(theta) and cos(theta) go through `b_transversality_check` and are
 compared with the real roots sympy finds after its own Weierstrass
-substitution, plus the point theta = pi where it is undefined.
+substitution, plus the point theta = pi where it is undefined.  The
+integer-pair isolation is also compared, value for value, with the same
+isolation over Fractions in `oracles.fraction_real_roots`.
 """
 
 import math
@@ -26,6 +28,8 @@ from corankone.bgeom import b_transversality_check  # noqa: E402
 from corankone.calculus import MultiVector  # noqa: E402
 from corankone.poisson import PoissonStructure  # noqa: E402
 from corankone.roots import _real_roots  # noqa: E402
+
+from oracles import fraction_real_roots  # noqa: E402
 
 X = sympy.Symbol("x")
 S, C, T = sympy.symbols("s c t")
@@ -51,6 +55,15 @@ bounds = st.tuples(st.integers(-12, 12), st.integers(-12, 12)).filter(
 ).map(lambda pair: (Fraction(pair[0], 4), Fraction(pair[1], 4)))
 
 
+def pair(q):
+    return q.numerator, q.denominator
+
+
+def exact(roots):
+    """_real_roots' pairs with each value as a Fraction."""
+    return [(Fraction(*r), many) for r, many in roots]
+
+
 def multiple_roots(poly, *interval):
     return sum(
         sympy.Poly(f, X).count_roots(*interval)
@@ -65,7 +78,7 @@ def test_roots_on_an_interval_agree_with_sympy(e, interval):
     assume(poly.degree() >= 1)
     p = [int(c) for c in reversed(poly.all_coeffs())]
     lo, hi = interval
-    roots = _real_roots(p, lo, hi)
+    roots = exact(_real_roots(p, pair(lo), pair(hi)))
     assert len(roots) == poly.count_roots(lo, hi)
     assert sum(many for _, many in roots) == multiple_roots(e, lo, hi)
     assert [r for r, _ in roots] == sorted(r for r, _ in roots)
@@ -77,10 +90,27 @@ def test_roots_on_the_line_agree_with_sympy(e):
     poly = sympy.Poly(e, X)
     assume(poly.degree() >= 1)
     p = [int(c) for c in reversed(poly.all_coeffs())]
-    roots = _real_roots(p)
+    roots = exact(_real_roots(p))
     want = sorted(set(float(r) for r in sympy.real_roots(poly)))
     assert [float(r) for r, _ in roots] == pytest.approx(want, abs=1e-9)
     assert sum(many for _, many in roots) == multiple_roots(e)
+
+
+@given(factored([1, X, X**2]), bounds)
+def test_interval_roots_match_the_fraction_isolation(e, interval):
+    poly = sympy.Poly(e, X)
+    assume(poly.degree() >= 1)
+    p = [int(c) for c in reversed(poly.all_coeffs())]
+    lo, hi = interval
+    assert exact(_real_roots(p, pair(lo), pair(hi))) == fraction_real_roots(p, lo, hi)
+
+
+@given(factored([1, X, X**2, X**3]))
+def test_line_roots_match_the_fraction_isolation(e):
+    poly = sympy.Poly(e, X)
+    assume(poly.degree() >= 1)
+    p = [int(c) for c in reversed(poly.all_coeffs())]
+    assert exact(_real_roots(p)) == fraction_real_roots(p)
 
 
 CIRCLE = Chart(("theta", "x", "y", "z"), periodic=("theta",))
