@@ -32,8 +32,8 @@ from .calculus import (
     is_zero_graded,
     power,
     scalar_form,
-    schouten,
     volume_form,
+    zero_multivector,
 )
 from .errors import (
     ChartMismatchError,
@@ -296,7 +296,7 @@ class PoissonStructure:
 
     __slots__ = (
         "chart", "bivector", "corank_n", "transversal", "alpha", "omega", "tester",
-        "_jacobi", "_jacobiator", "_volume", "adapted_verdict", "beta_verdict",
+        "_jacobi", "_volume", "adapted_verdict", "beta_verdict",
         "dbeta_verdict", "mu_verdict", "modular_verdict", "_beta", "_mu", "_modular",
     )
 
@@ -317,7 +317,6 @@ class PoissonStructure:
         self.transversal, self.alpha, self.omega = transversal, alpha, omega
         self.tester = ZeroTester(chart) if tester is None else tester
         self._jacobi = None
-        self._jacobiator = None
         self._volume = None
         # the weakest verdict of the checks that accepted each artifact; the
         # artifacts derived from the pair include the pair's verdict
@@ -333,70 +332,44 @@ class PoissonStructure:
     # -- Jacobi --------------------------------------------------------------
 
     def jacobi_verdict(self) -> Verdict:
-        """[Pi, Pi] == 0, cross-checked against the coordinate Jacobiator."""
+        """[Pi, Pi] == 0, tested coefficient by coefficient on _jacobi_square."""
         if self._jacobi is None:
-            self._jacobi = is_zero_graded(
-                schouten(self.bivector, self.bivector), self.tester
-            )
-            other = self.jacobiator_verdict()
-            if self._jacobi.failed and other.holds or self._jacobi.holds and other.failed:
-                raise InternalCheckError(
-                    "Schouten and Jacobiator disagree on the Jacobi identity"
-                )
+            self._jacobi = is_zero_graded(self._jacobi_square(), self.tester)
         return self._jacobi
 
-    def jacobiator_verdict(self) -> Verdict:
-        """Every coordinate Jacobiator {{x_i,x_j},x_k} + cyclic is zero."""
-        if self._jacobiator is None:
-            self._jacobiator = Verdict.combine(
-                *(self.tester.is_zero(j) for j in self._coordinate_jacobiators().values())
-            )
-        return self._jacobiator
+    # the old name, which perfbench/layertrace.py patches
+    jacobiator_verdict = jacobi_verdict
 
-    def _coordinate_jacobiators(self) -> dict:
-        """{(i, j, k): jacobiator(x_i, x_j, x_k)} for i < j < k.
+    def _jacobi_square(self) -> MultiVector:
+        """[Pi, Pi], read off the coordinate Jacobiators: its coefficient on
+        @i^@j^@k is -2 ({{x_i,x_j},x_k} + cyclic).
 
         Since {x_i, x_j} = Pi^{ij}, the first term is
         sum_l Pi^{lk} d_l Pi^{ij}; each coefficient is derived once by
         each coordinate it depends on, and the cyclic terms reuse those
-        derivatives.
+        derivatives.  A Pi with no coordinate partial gives zero at once.
         """
-        dim = self.chart.dim
-        mat = skew_matrix(self.bivector)
         grad = {}
         for l, ij, dc in _partials(self.bivector.coeffs, self.chart):
             grad.setdefault(ij, []).append((l, dc))
+        if not grad:
+            return zero_multivector(self.chart, 3)
+        dim = self.chart.dim
+        mat = skew_matrix(self.bivector)
 
         def nested(i, j, k):
             # {{x_i, x_j}, x_k} for i < j
             return sum((mat[l][k] * dc for l, dc in grad.get((i, j), ()) if mat[l][k]), ex.ZERO)
 
-        return {
-            (i, j, k): nested(i, j, k) + nested(j, k, i) - nested(i, k, j)
+        minus_two = ex.rational(-2)
+        return self.bivector._like(3, {
+            (i, j, k): minus_two * (nested(i, j, k) + nested(j, k, i) - nested(i, k, j))
             for i in range(dim)
             for j in range(i + 1, dim)
             for k in range(j + 1, dim)
-        }
+        })
 
-    def jacobiator(self, f, g, h) -> ScalarExpr:
-        f, g, h = (ex.symbol(x) if isinstance(x, str) else x for x in (f, g, h))
-        return (
-            self.bracket(self.bracket(f, g), h)
-            + self.bracket(self.bracket(g, h), f)
-            + self.bracket(self.bracket(h, f), g)
-        )
-
-    # -- bracket and Hamiltonian fields ---------------------------------------
-
-    def bracket(self, f: ScalarExpr, g: ScalarExpr) -> ScalarExpr:
-        out = ex.ZERO
-        coords = self.chart.coords
-        for (i, j), c in self.bivector.coeffs.items():
-            out = out + c * (
-                f.derive(coords[i]) * g.derive(coords[j])
-                - f.derive(coords[j]) * g.derive(coords[i])
-            )
-        return out
+    # -- Hamiltonian fields ----------------------------------------------------
 
     def hamiltonian_vf(self, f) -> MultiVector:
         """u_f = Pi(df, .), satisfying u_f(g) = {f, g}."""

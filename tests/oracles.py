@@ -13,6 +13,7 @@ from corankone.calculus import (
     is_zero_graded,
     lie_derivative,
     scalar_form,
+    schouten,
     wedge,
     zero_multivector,
 )
@@ -99,6 +100,38 @@ def recursive_schouten(P, Q):
         t2 = wedge(A, recursive_schouten(B, Q))
         total = total + t1 + t2
     return total
+
+
+def verdict_fields(v):
+    """What a report shows of a verdict: its kind, witness, value and note."""
+    return v.kind, v.witness, v.value, v.note
+
+
+def schouten_jacobi_verdict(P):
+    """Whether [Pi, Pi] vanishes, tested on the Schouten square itself;
+    jacobi_verdict reads [Pi, Pi] off the coordinate Jacobiators instead."""
+    return is_zero_graded(schouten(P.bivector, P.bivector), P.tester)
+
+
+def reference_bracket(P, f, g):
+    """{f, g} = sum over i < j of Pi^{ij} (d_i f d_j g - d_j f d_i g)."""
+    out = ex.ZERO
+    coords = P.chart.coords
+    for (i, j), c in P.bivector.coeffs.items():
+        out = out + c * (
+            f.derive(coords[i]) * g.derive(coords[j]) - f.derive(coords[j]) * g.derive(coords[i])
+        )
+    return out
+
+
+def reference_jacobiator(P, f, g, h):
+    """{{f, g}, h} + cyclic by three nested brackets; names stand for symbols."""
+    f, g, h = (symbol(x) if isinstance(x, str) else x for x in (f, g, h))
+    return (
+        reference_bracket(P, reference_bracket(P, f, g), h)
+        + reference_bracket(P, reference_bracket(P, g, h), f)
+        + reference_bracket(P, reference_bracket(P, h, f), g)
+    )
 
 
 def _frac_str(q):

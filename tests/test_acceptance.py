@@ -46,7 +46,7 @@ from corankone.pipeline import analyze, exit_code, render_report
 from corankone.problemfile import loads_problem
 
 import bundled
-from oracles import rescaled_modular_verdict
+from oracles import rescaled_modular_verdict, schouten_jacobi_verdict, verdict_fields
 
 SEED = 20260809
 
@@ -142,12 +142,16 @@ def test_criterion_02_jacobi_dual_path():
                 random_multivector(rng, chart, 2),
                 tester=ZeroTester(chart, seed=SEED + i),
             )
-            assert P.jacobi_verdict().holds == P.jacobiator_verdict().holds
+            assert verdict_fields(P.jacobi_verdict()) == verdict_fields(
+                schouten_jacobi_verdict(P)
+            )
             checked += 1
         assert checked >= 50
         for e in bundled.all_entries(seed=SEED):
             P = e.structure
-            assert P.jacobi_verdict().holds == P.jacobiator_verdict().holds
+            assert verdict_fields(P.jacobi_verdict()) == verdict_fields(
+                schouten_jacobi_verdict(P)
+            )
 
 
 def test_criterion_03_affine_example():

@@ -6,6 +6,10 @@ leading vector factor of each term down to Lie derivatives and
 contractions.  Multivectors of degrees 0 to 3 on
 a four-dimensional chart are drawn with coefficients that carry a
 parameter and `exp` and `sin` generators.
+
+`PoissonStructure.jacobi_verdict` reads [Pi, Pi] off the coordinate
+Jacobiators; on random bivectors it must give the verdict that testing
+`schouten(Pi, Pi)` gives, down to the witness, since reports show it.
 """
 
 import pytest
@@ -19,7 +23,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from corankone import Chart, parse_scalar  # noqa: E402
 from corankone.calculus import MultiVector, schouten  # noqa: E402
-from oracles import recursive_schouten  # noqa: E402
+from corankone.poisson import PoissonStructure  # noqa: E402
+from oracles import recursive_schouten, schouten_jacobi_verdict, verdict_fields  # noqa: E402
 
 CHART = Chart(("x", "y", "z", "w"), params=("a",))
 COEFFS = [
@@ -63,3 +68,11 @@ def mv(degree, coeffs):
 def test_one_pass_matches_recursive(pair):
     P, Q = pair
     assert schouten(P, Q) == recursive_schouten(P, Q)
+
+
+@given(multivectors(2))
+@example(mv(2, {(0, 1): "z", (0, 2): "x*y", (1, 2): "x"}))
+def test_jacobi_table_matches_schouten_square(Pi):
+    P = PoissonStructure(CHART, Pi)
+    assert P._jacobi_square() == schouten(Pi, Pi)
+    assert verdict_fields(P.jacobi_verdict()) == verdict_fields(schouten_jacobi_verdict(P))
