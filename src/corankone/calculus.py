@@ -360,10 +360,13 @@ def _covector_contract(theta: DiffForm, Q: MultiVector) -> MultiVector:
 
 
 def _schouten_half(A: MultiVector, B: MultiVector, sign: int, out: dict):
-    """Add sign * sum_l dA/dzeta_l ^ d_l B to the coefficients in out."""
+    """Add sign * sum_l dA/dzeta_l ^ d_l B to the coefficients in out; a B
+    with no coordinate partial adds nothing, at once."""
     by_coord = {}
     for l, J, dc in _partials(B.coeffs, B.chart):
         by_coord.setdefault(l, []).append((J, dc))
+    if not by_coord:
+        return
     for I, a in A.coeffs.items():
         last = len(I) - 1
         for k, l in enumerate(I):
@@ -386,6 +389,10 @@ def schouten(P: MultiVector, Q: MultiVector) -> MultiVector:
     symmetry [P,Q] = -(-1)^((p-1)(q-1)) [Q,P] and the graded Leibniz rule
     over the wedge hold; on vector fields it is the commutator, [v, f] =
     v(f) for functions, and [f, Q] = -iota_{df} Q (first-slot contraction).
+
+    When P is Q of even degree, as in the Jacobi test [Pi, Pi], graded
+    symmetry makes the two halves equal, so the first is taken once and
+    doubled.
     """
     if not isinstance(P, MultiVector) or not isinstance(Q, MultiVector):
         raise ChartMismatchError("schouten takes multivectors")
@@ -394,7 +401,10 @@ def schouten(P: MultiVector, Q: MultiVector) -> MultiVector:
     p, q = P.degree, Q.degree
     out = {}
     _schouten_half(P, Q, 1, out)
-    _schouten_half(Q, P, 1 if (p - 1) * (q - 1) % 2 else -1, out)
+    if P is Q and p % 2 == 0:
+        out = {key: c * 2 for key, c in out.items()}
+    else:
+        _schouten_half(Q, P, 1 if (p - 1) * (q - 1) % 2 else -1, out)
     return P._like(max(p + q - 1, 0), out)  # [f, g] = 0
 
 

@@ -10,7 +10,7 @@ import time
 
 from .errors import ProblemFileError, ToolkitError, quote
 from .pipeline import analyze, exit_code, expect_mismatches, render_report
-from .problemfile import OPTION_TYPES, load_problem, loads_problem, sampling_range_error
+from .problemfile import _GRADED, OPTION_TYPES, load_problem, loads_problem, sampling_range_error
 
 
 def _build_parser():
@@ -89,13 +89,10 @@ def _cmd_render(args) -> int:
         print(f"periodic: {', '.join(sorted(problem.chart.periodic))}")
     if problem.chart.params:
         print(f"params: {', '.join(problem.chart.params)}")
-    print(f"bivector: {problem.bivector}")
-    if problem.transversal is not None:
-        print(f"transversal: {problem.transversal}")
-    if problem.alpha is not None:
-        print(f"alpha: {problem.alpha}")
-    if problem.omega is not None:
-        print(f"omega: {problem.omega}")
+    for kind in _GRADED:
+        value = getattr(problem, kind)
+        if value is not None:
+            print(f"{kind}: {value}")
     if problem.analyses:
         print(f"analyses: {', '.join(problem.analyses)}")
     return 0

@@ -527,7 +527,7 @@ def check_weinstein_identity(P: PoissonStructure) -> Verdict:
 
 
 class TransversePoissonReport:
-    __slots__ = ("lv_pi_verdict", "dalpha_verdict", "domega_verdict", "pair_witness", "detail")
+    __slots__ = ("lv_pi_verdict", "dalpha_verdict", "domega_verdict", "pair_witness")
 
     def __init__(
         self,
@@ -535,11 +535,10 @@ class TransversePoissonReport:
         dalpha_verdict: Verdict,
         domega_verdict: Verdict,
         pair_witness: Optional[tuple] = None,
-        detail: str = "",
     ):
         self.lv_pi_verdict = lv_pi_verdict
         self.dalpha_verdict, self.domega_verdict = dalpha_verdict, domega_verdict
-        self.pair_witness, self.detail = pair_witness, detail
+        self.pair_witness = pair_witness
 
     @property
     def closed_side(self) -> bool:
@@ -548,6 +547,12 @@ class TransversePoissonReport:
     @property
     def equivalence_holds(self) -> bool:
         return self.lv_pi_verdict.holds == self.closed_side
+
+    @property
+    def detail(self) -> str:
+        if self.equivalence_holds:
+            return "Poisson and closed sides agree"
+        return "sides disagree; see verdicts"
 
 
 def check_transverse_poisson(P: PoissonStructure) -> TransversePoissonReport:
@@ -582,9 +587,4 @@ def check_transverse_poisson(P: PoissonStructure) -> TransversePoissonReport:
         dalpha_verdict=da_verdict,
         domega_verdict=do_verdict,
         pair_witness=pair_witness,
-        detail=(
-            "Poisson and closed sides agree"
-            if lv_verdict.holds == (da_verdict.holds and do_verdict.holds)
-            else "sides disagree; see verdicts"
-        ),
     )

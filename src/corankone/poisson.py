@@ -27,13 +27,12 @@ from .calculus import (
     DiffForm,
     MultiVector,
     _covector_contract,
-    _partials,
     ext_deriv,
     is_zero_graded,
     power,
     scalar_form,
+    schouten,
     volume_form,
-    zero_multivector,
 )
 from .errors import (
     ChartMismatchError,
@@ -332,42 +331,14 @@ class PoissonStructure:
     # -- Jacobi --------------------------------------------------------------
 
     def jacobi_verdict(self) -> Verdict:
-        """[Pi, Pi] == 0, tested coefficient by coefficient on _jacobi_square."""
+        """[Pi, Pi] == 0, tested coefficient by coefficient on
+        schouten(Pi, Pi); a Pi with no coordinate partial gives zero at once."""
         if self._jacobi is None:
-            self._jacobi = is_zero_graded(self._jacobi_square(), self.tester)
+            self._jacobi = is_zero_graded(schouten(self.bivector, self.bivector), self.tester)
         return self._jacobi
 
     # the old name, which perfbench/layertrace.py patches
     jacobiator_verdict = jacobi_verdict
-
-    def _jacobi_square(self) -> MultiVector:
-        """[Pi, Pi], read off the coordinate Jacobiators: its coefficient on
-        @i^@j^@k is -2 ({{x_i,x_j},x_k} + cyclic).
-
-        Since {x_i, x_j} = Pi^{ij}, the first term is
-        sum_l Pi^{lk} d_l Pi^{ij}; each coefficient is derived once by
-        each coordinate it depends on, and the cyclic terms reuse those
-        derivatives.  A Pi with no coordinate partial gives zero at once.
-        """
-        grad = {}
-        for l, ij, dc in _partials(self.bivector.coeffs, self.chart):
-            grad.setdefault(ij, []).append((l, dc))
-        if not grad:
-            return zero_multivector(self.chart, 3)
-        dim = self.chart.dim
-        mat = skew_matrix(self.bivector)
-
-        def nested(i, j, k):
-            # {{x_i, x_j}, x_k} for i < j
-            return sum((mat[l][k] * dc for l, dc in grad.get((i, j), ()) if mat[l][k]), ex.ZERO)
-
-        minus_two = ex.rational(-2)
-        return self.bivector._like(3, {
-            (i, j, k): minus_two * (nested(i, j, k) + nested(j, k, i) - nested(i, k, j))
-            for i in range(dim)
-            for j in range(i + 1, dim)
-            for k in range(j + 1, dim)
-        })
 
     # -- Hamiltonian fields ----------------------------------------------------
 

@@ -13,7 +13,6 @@ from corankone.calculus import (
     is_zero_graded,
     lie_derivative,
     scalar_form,
-    schouten,
     wedge,
     zero_multivector,
 )
@@ -108,9 +107,9 @@ def verdict_fields(v):
 
 
 def schouten_jacobi_verdict(P):
-    """Whether [Pi, Pi] vanishes, tested on the Schouten square itself;
-    jacobi_verdict reads [Pi, Pi] off the coordinate Jacobiators instead."""
-    return is_zero_graded(schouten(P.bivector, P.bivector), P.tester)
+    """Whether [Pi, Pi] vanishes, tested on the recursive split of the
+    square; jacobi_verdict tests the one-pass schouten(Pi, Pi) instead."""
+    return is_zero_graded(recursive_schouten(P.bivector, P.bivector), P.tester)
 
 
 def reference_bracket(P, f, g):

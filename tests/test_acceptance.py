@@ -132,7 +132,7 @@ def test_criterion_01_exterior_calculus_kernel():
 
 
 def test_criterion_02_jacobi_dual_path():
-    with criterion(2, "Schouten and Jacobiator verdicts agree on 60 random bivectors + corpus"):
+    with criterion(2, "one-pass and recursive Schouten verdicts agree on 60 random bivectors + corpus"):
         rng = random.Random(SEED + 1)
         checked = 0
         for i in range(60):

@@ -606,6 +606,13 @@ class TestVerbs:
         assert "chart: (x, y, z)" in out
         assert "bivector: @x^@y" in out
 
+    def test_render_shows_every_graded_field(self, tmp_path, capsys):
+        path = tmp_path / "twisted_omega.prob"
+        path.write_text(dict(bundled_corpus())["twisted_omega.prob"])
+        assert main(["render", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "omega_alt: dx^dy - x dy^dz" in out
+
     def test_corpus_verb_matches_expectations(self, capsys):
         assert main(["corpus"]) == 0
         out = capsys.readouterr().out

@@ -7,9 +7,12 @@ contractions.  Multivectors of degrees 0 to 3 on
 a four-dimensional chart are drawn with coefficients that carry a
 parameter and `exp` and `sin` generators.
 
-`PoissonStructure.jacobi_verdict` reads [Pi, Pi] off the coordinate
-Jacobiators; on random bivectors it must give the verdict that testing
-`schouten(Pi, Pi)` gives, down to the witness, since reports show it.
+`PoissonStructure.jacobi_verdict` tests `schouten(Pi, Pi)`, which takes
+one half of the formula and doubles it when both operands are the same
+object.  On random bivectors that square must equal the two-half bracket
+of Pi with an equal but distinct copy, and the recursive square; and the
+verdict must be the one that testing the recursive square gives, down to
+the witness, since reports show it.
 """
 
 import pytest
@@ -72,7 +75,9 @@ def test_one_pass_matches_recursive(pair):
 
 @given(multivectors(2))
 @example(mv(2, {(0, 1): "z", (0, 2): "x*y", (1, 2): "x"}))
-def test_jacobi_table_matches_schouten_square(Pi):
+def test_jacobi_square_one_half_matches_two_halves(Pi):
     P = PoissonStructure(CHART, Pi)
-    assert P._jacobi_square() == schouten(Pi, Pi)
+    square = schouten(Pi, Pi)
+    assert square == schouten(Pi, MultiVector(CHART, 2, dict(Pi.coeffs)))
+    assert square == recursive_schouten(Pi, Pi)
     assert verdict_fields(P.jacobi_verdict()) == verdict_fields(schouten_jacobi_verdict(P))
