@@ -40,7 +40,6 @@ from .calculus import (  # noqa: F401
     is_zero_graded,
     leafwise_equal,
     lie_derivative,
-    parse_graded,
     power,
     scalar_form,
     schouten,

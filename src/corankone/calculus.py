@@ -14,7 +14,6 @@ Conventions, pinned by unit tests:
 
 from __future__ import annotations
 
-import re
 from typing import Sequence
 
 from . import expr as ex
@@ -492,71 +491,3 @@ def exterior_divide(
     if checks is not None:
         checks.update({"alpha(v) = 1": pv, "eta ^ alpha = 0": ov})
     return xi
-
-
-# ---------------------------------------------------------------------------
-# parsing of rendered forms (the canonical rendering is parse-stable)
-
-# compiled (and cached by re) at the first parse_graded call, which no check makes
-_BASIS_CHAIN = r"(?:(?:d|@)[A-Za-z_][A-Za-z0-9_]*)(?:\^(?:d|@)[A-Za-z_][A-Za-z0-9_]*)*$"
-
-
-def _split_top_level(text: str):
-    """Split on top-level ' + ' / ' - ' (outside parentheses)."""
-    parts = []
-    depth = 0
-    cur = []
-    sign = 1
-    i = 0
-    if text.startswith("-"):
-        sign = -1
-        i = 1
-    while i < len(text):
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if depth == 0 and text[i : i + 3] in (" + ", " - "):
-            parts.append((sign, "".join(cur).strip()))
-            sign = 1 if text[i + 1] == "+" else -1
-            cur = []
-            i += 3
-            continue
-        cur.append(ch)
-        i += 1
-    parts.append((sign, "".join(cur).strip()))
-    return parts
-
-
-def parse_graded(text: str, chart: Chart, kind: str):
-    """Parse the canonical rendering of a form ("x dy^dz + dz") or a
-    multivector ("y @x^@y")."""
-    cls = DiffForm if kind == "form" else MultiVector
-    prefix = "d" if kind == "form" else "@"
-    text = text.strip()
-    if text == "0":
-        return cls(chart, 0, {})
-    terms = []
-    for sign, body in _split_top_level(text):
-        m = re.search(_BASIS_CHAIN, body)
-        names = ()
-        coeff_src = body
-        if m is not None and (m.start() == 0 or body[m.start() - 1] in " *"):
-            chain = body[m.start() :]
-            if all(piece.startswith(prefix) for piece in chain.split("^")):
-                names = tuple(piece[len(prefix):] for piece in chain.split("^"))
-                coeff_src = body[: m.start()].strip().rstrip("*").strip()
-        coeff = (
-            ex.ONE if not coeff_src else ex.parse_scalar(coeff_src, chart)
-        )
-        if sign < 0:
-            coeff = -coeff
-        terms.append((names, coeff))
-    degree = len(terms[0][0])
-    out = cls(chart, degree, {})
-    for names, coeff in terms:
-        if len(names) != degree:
-            raise DegreeError("mixed degrees in graded expression")
-        out = out + cls(chart, degree, {names: coeff})
-    return out

@@ -1,10 +1,11 @@
 """Batch front end: check a problem file, render its structures, or run
 the bundled corpus.  Exit codes: 0 success, 1 analysis failure or a
-false verdict, 2 validation error."""
+false verdict, 2 validation error or an unwritable report."""
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -66,6 +67,19 @@ def _override(problem, args):
     return problem
 
 
+def _write_report(path: str, text: str, make_dir=False) -> bool:
+    """Write a report (in a new directory if asked); on failure say why and return False."""
+    try:
+        if make_dir:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write report {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_check(args) -> int:
     start = time.monotonic()
     problem = load_problem(args.file)
@@ -74,11 +88,10 @@ def _cmd_check(args) -> int:
     if args.timing:
         report["meta"]["load_ms"] = load_ms
     text = render_report(report)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not args.output:
         sys.stdout.write(text)
+    elif not _write_report(args.output, text):
+        return 2
     return exit_code(report)
 
 
@@ -99,8 +112,6 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    import os
-
     ok = True
     for name, text in bundled_corpus():
         problem = _override(loads_problem(text, path=name), args)
@@ -112,10 +123,9 @@ def _cmd_corpus(args) -> int:
             print(f"    {m}")
             ok = False
         if args.output:
-            os.makedirs(args.output, exist_ok=True)
             out_path = os.path.join(args.output, name.replace(".prob", ".json"))
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(render_report(report))
+            if not _write_report(out_path, render_report(report), make_dir=True):
+                return 2
     return 0 if ok else 1
 
 

@@ -1660,18 +1660,6 @@ class ZeroTester:
         self.seed = seed
         self.trials = trials
         self.tol = tol
-        self._rng = random.Random(seed)
-
-    def clone(self, seed=None) -> "ZeroTester":
-        return ZeroTester(
-            self.chart,
-            self.seed if seed is None else seed,
-            self.trials,
-            self.tol,
-        )
-
-    def sample(self) -> dict:
-        return self.chart.sample(self._rng)
 
     def nonzero_at(self, e, env) -> bool:
         """Whether e is confidently nonzero at env, measured as is_zero measures a sample.

@@ -176,8 +176,8 @@ class _Runner:
         return out
 
     def run_modular(self):
-        # modular_field verifies L_v(volume) = 0 and L_v(Pi) = 0 on return,
-        # so the verdict is the weakest of those checks (and of the pair's)
+        # modular_field verifies L_v(Pi) = 0 on return, so the verdict is the
+        # weakest of that check and of the pair's
         if self.adapted() is not None:
             vmod = self.P.modular()
             verdict = self.P.modular_verdict

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import random
 from itertools import combinations
 from typing import Optional
 
@@ -361,10 +362,10 @@ class PoissonStructure:
         """
         n = self.corank_n
         top = power(self.bivector, n)
-        rng_tester = self.tester.clone(seed=self.tester.seed + 101)
+        rng = random.Random(self.tester.seed + 101)
         all_nonzero = True
         for _ in range(_CORANK_SAMPLES):
-            env = rng_tester.sample()
+            env = self.tester.chart.sample(rng)
             if not any(self.tester.nonzero_at(c, env) for c in top.coeffs.values()):
                 all_nonzero = False
                 break

@@ -14,7 +14,6 @@ from corankone.calculus import (
     is_zero_graded,
     leafwise_equal,
     lie_derivative,
-    parse_graded,
     power,
     scalar_form,
     schouten,
@@ -44,16 +43,20 @@ def t3():
 
 
 def t3_alpha(t3):
-    return parse_graded(
-        "a/(a^2+b^2+1) dtheta1 + b/(a^2+b^2+1) dtheta2 - 1/(a^2+b^2+1) dtheta3",
+    return DiffForm(
         t3,
-        "form",
+        1,
+        {
+            ("theta1",): "a/(a^2+b^2+1)",
+            ("theta2",): "b/(a^2+b^2+1)",
+            ("theta3",): "-1/(a^2+b^2+1)",
+        },
     )
 
 
 def t3_omega(t3):
-    return parse_graded(
-        "dtheta1^dtheta2 + b dtheta1^dtheta3 - a dtheta2^dtheta3", t3, "form"
+    return DiffForm(
+        t3, 2, {("theta1", "theta2"): 1, ("theta1", "theta3"): "b", ("theta2", "theta3"): "-a"}
     )
 
 
@@ -425,19 +428,46 @@ class TestLeafwiseEqual:
         assert v.failed
 
 
+def rebuilt(obj):
+    """A copy of a form or multivector built from its coefficients, each
+    given by basis names and its rendered text."""
+    chart = obj.chart
+    coeffs = {
+        tuple(chart.coords[i] for i in key): parse_scalar(str(c), chart)
+        for key, c in obj.coeffs.items()
+    }
+    return type(obj)(chart, obj.degree, coeffs)
+
+
+def assert_renders_alike_exactly_when_equal(objs):
+    equal_pairs = 0
+    for a in objs:
+        for b in objs:
+            assert (str(a) == str(b)) == (a == b), (str(a), str(b))
+            equal_pairs += a is not b and a == b
+    assert equal_pairs  # the draws include equal values built apart
+
+
 class TestRendering:
     def test_parse_stable_random(self, xyz):
         rng = random.Random(16)
+        forms = []
         for _ in range(30):
             eta = random_form(rng, xyz)
-            s = str(eta)
-            assert parse_graded(s, xyz, "form") == eta
+            copy = rebuilt(eta)
+            assert copy == eta and str(copy) == str(eta)
+            forms += [eta, (eta + eta) - eta]
+        assert_renders_alike_exactly_when_equal(forms)
 
     def test_multivector_round_trip(self, xyz):
         rng = random.Random(17)
+        fields = []
         for _ in range(20):
             P = random_multivector(rng, xyz, rng.randint(1, 3))
-            assert parse_graded(str(P), xyz, "multivector") == P
+            copy = rebuilt(P)
+            assert copy == P and str(copy) == str(P)
+            fields += [P, (P + P) - P]
+        assert_renders_alike_exactly_when_equal(fields)
 
     def test_examples(self, xyz):
         eta = DiffForm(xyz, 2, {("x", "z"): "exp(x)"})

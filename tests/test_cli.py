@@ -146,6 +146,17 @@ section analyses
         assert report["analyses"]["adapted"]["status"] == "skipped"
         assert "transversal" in report["analyses"]["adapted"]["detail"]
 
+    def test_declared_pair_without_transversal_skips_adapted(self):
+        # a file never compares the Pi block alone: without a transversal,
+        # adapted and everything downstream are skipped, pair or no pair
+        text = MINIMAL.replace('transversal "1" z', 'alpha "1" z\n  omega "1" x y')
+        text = text.replace("  jacobi", "  jacobi\n  adapted\n  beta\n  modular")
+        report = analyze(loads_problem(text))
+        assert report["analyses"]["jacobi"]["verdict"] == "true"
+        for name in ("adapted", "beta", "modular"):
+            assert report["analyses"][name]["status"] == "skipped", name
+            assert report["analyses"][name]["detail"] == "no transversal field declared", name
+
     def test_declared_pair_is_checked(self):
         # a declared (alpha, omega) must satisfy the defining identities too
         text = MINIMAL.replace("  jacobi", "  jacobi\n  adapted\n  beta\n  modular")
@@ -356,6 +367,22 @@ class TestExitCodes:
 
     def test_missing_file_is_exit_2(self):
         assert main(["check", "/nonexistent/file.prob"]) == 2
+
+    def test_unwritable_check_output_is_exit_2(self, tmp_path, capsys):
+        path, out = tmp_path / "m.prob", tmp_path / "missing" / "m.json"
+        path.write_text(MINIMAL)
+        assert main(["check", str(path), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write report {out}: " in err
+        assert "Traceback" not in err
+
+    def test_unwritable_corpus_output_is_exit_2(self, tmp_path, capsys):
+        blocker = tmp_path / "reports"
+        blocker.write_text("a file, not a directory")
+        assert main(["corpus", "--output", str(blocker)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write report {blocker}" in err
+        assert blocker.read_text() == "a file, not a directory"
 
     @pytest.mark.parametrize(
         "expression, message",
@@ -783,13 +810,3 @@ class TestReportShape:
                     "false",
                     "unknown",
                 )
-
-    def test_artifacts_render_parse_stably(self):
-        from corankone.calculus import parse_graded
-
-        text = corpus_text("t3_example.prob")
-        problem = loads_problem(text)
-        report = analyze(problem)
-        alpha_text = report["analyses"]["adapted"]["artifacts"]["alpha"]
-        alpha = parse_graded(alpha_text, problem.chart, "form")
-        assert str(alpha) == alpha_text

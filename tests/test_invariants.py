@@ -15,7 +15,6 @@ from corankone.calculus import (
     is_zero_graded,
     leafwise_equal,
     lie_derivative,
-    parse_graded,
     power,
     scalar_form,
     schouten,
@@ -178,8 +177,8 @@ class TestCertificates:
 
     def test_second_kind(self, xyz, tester):
         alpha = basis_form(xyz, "z")
-        omega = parse_graded("dx^dy + x dz^dy", xyz, "form")
-        cert = ObstructionCertificate("second", nu=parse_graded("-x dy", xyz, "form"))
+        omega = DiffForm(xyz, 2, {("x", "y"): 1, ("z", "y"): "x"})
+        cert = ObstructionCertificate("second", nu=DiffForm(xyz, 1, {("y",): "-x"}))
         assert verify_certificate(cert, alpha, omega, tester).symbolic
 
     def test_wrong_certificate_rejected(self, xyz, tester):
@@ -205,7 +204,7 @@ class TestCertificates:
 
 class TestAntidifferentiation:
     def test_polynomial_two_variable(self, xyz, tester):
-        beta0 = parse_graded("y dx + x dy", xyz, "form")
+        beta0 = DiffForm(xyz, 1, {("x",): "y", ("y",): "x"})
         f, leftover = antidifferentiate_oneform(beta0, tester)
         assert leftover.is_structural_zero
         assert (ext_deriv(scalar_form(xyz, f)) - beta0).is_structural_zero
@@ -213,7 +212,7 @@ class TestAntidifferentiation:
     def test_trigonometric_component(self):
         ch = Chart(("theta", "x"), periodic=("theta",))
         t = ZeroTester(ch, seed=2)
-        beta0 = parse_graded("sin(theta) dtheta + 2*x dx", ch, "form")
+        beta0 = DiffForm(ch, 1, {("theta",): "sin(theta)", ("x",): "2*x"})
         f, leftover = antidifferentiate_oneform(beta0, t)
         assert leftover.is_structural_zero
         assert (ext_deriv(scalar_form(ch, f)) - beta0).is_structural_zero
@@ -221,7 +220,7 @@ class TestAntidifferentiation:
     def test_period_term_split_off(self):
         ch = Chart(("theta", "x"), periodic=("theta",))
         t = ZeroTester(ch, seed=3)
-        beta0 = parse_graded("3 dtheta + dx", ch, "form")
+        beta0 = DiffForm(ch, 1, {("theta",): 3, ("x",): 1})
         f, leftover = antidifferentiate_oneform(beta0, t)
         assert leftover == DiffForm(ch, 1, {("theta",): 3})
         assert (
@@ -229,7 +228,7 @@ class TestAntidifferentiation:
         ).is_structural_zero
 
     def test_out_of_fragment(self, xyz, tester):
-        beta0 = parse_graded("log(2 + x^2) dx", xyz, "form")
+        beta0 = DiffForm(xyz, 1, {("x",): "log(2 + x^2)"})
         assert antidifferentiate_oneform(beta0, tester) is None
 
 
@@ -515,7 +514,7 @@ class TestTransversePoisson:
         # v = @z + x @y commutes with @x^@y (the bracket oracle says so);
         # v = @z + x @x does not: the verdicts must track the d-alpha side.
         flat = MultiVector(xyz, 2, {("x", "y"): 1})
-        poisson_v = parse_graded("@z + x @y", xyz, "multivector")
+        poisson_v = MultiVector(xyz, 1, {("z",): 1, ("y",): "x"})
         assert schouten(poisson_v, flat).is_structural_zero
         P = PoissonStructure(
             xyz, flat, transversal=poisson_v, tester=ZeroTester(xyz, seed=107)
@@ -525,7 +524,7 @@ class TestTransversePoisson:
         assert rep.closed_side
         assert rep.equivalence_holds
 
-        scaling_v = parse_graded("@z + x @x", xyz, "multivector")
+        scaling_v = MultiVector(xyz, 1, {("z",): 1, ("x",): "x"})
         assert not schouten(scaling_v, flat).is_structural_zero
         P2 = PoissonStructure(
             xyz, flat, transversal=scaling_v, tester=ZeroTester(xyz, seed=109)
