@@ -120,7 +120,8 @@ class InternalCheckError(ToolkitError):
 
 class ProblemFileError(ToolkitError):
     def __init__(self, message: str, path: str = "", line: int = 0):
-        loc = f"{path}:{line}: " if path else ""
+        # a file-level error (line 0) names the file alone
+        loc = (f"{path}:{line}: " if line else f"{path}: ") if path else ""
         super().__init__(f"{loc}{message}")
         self.path = path
         self.line = line

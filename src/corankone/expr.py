@@ -44,7 +44,6 @@ import functools
 import math
 import operator
 import random
-import re
 import zlib
 from typing import Mapping, Optional
 
@@ -1071,11 +1070,41 @@ def _render(e: ScalarExpr) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 
-# a token is a number, a name or one operator character; _TOKENS_RE matches
-# the longest run of whole tokens at the start of a text
-_TOKEN = r"\d+(?:\.\d+)?|[A-Za-z_][A-Za-z0-9_]*|[-+*/^()]"
-_TOKEN_RE = re.compile(rf"\s*({_TOKEN})")
-_TOKENS_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*")
+_OPERATORS = frozenset("-+*/^()")
+_NAME_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_0123456789")
+
+
+def _tokenize(text: str):
+    """The tokens of text, where each starts, and where tokenizing stopped:
+    at the end of the text or, past its whitespace (``str.isspace``), at
+    the first character that starts no token.  A token is a number (digits
+    of ``str.isdecimal``, then optionally "." and more digits), an ASCII
+    name ``[A-Za-z_][A-Za-z0-9_]*`` or one operator character of
+    ``-+*/^()``; whitespace may precede it.
+    """
+    toks, starts = [], []
+    i, n = 0, len(text)
+    while True:
+        while i < n and text[i].isspace():
+            i += 1
+        if i == n:
+            return toks, starts, i
+        c, j = text[i], i + 1
+        if c.isdecimal():
+            while j < n and text[j].isdecimal():
+                j += 1
+            if j + 1 < n and text[j] == "." and text[j + 1].isdecimal():
+                j += 2
+                while j < n and text[j].isdecimal():
+                    j += 1
+        elif c in _NAME_CHARS:  # a letter or "_": a digit took the branch above
+            while j < n and text[j] in _NAME_CHARS:
+                j += 1
+        elif c not in _OPERATORS:
+            return toks, starts, i
+        toks.append(text[i:j])
+        starts.append(i)
+        i = j
 
 
 # a power is expanded by repeated multiplication, so its exponent is bounded
@@ -1141,8 +1170,7 @@ class _Parser:
 
     The text is split into tokens once, up to the first character that
     starts no token; that character is reported, at its own position, when
-    the parser reaches it.  Token positions are found only for an error
-    message.
+    the parser reaches it.
 
     A polynomial subterm is kept as a pair ``(p, d)``: ``p`` a packed
     integer polynomial over the chart symbols that occur in the text (sorted
@@ -1158,13 +1186,10 @@ class _Parser:
 
     def __init__(self, text: str, chart: "Chart"):
         self.text = text
-        rest = text[_TOKENS_RE.match(text).end():]
-        # the whitespace before the first character that starts no token is
-        # skipped, and trailing whitespace ends the text as its end does
-        self.end = len(text) - len(rest.lstrip())
+        toks, self.starts, self.end = _tokenize(text)
         # the last token, "", is the end of the text or the character there
-        self.toks = _TOKEN_RE.findall(text, 0, self.end) + [""]
-        self.starts = None
+        self.toks = toks + [""]
+        self.starts.append(self.end)
         self.i = 0
         self.depth = 0
         names = chart.coords + chart.params
@@ -1174,13 +1199,6 @@ class _Parser:
         self.top = _FIELD * w
 
     # -- tokens ----------------------------------------------------------------
-
-    def _at(self, i):
-        """Where token i starts."""
-        if self.starts is None:
-            self.starts = [m.start(1) for m in _TOKEN_RE.finditer(self.text, 0, self.end)]
-            self.starts.append(self.end)
-        return self.starts[i]
 
     def peek(self):
         tok = self.toks[self.i]
@@ -1199,7 +1217,7 @@ class _Parser:
     def expect_op(self, op):
         i = self.i
         if self._next() != op:
-            raise ExprSyntaxError(f"expected '{op}'", self._at(i))
+            raise ExprSyntaxError(f"expected '{op}'", self.starts[i])
 
     def _literal(self, i):
         """Number token i as ``(n, d)`` with d > 0 and gcd(n, d) == 1; a
@@ -1214,7 +1232,7 @@ class _Parser:
             n = int(whole) * d + int(frac)
         except ValueError:
             raise ExprSyntaxError(
-                f"number literal of {len(text)} characters is too long", self._at(i)
+                f"number literal of {len(text)} characters is too long", self.starts[i]
             ) from None
         g = math.gcd(n, d)
         return n // g, d // g
@@ -1225,7 +1243,7 @@ class _Parser:
         if predicted > MAX_TERMS:
             raise ExprSyntaxError(
                 f"{what} may expand to {predicted} terms, more than {MAX_TERMS}",
-                self._at(i),
+                self.starts[i],
             )
 
     def _open(self, i):
@@ -1233,7 +1251,7 @@ class _Parser:
         self.depth += 1
         if self.depth > MAX_DEPTH:
             raise ExprSyntaxError(
-                f"parentheses nest more than {MAX_DEPTH} deep", self._at(i)
+                f"parentheses nest more than {MAX_DEPTH} deep", self.starts[i]
             )
 
     def _close(self):
@@ -1244,7 +1262,7 @@ class _Parser:
         if predicted > MAX_DEGREE:
             raise ExprSyntaxError(
                 f"{what} has total degree {predicted}, more than {MAX_DEGREE}",
-                self._at(i),
+                self.starts[i],
             )
 
     # -- values ------------------------------------------------------------------
@@ -1269,7 +1287,7 @@ class _Parser:
         i = self.i
         tok = self._next()
         if tok:
-            raise ExprSyntaxError(f"unexpected trailing input {quote(tok)}", self._at(i))
+            raise ExprSyntaxError(f"unexpected trailing input {quote(tok)}", self.starts[i])
         return self._expr(e)
 
     def expr(self):
@@ -1318,7 +1336,7 @@ class _Parser:
                 else:
                     e = self._expr(e) * self._expr(rhs)
             elif not rd:  # the divisor's numerator is empty
-                raise ExprSyntaxError("division by zero", self._at(i))
+                raise ExprSyntaxError("division by zero", self.starts[i])
             elif polys and _p_const(rhs[0]):
                 c = rhs[0][0]
                 s = rhs[1] if c > 0 else -rhs[1]
@@ -1350,13 +1368,13 @@ class _Parser:
         if abs(n) > MAX_EXPONENT:
             shown = str(n) if len(str(n)) <= QUOTE_LIMIT else quote(str(n))
             raise ExprSyntaxError(
-                f"exponent {shown} is outside -{MAX_EXPONENT}..{MAX_EXPONENT}", self._at(i)
+                f"exponent {shown} is outside -{MAX_EXPONENT}..{MAX_EXPONENT}", self.starts[i]
             )
         bn, bd, bdn, bdd = self._size(base)
         if n < 0 and not bn:
             # reported where the exponent ends
             last = self.i - 1
-            raise ExprSyntaxError("negative power of zero", self._at(last) + len(self.toks[last]))
+            raise ExprSyntaxError("negative power of zero", self.starts[last] + len(self.toks[last]))
         # a sum of k terms to the power |n| has at most C(k+|n|-1, |n|)
         self._check_terms(math.comb(max(bn, bd) + abs(n) - 1, abs(n)), "a power", i)
         self._check_degree_bound(max(bdn, bdd) * abs(n), "a power", i)
@@ -1377,7 +1395,7 @@ class _Parser:
             i = self.i
             tok = self._next()
         if not tok[:1].isdecimal() or "." in tok:
-            raise ExprSyntaxError("exponent must be an integer", self._at(i))
+            raise ExprSyntaxError("exponent must be an integer", self.starts[i])
         n, _ = self._literal(i)
         return -n if neg else n
 
@@ -1402,8 +1420,8 @@ class _Parser:
         if unit is not None:
             return {unit: 1}, 1
         if tok[:1].isalpha() or tok[:1] == "_":
-            raise UnknownIdentifierError(tok, self._at(i))
-        raise ExprSyntaxError(f"unexpected token {quote(tok)}", self._at(i))
+            raise UnknownIdentifierError(tok, self.starts[i])
+        raise ExprSyntaxError(f"unexpected token {quote(tok)}", self.starts[i])
 
 
 def parse_scalar(text: str, chart: "Chart") -> ScalarExpr:

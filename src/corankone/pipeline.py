@@ -30,7 +30,8 @@ from .problemfile import ANALYSES, ProblemFile
 SCHEMA_VERSION = 1
 
 # every other analysis needs the adapted pair and is skipped, with the reason,
-# when there is none; `modular` falls back to the chart volume on an even chart
+# when there is none; `modular` falls back to the chart volume on an even
+# chart, provided that Jacobi holds
 _PAIR_FREE = ("jacobi", "corank", "modular", "b_transversality")
 
 
@@ -182,7 +183,7 @@ class _Runner:
             vmod = self.P.modular()
             verdict = self.P.modular_verdict
             note = "volume = alpha ^ omega^n"
-        elif self.P.chart.dim % 2:
+        elif self.P.chart.dim % 2 or not self.P.jacobi_verdict().holds:
             return self._skip(self._adapted_error)
         else:
             checks = {}

@@ -9,7 +9,6 @@ coefficient, then basis coordinate names.
 
 from __future__ import annotations
 
-import re
 from typing import Optional
 
 from . import expr as ex
@@ -45,55 +44,56 @@ OPTION_TYPES = {"seed": int, "trials": int, "tolerance": float}
 MAX_TRIALS = 4096
 
 
-# The words of a line, split as a POSIX shell splits them (and as
-# shlex.split(line, comments=True) does).  A word is a run of plain
-# characters, backslash escapes, "double-quoted" strings, in which a
-# backslash escapes only a backslash or a double quote, and 'single-quoted'
-# strings, which escape nothing.  Whitespace (space, tab, CR, LF) ends a
-# word, and so does a # outside quotes, which starts a comment.  A quote or
-# backslash that starts no complete piece is unterminated.
-_WORD_RE = re.compile(
-    r"""[ \t\r\n]*(?:
-        (?P<word>(?:[^ \t\r\n"'\\\#]+|\\.|"(?:[^"\\]|\\.)*"|'[^']*')+)
-      | (?P<open>["'\\])
-      | \#
-    )""",
-    re.VERBOSE | re.DOTALL,
-)
-_PIECE_RE = re.compile(r"""\\(.)|"((?:[^"\\]|\\.)*)"|'([^']*)'""", re.DOTALL)
-_QUOTED_ESCAPE_RE = re.compile(r'\\([\\"])')
-
-
-def _unquote(piece):
-    escaped, double, single = piece.groups()
-    if escaped is not None:
-        return escaped
-    if double is not None:
-        return _QUOTED_ESCAPE_RE.sub(r"\1", double)
-    return single
+_BLANKS = " \t\r\n"
+_PLAIN_ENDS = frozenset(_BLANKS + "#\"'\\")
 
 
 def split_line(line: str) -> list:
     """The words of one line, as ``shlex.split(line, comments=True)`` gives them.
 
-    An unterminated quote or escape raises ValueError with shlex's message,
-    "No closing quotation" or "No escaped character".
+    A word is a run of plain characters, backslash escapes, "double-quoted"
+    strings, in which a backslash escapes only a backslash or a double
+    quote, and 'single-quoted' strings, which escape nothing.  A blank
+    (space, tab, CR, LF) ends a word, and so does a # outside quotes, which
+    starts a comment.  An unterminated quote or escape raises ValueError
+    with shlex's message, "No closing quotation" or "No escaped character".
     """
-    words = []
-    for m in _WORD_RE.finditer(line):
-        word, open_ = m.group("word", "open")
-        if word is not None:
-            if '"' in word or "'" in word or "\\" in word:
-                word = _PIECE_RE.sub(_unquote, word)
-            words.append(word)
-        elif open_ is None:
-            break  # a comment
-        # an unclosed double quote that ends in a lone backslash, like a bare
-        # trailing backslash, ends in an escape without its character
-        elif open_ == "'" or not (len(line) - len(line.rstrip("\\"))) % 2:
-            raise ValueError("No closing quotation")
+    words, word = [], None  # None between words; "" after an empty quote
+    i, n = 0, len(line)
+    while i < n:
+        c = line[i]
+        if c == "#":
+            break
+        if c in _BLANKS:
+            if word is not None:
+                words.append(word)
+            word, i = None, i + 1
+            continue
+        if c == "\\":
+            if i + 1 == n:
+                raise ValueError("No escaped character")
+            piece, i = line[i + 1], i + 2
+        elif c == "'":
+            close = line.find("'", i + 1)
+            if close < 0:
+                raise ValueError("No closing quotation")
+            piece, i = line[i + 1:close], close + 1
+        elif c == '"':
+            j = i + 1
+            while j < n and line[j] != '"':
+                j += 2 if line[j] == "\\" else 1
+            if j >= n:  # j > n after a backslash at the very end
+                raise ValueError("No closing quotation" if j == n else "No escaped character")
+            # each backslash took the next character; replacing from the left keeps those pairs
+            piece, i = line[i + 1:j].replace("\\\\", "\\").replace('\\"', '"'), j + 1
         else:
-            raise ValueError("No escaped character")
+            j = i + 1
+            while j < n and line[j] not in _PLAIN_ENDS:
+                j += 1
+            piece, i = line[i:j], j
+        word = piece if word is None else word + piece
+    if word is not None:
+        words.append(word)
     return words
 
 
@@ -388,7 +388,7 @@ def load_problem(path: str) -> ProblemFile:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ProblemFileError(f"cannot read file: {exc}", path=path) from exc
     return _Loader(path, text).load()
 

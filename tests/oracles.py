@@ -1,6 +1,7 @@
 """Independent routes to verdicts that the package decides another way."""
 
 import math
+import re
 from fractions import Fraction
 
 from corankone import exp, rational, symbol
@@ -276,3 +277,66 @@ def fraction_real_roots(p, lo=None, hi=None):
             many = _fraction_sign(multiple, a) != _fraction_sign(multiple, b)
         out.append(((a + b) / 2, many))
     return out
+
+
+# the expression tokenizer as two regexes: _TOKENS_RE matches the longest
+# run of whole tokens at the start of a text, _TOKEN_RE one token after its
+# whitespace; expr._tokenize scans with str methods instead
+_TOKEN = r"\d+(?:\.\d+)?|[A-Za-z_][A-Za-z0-9_]*|[-+*/^()]"
+_TOKEN_RE = re.compile(rf"\s*({_TOKEN})")
+_TOKENS_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*")
+
+
+def regex_tokenize(text):
+    """The tokens of text, their starts and where tokenizing stopped, as
+    expr._tokenize gives them: the whitespace before the first character
+    that starts no token is skipped, and trailing whitespace ends the text."""
+    rest = text[_TOKENS_RE.match(text).end():]
+    end = len(text) - len(rest.lstrip())
+    matches = list(_TOKEN_RE.finditer(text, 0, end))
+    return [m.group(1) for m in matches], [m.start(1) for m in matches], end
+
+
+# a line's words by regexes: a word is a run of plain characters, backslash
+# escapes, "double-quoted" and 'single-quoted' strings; a quote or backslash
+# that starts no complete piece is unterminated; problemfile.split_line
+# scans with str.find instead
+_WORD_RE = re.compile(
+    r"""[ \t\r\n]*(?:
+        (?P<word>(?:[^ \t\r\n"'\\\#]+|\\.|"(?:[^"\\]|\\.)*"|'[^']*')+)
+      | (?P<open>["'\\])
+      | \#
+    )""",
+    re.VERBOSE | re.DOTALL,
+)
+_PIECE_RE = re.compile(r"""\\(.)|"((?:[^"\\]|\\.)*)"|'([^']*)'""", re.DOTALL)
+_QUOTED_ESCAPE_RE = re.compile(r'\\([\\"])')
+
+
+def _unquote(piece):
+    escaped, double, single = piece.groups()
+    if escaped is not None:
+        return escaped
+    if double is not None:
+        return _QUOTED_ESCAPE_RE.sub(r"\1", double)
+    return single
+
+
+def regex_split_line(line):
+    """The words of one line, as shlex.split(line, comments=True) gives them."""
+    words = []
+    for m in _WORD_RE.finditer(line):
+        word, open_ = m.group("word", "open")
+        if word is not None:
+            if '"' in word or "'" in word or "\\" in word:
+                word = _PIECE_RE.sub(_unquote, word)
+            words.append(word)
+        elif open_ is None:
+            break  # a comment
+        # an unclosed double quote that ends in a lone backslash, like a bare
+        # trailing backslash, ends in an escape without its character
+        elif open_ == "'" or not (len(line) - len(line.rstrip("\\"))) % 2:
+            raise ValueError("No closing quotation")
+        else:
+            raise ValueError("No escaped character")
+    return words

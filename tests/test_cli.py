@@ -138,6 +138,22 @@ section analyses
             assert report["analyses"][name]["status"] == "skipped"
         assert exit_code(report) == 1
 
+    def test_modular_is_skipped_when_jacobi_fails_on_an_even_chart(self, tmp_path):
+        # the even-chart fallback to the chart volume needs a Poisson bivector too
+        path = tmp_path / "not_poisson.prob"
+        path.write_text(
+            "schema 1\nsection chart\n  coords w x y z\nsection structure\n  corank 2\n"
+            '  bivector "y" w x\n  bivector "z" x y\n  bivector "w" y z\n'
+            "section analyses\n  jacobi\n  modular\n"
+        )
+        proc = run_cli("check", str(path), timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        analyses = json.loads(proc.stdout)["analyses"]
+        assert analyses["jacobi"]["verdict"] == "false"
+        assert analyses["modular"] == {
+            "status": "skipped", "verdict": "skipped", "detail": "Jacobi identity fails",
+        }
+
     def test_missing_transversal_skips_adapted(self):
         text = MINIMAL.replace('transversal "1" z', "").replace(
             "  jacobi", "  jacobi\n  adapted"
@@ -365,8 +381,20 @@ class TestExitCodes:
         path.write_text("section chart\n  coords x x\n")
         assert main(["check", str(path)]) == 2
 
-    def test_missing_file_is_exit_2(self):
+    def test_missing_file_is_exit_2(self, capsys):
         assert main(["check", "/nonexistent/file.prob"]) == 2
+        # a file-level error names the file, with no line number
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: /nonexistent/file.prob: cannot read file: ")
+
+    def test_file_that_is_not_utf8_is_exit_2(self, tmp_path):
+        path = tmp_path / "latin1.prob"
+        path.write_bytes(MINIMAL.replace("section chart", "# caf\xe9\nsection chart").encode("latin-1"))
+        proc = run_cli("check", str(path), timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"validation error: {path}: cannot read file: ")
+        assert "can't decode byte 0xe9" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_unwritable_check_output_is_exit_2(self, tmp_path, capsys):
         path, out = tmp_path / "m.prob", tmp_path / "missing" / "m.json"
@@ -670,6 +698,66 @@ class TestVerbs:
         assert report["analyses"]["jacobi"]["verdict"] == "true"
 
 
+FIXTURE = str(bundled.FIXTURES[0])
+
+
+class TestUsage:
+    """The command-line contract: usage errors exit 2 and name the bad token."""
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            ((), "command"),
+            (("frob",), "frob"),
+            (("check",), "file"),
+            (("check", FIXTURE, "extra.prob"), "extra.prob"),
+            (("check", FIXTURE, "--seed", "x"), "'x'"),
+            (("check", FIXTURE, "--bogus"), "--bogus"),
+            (("corpus", "--timing"), "--timing"),
+            (("check", FIXTURE, "--output"), "--output"),
+        ],
+        ids=["no-verb", "unknown-verb", "no-file", "extra-file", "bad-int", "unknown-option",
+             "option-of-another-verb", "missing-value"],
+    )
+    def test_usage_error_is_exit_2(self, argv, named):
+        proc = run_cli(*argv, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert lines[0].startswith("usage: corankone")
+        error = next(line for line in lines if ": error: " in line)
+        assert error.startswith("corankone")
+        assert named in error.lower()
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "argv, shown",
+        [
+            (("-h",), ("check", "render", "corpus")),
+            (("check", "--help"), ("--seed", "--trials", "--tolerance", "--output", "--timing")),
+        ],
+        ids=["top", "check"],
+    )
+    def test_help_is_exit_0(self, argv, shown):
+        proc = run_cli(*argv, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: corankone")
+        for word in shown:
+            assert word in proc.stdout
+
+    @pytest.mark.parametrize(
+        "spelled, short",
+        [(("--seed", "3"), ("--seed=3",)), (("--tolerance", "1e-6"), ("--tol", "1e-6"))],
+        ids=["equals", "prefix"],
+    )
+    def test_equivalent_option_spellings(self, spelled, short):
+        reports = [run_cli("check", FIXTURE, *argv, timeout=60) for argv in (spelled, short)]
+        assert [proc.returncode for proc in reports] == [0, 0]
+        assert reports[0].stdout == reports[1].stdout
+        # the option reached the report: poly_wall.prob samples at seed 0, tolerance 1e-9
+        meta = json.loads(reports[0].stdout)["meta"]
+        assert (meta["seed"], meta["tolerance"]) != (0, 1e-9)
+
+
 class TestSamplingOverrides:
     """--seed, --trials and --tolerance replace the file's options, and the
     CLI is the only place that applies them."""
@@ -722,6 +810,20 @@ class TestStartup:
         proc = run_python("-S", "-c", code, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_check_loads_no_argparse_and_compiles_no_regex(self):
+        # argparse loads gettext; the CLI reads its command line by hand, and
+        # the tokenizer and the line splitter scan with str methods
+        code = (
+            "import os, sys, corankone.cli\n"
+            f"code = corankone.cli.main(['check', {FIXTURE!r}, '--output', os.devnull])\n"
+            "from corankone import expr, problemfile\n"
+            "print(code, sorted(m for m in ('argparse', 'gettext') if m in sys.modules),\n"
+            "      [m.__name__ for m in (expr, problemfile) if 're' in vars(m)])\n"
+        )
+        proc = run_python("-S", "-c", code, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 [] []"
 
     def test_no_check_loads_fractions(self):
         # exact rationals are integer pairs: neither the import nor any

@@ -7,6 +7,11 @@ with ScalarExpr arithmetic; the parsed text must equal that value and
 print the same.  A tree whose value is undefined (a division by zero, a
 negative power of zero, the log of a non-positive constant) must fail to
 parse with an ExprError.
+
+The tokenizer is held to the regex pair it replaced
+(`oracles.regex_tokenize`) on texts drawn from pieces that meet each of
+its rules, and the parser must fail on those texts with the same message
+at the same position whichever tokenizer it uses.
 """
 
 from fractions import Fraction
@@ -21,6 +26,7 @@ from hypothesis import strategies as st  # noqa: E402
 from corankone import Chart, ScalarExpr, parse_scalar, rational, symbol  # noqa: E402
 from corankone import expr  # noqa: E402
 from corankone.errors import ExprError  # noqa: E402
+from oracles import regex_tokenize  # noqa: E402
 
 CHART = Chart(("x", "y"), params=("a",))
 
@@ -122,3 +128,39 @@ def test_wide_chart_keeps_short_coefficients_narrow():
     assert got == want and str(got) == str(want)
     assert got.gens == ("a", "x17", "x3", "x39")
     assert parse_scalar("x0 - x0 + 7/2", wide) == rational(Fraction(7, 2))
+
+
+# names, numbers and operators, and what borders them: Unicode whitespace
+# (NBSP) and digits (Arabic-Indic, fullwidth), a non-ASCII letter, a number
+# that runs into a name, a dot without digits on one side, and a character
+# that starts no token
+TOKEN_PIECES = (
+    "x", "a1", "2", "3.5", ".", "1.", ".5", "\xa0", "\u0661", "\uff12", "\xe9", "2x",
+    " ", "\t", "exp", "#", *"-+*/^()",
+)
+token_texts = st.lists(st.sampled_from(TOKEN_PIECES), max_size=12).map("".join)
+
+
+def parse_outcome(text):
+    try:
+        return str(parse_scalar(text, CHART))
+    except ExprError as exc:
+        return type(exc).__name__, str(exc), exc.position
+
+
+@given(token_texts)
+@example("3.\u0661\u0662 + 2x")
+@example("\uff12\xa0*\xa0x \xe9")
+@example("  1.\t")
+def test_tokenize_matches_the_regexes(text):
+    assert expr._tokenize(text) == regex_tokenize(text)
+
+
+@given(token_texts)
+@example("(x + \xe9")
+@example("2 ^ .5")
+def test_parse_errors_do_not_depend_on_the_tokenizer(text):
+    got = parse_outcome(text)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(expr, "_tokenize", regex_tokenize)
+        assert parse_outcome(text) == got
