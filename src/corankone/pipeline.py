@@ -7,10 +7,10 @@ is therefore kept out of the report body unless explicitly requested.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 import warnings
-from typing import Optional
 
 from . import __version__
 from .bgeom import b_transversality_check, extend_to_b
@@ -29,10 +29,17 @@ from .problemfile import ANALYSES, ProblemFile
 
 SCHEMA_VERSION = 1
 
-# every other analysis needs the adapted pair and is skipped, with the reason,
-# when there is none; `modular` falls back to the chart volume on an even
-# chart, provided that Jacobi holds
-_PAIR_FREE = ("jacobi", "corank", "modular", "b_transversality")
+# What each analysis needs, tested in this order; it is skipped with the reason
+# of the first unmet need.  The adapted pair needs a transversal and an
+# `adapted()` that does not raise; `modular` takes the chart volume when even.
+_PAIR = ("Jacobi", "adapted pair")
+NEEDS = {
+    **dict.fromkeys(ANALYSES, _PAIR),
+    "jacobi": (),
+    "corank": (),
+    "modular": ("Jacobi", "adapted pair on an odd chart"),
+    "b_transversality": ("even chart",),
+}
 
 
 def _verdict_payload(v: Verdict) -> dict:
@@ -58,22 +65,26 @@ class _Runner:
     def __init__(self, problem: ProblemFile):
         self.problem = problem
         self.P = problem.structure()
-        self._adapted_error: Optional[str] = None
 
-    def adapted(self):
-        """The adapted pair, or None with the reason kept for the report."""
-        if self._adapted_error is not None:
-            return None
-        if not self.P.jacobi_verdict().holds:
-            self._adapted_error = "Jacobi identity fails"
-        elif self.P.transversal is None:
-            self._adapted_error = "no transversal field declared"
-        else:
-            try:
-                return self.P.adapted()
-            except ToolkitError as exc:
-                self._adapted_error = str(exc)
+    @functools.cached_property
+    def _no_pair(self) -> str | None:
+        """Why there is no adapted pair, or None; the pair is tried once."""
+        if self.P.transversal is None:
+            return "no transversal field declared"
+        try:
+            self.P.adapted()
+        except ToolkitError as exc:
+            return str(exc)
         return None
+
+    def unmet(self, need: str) -> str | None:
+        """Why the structure does not meet `need`, one of those in `NEEDS`, or None."""
+        parity = "odd" if self.P.chart.dim % 2 else "even"
+        if need == "Jacobi":
+            return None if self.P.jacobi_verdict().holds else "Jacobi identity fails"
+        if need in ("odd chart", "even chart"):
+            return None if need == f"{parity} chart" else f"chart dimension is {parity}"
+        return self._no_pair if need == "adapted pair" or parity == "odd" else None
 
     def defining_two_form(self):
         """The adapted omega, or the declared non-adapted one when given."""
@@ -86,17 +97,16 @@ class _Runner:
     def run(self, name: str) -> dict:
         handler = getattr(self, f"run_{name}")
         try:
-            if name not in _PAIR_FREE and self.adapted() is None:
-                return self._skip(self._adapted_error)
+            for need in NEEDS[name]:
+                reason = self.unmet(need)
+                if reason is not None:
+                    return {"status": "skipped", "verdict": "skipped", "detail": reason}
             return handler()
         except ToolkitError as exc:
             return {
                 "status": "error",
                 "error": f"{type(exc).__name__}: {exc}",
             }
-
-    def _skip(self, reason: str) -> dict:
-        return {"status": "skipped", "verdict": "skipped", "detail": reason}
 
     def run_jacobi(self):
         # Jacobi is decided by one route, so there is nothing to disagree
@@ -179,12 +189,10 @@ class _Runner:
     def run_modular(self):
         # modular_field verifies L_v(Pi) = 0 on return, so the verdict is the
         # weakest of that check and of the pair's
-        if self.adapted() is not None:
+        if self.P.chart.dim % 2:
             vmod = self.P.modular()
             verdict = self.P.modular_verdict
             note = "volume = alpha ^ omega^n"
-        elif self.P.chart.dim % 2 or not self.P.jacobi_verdict().holds:
-            return self._skip(self._adapted_error)
         else:
             checks = {}
             vmod = modular_field(self.P, volume_form(self.P.chart), checks=checks)
@@ -224,8 +232,6 @@ class _Runner:
         return out
 
     def run_b_transversality(self):
-        if self.P.chart.dim % 2:
-            return self._skip("chart dimension is odd")
         rep = b_transversality_check(self.P)
         return {
             "status": "ok",
@@ -253,24 +259,14 @@ def analyze(problem: ProblemFile, timing=False) -> dict:
     """Execute the requested analyses in dependency order, at the problem's options."""
     runner = _Runner(problem)
     analyses = {}
-    failures = 0
-    errors = 0
-    skipped = 0
     spent = {}
     t0 = time.monotonic()
     for name in ANALYSES:
         if name not in problem.analyses:
             continue
         start = time.monotonic()
-        entry = runner.run(name)
+        analyses[name] = runner.run(name)
         spent[name] = round(1000.0 * (time.monotonic() - start), 3)
-        if entry["status"] == "error":
-            errors += 1
-        elif entry["status"] == "skipped":
-            skipped += 1
-        elif entry.get("verdict") == "false":
-            failures += 1
-        analyses[name] = entry
     report = {
         "meta": {
             "schema": SCHEMA_VERSION,
@@ -289,9 +285,9 @@ def analyze(problem: ProblemFile, timing=False) -> dict:
         "analyses": analyses,
         "summary": {
             "requested": len(analyses),
-            "failures": failures,
-            "errors": errors,
-            "skipped": skipped,
+            "failures": sum(e.get("verdict") == "false" for e in analyses.values()),
+            "errors": sum(e["status"] == "error" for e in analyses.values()),
+            "skipped": sum(e["status"] == "skipped" for e in analyses.values()),
         },
     }
     if timing:
