@@ -13,7 +13,7 @@ from corankone.cli import bundled_corpus, main
 from corankone.errors import ProblemFileError
 from corankone.pipeline import analyze, exit_code, expect_mismatches, render_report
 from corankone.poisson import PoissonStructure
-from corankone.problemfile import load_problem, loads_problem
+from corankone.problemfile import ANALYSES, load_problem, loads_problem
 
 import bundled
 
@@ -114,6 +114,38 @@ class TestProblemFileParsing:
             loads_problem(bad)
 
 
+# The skip matrix: every analysis on a 3-chart and a 4-chart, with a Poisson
+# (P) and a non-Poisson (N) bivector, with (v) and without (0) a transversal.
+# A cell is "ok", "error", or the detail of a skip.
+SKIP_CHARTS = {
+    ("3", "P"): ("x y z", ['"1" x y']),
+    ("3", "N"): ("x y z", ['"y" x y', '"z" y z', '"x" x z']),
+    ("4", "P"): ("w x y z", ['"1" w x', '"1" y z']),
+    ("4", "N"): ("w x y z", ['"y" w x', '"z" x y', '"w" y z']),
+}
+SKIP_COLUMNS = ("3-P-v", "3-P-0", "3-N-v", "3-N-0", "4-P-v", "4-P-0", "4-N-v", "4-N-0")
+JAC = "Jacobi identity fails"
+ODD = "chart dimension is odd"
+NOV = "no transversal field declared"
+UNS = "the transversal condition alpha(v) = 1 is unsolvable"
+PAIR_ROW = ("ok", NOV, JAC, JAC, UNS, NOV, JAC, JAC)
+SKIP_MATRIX = {
+    "jacobi": ("ok",) * 8,
+    "corank": ("ok",) * 8,
+    "adapted": PAIR_ROW,
+    "beta": PAIR_ROW,
+    "unimodularity": PAIR_ROW,
+    "godbillon_vey": PAIR_ROW,
+    "mu": PAIR_ROW,
+    "sigma": PAIR_ROW,
+    "modular": ("ok", NOV, JAC, JAC, "ok", "ok", JAC, JAC),
+    "weinstein": PAIR_ROW,
+    "transverse_poisson": PAIR_ROW,
+    "b_transversality": (ODD, ODD, ODD, ODD, "ok", "ok", "ok", "ok"),
+    "b_extension": PAIR_ROW,
+}
+
+
 class TestPipeline:
     def test_dependency_order_and_skipping(self):
         # non-Poisson bivector: jacobi false, downstream analyses skipped
@@ -153,6 +185,19 @@ section analyses
         assert analyses["modular"] == {
             "status": "skipped", "verdict": "skipped", "detail": "Jacobi identity fails",
         }
+
+    @pytest.mark.parametrize("column", range(len(SKIP_COLUMNS)), ids=SKIP_COLUMNS)
+    def test_skip_matrix(self, column):
+        dim, kind, transversal = SKIP_COLUMNS[column].split("-")
+        coords, bivector = SKIP_CHARTS[dim, kind]
+        lines = ["schema 1", "section chart", f"  coords {coords}", "section structure"]
+        lines += [f"  bivector {term}" for term in bivector]
+        if transversal == "v":
+            lines.append(f'  transversal "1" {coords[-1]}')
+        lines += ["section analyses", *(f"  {name}" for name in ANALYSES)]
+        analyses = analyze(loads_problem("\n".join(lines) + "\n"))["analyses"]
+        got = {n: e["detail"] if e["status"] == "skipped" else e["status"] for n, e in analyses.items()}
+        assert got == {name: row[column] for name, row in SKIP_MATRIX.items()}
 
     def test_missing_transversal_skips_adapted(self):
         text = MINIMAL.replace('transversal "1" z', "").replace(
