@@ -30,9 +30,10 @@ from .problemfile import ANALYSES, ProblemFile
 SCHEMA_VERSION = 1
 
 # What each analysis needs, tested in this order; it is skipped with the reason
-# of the first unmet need.  The adapted pair needs a transversal and an
-# `adapted()` that does not raise; `modular` takes the chart volume when even.
-_PAIR = ("Jacobi", "adapted pair")
+# of the first unmet need.  The adapted pair lives on odd charts and needs a
+# transversal and an `adapted()` that does not raise; on an even chart
+# `modular` takes the chart volume.
+_PAIR = ("Jacobi", "odd chart", "adapted pair")
 NEEDS = {
     **dict.fromkeys(ANALYSES, _PAIR),
     "jacobi": (),
