@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Optional
 
 from . import expr as ex
 from .calculus import (
@@ -51,13 +50,13 @@ class BTransversalityReport:
         verdict: Verdict,
         top_coefficient: ScalarExpr,
         locus: str,
-        points: Optional[list] = None,
+        points: list | None = None,
     ):
         self.verdict, self.top_coefficient, self.locus = verdict, top_coefficient, locus
         self.points = [] if points is None else points
 
 
-def _single_linear_locus(h: ScalarExpr, chart: Chart) -> Optional[str]:
+def _single_linear_locus(h: ScalarExpr, chart: Chart) -> str | None:
     """Exact description when h is a constant multiple of one coordinate."""
     if len(h.gens) != 1 or not isinstance(h.gens[0], str):
         return None
@@ -267,7 +266,7 @@ class BExtension:
         self.chart, self.omega_ext, self.pi_ext, self.quotient = chart, omega_ext, pi_ext, quotient
 
 
-def extend_to_b(P: PoissonStructure, checks: Optional[dict] = None) -> BExtension:
+def extend_to_b(P: PoissonStructure, checks: dict | None = None) -> BExtension:
     """Extension across a transversally vanishing hypersurface, in a new
     coordinate t.
 

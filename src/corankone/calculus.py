@@ -14,8 +14,6 @@ Conventions, pinned by unit tests:
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from . import expr as ex
 from .errors import (
     BadTransversalError,
@@ -35,7 +33,7 @@ def _coerce_coeff(value, chart: Chart) -> ScalarExpr:
     return ex.rational(value)
 
 
-def _perm_sign(seq: Sequence[int]) -> int:
+def _perm_sign(seq: tuple[int, ...]) -> int:
     inv = 0
     for i in range(len(seq)):
         for j in range(i + 1, len(seq)):

@@ -45,7 +45,6 @@ import math
 import operator
 import random
 import zlib
-from typing import Mapping, Optional
 
 from .errors import (
     ChartError,
@@ -657,7 +656,7 @@ class ScalarExpr:
         top = _p_sub(_p_mul(d_num, den), _p_mul(num, d_den))
         return _new(gens, top, _p_mul(common, _p_mul(den, den)))
 
-    def subs(self, mapping: Mapping[str, "ScalarExpr"]) -> "ScalarExpr":
+    def subs(self, mapping: dict[str, ScalarExpr]) -> "ScalarExpr":
         """Substitute expressions for symbols (parameters stay symbolic)."""
         mapping = {k: _coerce(v) for k, v in mapping.items()}
         vals = []
@@ -670,7 +669,7 @@ class ScalarExpr:
         den_v = _poly_at(self.den, vals)
         return num_v / den_v
 
-    def evaluate(self, env: Mapping[str, float]) -> float:
+    def evaluate(self, env: dict[str, float]) -> float:
         """Numeric value at a sample point; raises EvaluationSingularity on poles."""
         num_terms, den_terms = _eval_terms(self, env)
         den_val = math.fsum(den_terms)
@@ -1449,7 +1448,7 @@ def _check_torus_strict(e: ScalarExpr, chart: "Chart"):
 # ---------------------------------------------------------------------------
 # charts
 
-def interval_error(name: str, lo: float, hi: float) -> Optional[str]:
+def interval_error(name: str, lo: float, hi: float) -> str | None:
     """Why (lo, hi) is no sampling interval for name (a sample from an
     infinite end is inf or nan, and decides no zero test), or None."""
     if not (math.isfinite(lo) and math.isfinite(hi)):

@@ -19,8 +19,6 @@ probabilistic evidence without saying so.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from . import expr as ex
 from .calculus import (
     DiffForm,
@@ -54,7 +52,7 @@ def compute_beta(
     alpha: DiffForm,
     v: MultiVector,
     tester: ZeroTester,
-    checks: Optional[dict] = None,
+    checks: dict | None = None,
 ) -> DiffForm:
     """Representative beta with d(alpha) = beta ^ alpha.
 
@@ -84,7 +82,7 @@ def compute_mu(
     alpha: DiffForm,
     v: MultiVector,
     tester: ZeroTester,
-    checks: Optional[dict] = None,
+    checks: dict | None = None,
 ) -> DiffForm:
     """Representative mu with d(omega) = mu ^ alpha.
 
@@ -116,8 +114,8 @@ class ObstructionCertificate:
     def __init__(
         self,
         kind: str,  # "first" | "second"
-        f: Optional[ScalarExpr] = None,
-        nu: Optional[DiffForm] = None,
+        f: ScalarExpr | None = None,
+        nu: DiffForm | None = None,
         origin: str = "supplied",
     ):
         if kind not in ("first", "second"):
@@ -132,7 +130,7 @@ class ObstructionCertificate:
 def verify_certificate(
     cert: ObstructionCertificate,
     alpha: DiffForm,
-    omega: Optional[DiffForm],
+    omega: DiffForm | None,
     tester: ZeroTester,
 ) -> Verdict:
     """First kind: is d(e^-f alpha) zero.  Second kind: is d(omega - nu^alpha)
@@ -159,7 +157,7 @@ class PeriodWitness:
 
     __slots__ = ("cycle", "locus")
 
-    def __init__(self, cycle: str, locus: Optional[dict] = None):
+    def __init__(self, cycle: str, locus: dict | None = None):
         self.cycle = cycle
         self.locus = {} if locus is None else locus
 
@@ -294,7 +292,7 @@ def antidifferentiate_oneform(beta0: DiffForm, tester: ZeroTester):
     return f, leftover
 
 
-def _homotopy_two_form(mu0: DiffForm) -> Optional[DiffForm]:
+def _homotopy_two_form(mu0: DiffForm) -> DiffForm | None:
     """Primitive of a closed 2-form with coordinate-polynomial coefficients
     via the straight-line homotopy; None outside that fragment."""
     chart = mu0.chart
@@ -334,9 +332,9 @@ class ObstructionResult:
         self,
         verdict: Verdict,
         representative: DiffForm,
-        certificate: Optional[ObstructionCertificate] = None,
-        certificate_verdict: Optional[Verdict] = None,
-        period: Optional[Verdict] = None,
+        certificate: ObstructionCertificate | None = None,
+        certificate_verdict: Verdict | None = None,
+        period: Verdict | None = None,
         detail: str = "",
     ):
         self.verdict, self.representative = verdict, representative
@@ -346,8 +344,8 @@ class ObstructionResult:
 
 def unimodularity_check(
     P: PoissonStructure,
-    certificate: Optional[ObstructionCertificate] = None,
-    witness: Optional[PeriodWitness] = None,
+    certificate: ObstructionCertificate | None = None,
+    witness: PeriodWitness | None = None,
 ) -> ObstructionResult:
     """Unimodularity of P as the vanishing of the first obstruction class.
 
@@ -418,7 +416,7 @@ def unimodularity_check(
 def second_obstruction(
     P: PoissonStructure,
     omega: DiffForm,
-    certificate: Optional[ObstructionCertificate] = None,
+    certificate: ObstructionCertificate | None = None,
 ) -> ObstructionResult:
     """Decide whether the second obstruction class of a defining two-form vanishes.
 
@@ -473,8 +471,8 @@ def second_obstruction(
 
 def modular_field(
     P: PoissonStructure,
-    volume: Optional[DiffForm] = None,
-    checks: Optional[dict] = None,
+    volume: DiffForm | None = None,
+    checks: dict | None = None,
 ) -> MultiVector:
     """The derivation f -> (L_{u_f} volume) / volume as a vector field.
 
@@ -530,7 +528,7 @@ class TransversePoissonReport:
         lv_pi_verdict: Verdict,
         dalpha_verdict: Verdict,
         domega_verdict: Verdict,
-        pair_witness: Optional[tuple] = None,
+        pair_witness: tuple | None = None,
     ):
         self.lv_pi_verdict = lv_pi_verdict
         self.dalpha_verdict, self.domega_verdict = dalpha_verdict, domega_verdict

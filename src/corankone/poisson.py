@@ -21,7 +21,6 @@ import math
 import operator
 import random
 from itertools import combinations
-from typing import Optional
 
 from . import expr as ex
 from .calculus import (
@@ -238,7 +237,7 @@ def _from_inverse(cls, chart: Chart, inv):
     return cls(chart, 2, coeffs)
 
 
-def _dual(element, cls, tester: Optional[ZeroTester]):
+def _dual(element, cls, tester: ZeroTester | None):
     """The cls element whose matrix is the transposed inverse of element's."""
     chart = element.chart
     if chart.dim % 2:
@@ -257,12 +256,12 @@ def _dual(element, cls, tester: Optional[ZeroTester]):
     return _from_inverse(cls, chart, inv)
 
 
-def invert_twoform(omega: DiffForm, tester: Optional[ZeroTester] = None) -> MultiVector:
+def invert_twoform(omega: DiffForm, tester: ZeroTester | None = None) -> MultiVector:
     """Bivector dual to a nondegenerate 2-form (transposed matrix inverse)."""
     return _dual(omega, MultiVector, tester)
 
 
-def invert_bivector(Pi: MultiVector, tester: Optional[ZeroTester] = None) -> DiffForm:
+def invert_bivector(Pi: MultiVector, tester: ZeroTester | None = None) -> DiffForm:
     """2-form dual to a nondegenerate bivector; inverse of invert_twoform."""
     return _dual(Pi, DiffForm, tester)
 
@@ -304,10 +303,10 @@ class PoissonStructure:
         self,
         chart: Chart,
         bivector: MultiVector,
-        transversal: Optional[MultiVector] = None,
-        alpha: Optional[DiffForm] = None,
-        omega: Optional[DiffForm] = None,
-        tester: Optional[ZeroTester] = None,
+        transversal: MultiVector | None = None,
+        alpha: DiffForm | None = None,
+        omega: DiffForm | None = None,
+        tester: ZeroTester | None = None,
     ):
         if bivector.degree != 2:
             raise DegreeError("a Poisson structure needs a bivector (degree 2)")
@@ -320,11 +319,11 @@ class PoissonStructure:
         self._volume = None
         # the weakest verdict of the checks that accepted each artifact; the
         # artifacts derived from the pair include the pair's verdict
-        self.adapted_verdict: Optional[Verdict] = None
-        self.beta_verdict: Optional[Verdict] = None
-        self.dbeta_verdict: Optional[Verdict] = None  # of d(beta) ^ alpha = 0 alone
-        self.mu_verdict: Optional[Verdict] = None  # for the two-form last asked about
-        self.modular_verdict: Optional[Verdict] = None
+        self.adapted_verdict: Verdict | None = None
+        self.beta_verdict: Verdict | None = None
+        self.dbeta_verdict: Verdict | None = None  # of d(beta) ^ alpha = 0 alone
+        self.mu_verdict: Verdict | None = None  # for the two-form last asked about
+        self.modular_verdict: Verdict | None = None
         self._beta = None
         self._mu = None
         self._modular = None

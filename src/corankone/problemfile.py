@@ -9,8 +9,6 @@ coefficient, then basis coordinate names.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from . import expr as ex
 from .calculus import DiffForm, MultiVector
 from .errors import ChartError, ExprError, ProblemFileError, quote
@@ -97,7 +95,7 @@ def split_line(line: str) -> list:
     return words
 
 
-def sampling_range_error(name: str, value) -> Optional[str]:
+def sampling_range_error(name: str, value) -> str | None:
     """The accepted range of `trials` or `tolerance` when value lies outside it.
 
     A tolerance of 1 or more (or inf) calls every sampled expression

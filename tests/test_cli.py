@@ -871,6 +871,19 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "0 [] []"
 
+    def test_check_loads_no_typing(self):
+        # annotations are strings under `from __future__ import annotations`,
+        # so `X | None` and builtin generics need no import; `re` and `enum`
+        # stay loaded through json
+        code = (
+            "import os, sys, corankone.cli\n"
+            f"code = corankone.cli.main(['check', {FIXTURE!r}, '--output', os.devnull])\n"
+            "print(code, 'typing' in sys.modules)\n"
+        )
+        proc = run_python("-S", "-c", code, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 False"
+
     def test_no_check_loads_fractions(self):
         # exact rationals are integer pairs: neither the import nor any
         # check of the bundled and fixture files loads fractions, or the
