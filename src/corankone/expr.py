@@ -9,9 +9,10 @@ chart coordinates, the free parameters, and whole function applications
 generators (their arguments are themselves canonical expressions).
 
 Because the representation is always canonical, structural equality is
-cheap.  Zero testing is exact on the rational fragment (the numerator
-polynomial is empty) and falls back to seeded randomized evaluation for
-transcendental mixtures, reported as a distinct "probably zero" verdict.
+cheap.  Zero testing is exact on the rational fragment (zero exactly when
+the numerator polynomial is empty) and falls back to seeded randomized
+evaluation for transcendental mixtures, reported as a distinct "probably
+zero" verdict.
 
 Expression grammar (EBNF)::
 
@@ -1597,8 +1598,9 @@ class Verdict:
         return cls(VerdictKind.PROBABLY_ZERO, note=note)
 
     @classmethod
-    def nonzero(cls, witness, value, note=""):
-        return cls(VerdictKind.NONZERO, witness=dict(witness), value=value, note=note)
+    def nonzero(cls, witness=None, value=None, note=""):
+        witness = None if witness is None else dict(witness)
+        return cls(VerdictKind.NONZERO, witness=witness, value=value, note=note)
 
     @classmethod
     def unknown(cls, note=""):
@@ -1663,7 +1665,9 @@ class ZeroTester:
     Otherwise the expression is evaluated at seeded random admissible
     points: a confident nonzero value yields a FALSE verdict with the
     witness point, consistent smallness yields "probably zero", and
-    persistent evaluation singularities yield UNKNOWN.
+    persistent evaluation singularities yield UNKNOWN.  Without a witness,
+    an expression free of exp, log, sin and cos is still FALSE: a nonzero
+    rational function vanishes on no open box of the domain.
 
     Each invocation owns its own generator, seeded from the tester seed
     and the canonical text of the expression, so verdicts do not depend
@@ -1716,6 +1720,9 @@ class ZeroTester:
                 return Verdict.nonzero(env, val / den_val)
             else:
                 ambiguous += 1
+        if all(isinstance(g, str) for g in e.gens):
+            # a nonzero rational function vanishes on no open box
+            return Verdict.nonzero(note="nonzero rational function; no sample gave a witness")
         if successes == 0:
             return Verdict.unknown("all samples hit evaluation singularities")
         if ambiguous:

@@ -186,6 +186,21 @@ section analyses
             "status": "skipped", "verdict": "skipped", "detail": "Jacobi identity fails",
         }
 
+    def test_pair_on_a_domain_whose_samples_overflow(self, tmp_path):
+        # on x in (0, 1e308) every sample of the Pfaffian x^2 overflows, so
+        # no sample gives a witness; a nonzero polynomial is nonzero anyway
+        path = tmp_path / "wide.prob"
+        path.write_text(
+            "schema 1\nsection chart\n  coords x y z\n  domain x 0 1e308\nsection structure\n"
+            '  bivector "x^2" x y\n  bivector "1" y z\n  transversal "1" z\n'
+            "section analyses\n  jacobi\n  adapted\n  beta\n  modular\n  b_extension\n"
+        )
+        proc = run_cli("check", str(path), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        analyses = json.loads(proc.stdout)["analyses"]
+        assert {name: e["verdict"] for name, e in analyses.items()} == dict.fromkeys(analyses, "true")
+        assert analyses["adapted"]["artifacts"] == {"alpha": "1/x^2 dx + dz", "omega": "1/x^2 dx^dy"}
+
     @pytest.mark.parametrize("column", range(len(SKIP_COLUMNS)), ids=SKIP_COLUMNS)
     def test_skip_matrix(self, column):
         dim, kind, transversal = SKIP_COLUMNS[column].split("-")

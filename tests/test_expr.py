@@ -457,6 +457,16 @@ class TestIsZero:
         v = ZeroTester(ch, seed=1).is_zero(parse_scalar("log(x)", ch))
         assert v.kind is VerdictKind.UNKNOWN
 
+    def test_rational_function_is_nonzero_without_a_witness(self):
+        # every sample of x^2 on (0, 1e308) overflows, but a nonzero
+        # polynomial vanishes on no open interval
+        ch = Chart(("x",), domains={"x": (0.0, 1e308)})
+        v = ZeroTester(ch, seed=1).is_zero(parse_scalar("x^2", ch))
+        assert v.failed and v.witness is None
+        # exp(x) is no rational function: without a witness it stays unknown
+        v = ZeroTester(ch, seed=1).is_zero(parse_scalar("exp(x)", ch))
+        assert v.kind is VerdictKind.UNKNOWN
+
     def test_never_symbolic_true_with_witness(self, xyz):
         rng = random.Random(13)
         tester = ZeroTester(xyz, seed=8)
