@@ -201,6 +201,9 @@ section analyses
         assert {name: e["verdict"] for name, e in analyses.items()} == dict.fromkeys(analyses, "true")
         assert analyses["adapted"]["artifacts"] == {"alpha": "1/x^2 dx + dz", "omega": "1/x^2 dx^dy"}
 
+    def test_needs_table_has_one_entry_per_analysis(self):
+        assert tuple(pipeline.NEEDS) == ANALYSES
+
     @pytest.mark.parametrize("column", range(len(SKIP_COLUMNS)), ids=SKIP_COLUMNS)
     def test_skip_matrix(self, column):
         dim, kind, transversal = SKIP_COLUMNS[column].split("-")

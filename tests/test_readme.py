@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from corankone.errors import ToolkitWarning
+from corankone.pipeline import NEEDS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -26,3 +27,10 @@ def test_quick_tour_runs_and_matches_its_comments():
     }
     commented = dict(re.findall(r"^(\S[^=\n]*?) = [^#\n]*#\s*(.*?)\s*$", block, re.M))
     assert commented == computed
+
+
+def test_needs_table_is_the_pipeline_table():
+    text = README.read_text(encoding="utf-8")
+    section = re.search(r"### What each analysis needs\n(.*?)\n###", text, re.S).group(1)
+    rows = dict(re.findall(r"^\| `(\w+)` \| ([^|]*?) \|$", section, re.M))
+    assert rows == {name: ", ".join(needs) or "nothing" for name, needs in NEEDS.items()}
