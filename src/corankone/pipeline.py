@@ -80,9 +80,9 @@ class _Runner:
 
     def unmet(self, need: str) -> str | None:
         """Why the structure does not meet `need`, one of those in `NEEDS`, or None."""
-        parity = "odd" if self.P.chart.dim % 2 else "even"
         if need == "Jacobi":
             return None if self.P.jacobi_verdict().holds else "Jacobi identity fails"
+        parity = "odd" if self.P.chart.dim % 2 else "even"
         if need in ("odd chart", "even chart"):
             return None if need == f"{parity} chart" else f"chart dimension is {parity}"
         return self._no_pair if need == "adapted pair" or parity == "odd" else None
