@@ -1,4 +1,5 @@
-"""The README's library quick tour runs, and each commented result is what it computes."""
+"""The README's library quick tour runs, each commented result is what it
+computes, and its table of what each analysis needs is the pipeline's."""
 
 import re
 from pathlib import Path
