@@ -453,6 +453,7 @@ def exterior_divide(
     tester: ZeroTester | None = None,
     checks: dict | None = None,
     obstruction: Verdict | None = None,
+    pairing: Verdict | None = None,
 ) -> DiffForm:
     """Solve eta = xi ^ alpha for xi, given eta ^ alpha = 0 and alpha(v) = 1.
 
@@ -462,7 +463,8 @@ def exterior_divide(
     When checks is a dict, the verdict of each of the two checks is stored
     in it under the identity it tests.  A caller that has already tested
     eta ^ alpha = 0 passes that verdict as obstruction, and the product is
-    neither built nor tested again.
+    neither built nor tested again; likewise a caller whose pair makes
+    alpha(v) = 1 passes the pair's verdict as pairing.
     """
     if alpha.degree != 1:
         raise DegreeError("alpha must be a 1-form")
@@ -472,8 +474,9 @@ def exterior_divide(
         raise DivisionObstructedError("nonzero scalar is not a multiple of alpha")
     if tester is None:
         tester = ZeroTester(eta.chart)
-    pairing = interior(v, alpha).scalar() - ex.ONE
-    pv = tester.is_zero(pairing)
+    pv = pairing
+    if pv is None:
+        pv = tester.is_zero(interior(v, alpha).scalar() - ex.ONE)
     if not pv.holds:
         raise BadTransversalError(f"alpha(v) != 1 (verdict {pv.kind.value})")
     ov = obstruction

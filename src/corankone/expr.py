@@ -1424,9 +1424,80 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected token {quote(tok)}", self.starts[i])
 
 
+# the direct reader leaves longer texts to the descent: a plain text of at
+# most this length has at most 320 terms, literals of at most 640 digits (the
+# least digit limit Python's integer conversion can be set to) and a total
+# degree of at most 4096 (five characters "x^32*" per 32), well within
+# MAX_TERMS and MAX_DEGREE
+_PLAIN_LENGTH = 640
+
+
+def _read_plain(text: str, chart: "Chart") -> ScalarExpr | None:
+    """The descent's result for a plain polynomial text, or None for any other.
+
+    A plain text is a sum of signed products of chart names and unsigned
+    decimal literals, each optionally raised to ``^k`` (k a decimal in
+    0..MAX_EXPONENT) and each optionally divided by nonzero literals.  It is
+    ASCII without parentheses, and has blanks only around operators.  The
+    reader never raises: the descent reads whatever it leaves, so every
+    error and bound stays there.
+    """
+    if len(text) > _PLAIN_LENGTH or not text.isascii() or "(" in text or ")" in text:
+        return None
+    if " " in text:
+        while "  " in text:
+            text = text.replace("  ", " ")
+        for op in "+-*/^":
+            text = text.replace(op + " ", op).replace(" " + op, op)
+        text = text.strip(" ")
+        if " " in text:  # a blank inside a token, or between two
+            return None
+    names = chart.coords + chart.params
+    pieces = text.replace("-", "+-").split("+")
+    if not pieces[0]:  # a leading sign, or no text at all
+        del pieces[0]
+    terms = []
+    for piece in pieces:
+        n = d = 1
+        if piece[:1] == "-":
+            n, piece = -1, piece[1:]
+        exps = {}
+        for part in piece.split("*"):
+            for j, factor in enumerate(part.split("/")):
+                base, caret, k = factor.partition("^")
+                if caret and not (k.isdigit() and len(k) < 4 and int(k) <= MAX_EXPONENT):
+                    return None
+                k = int(k) if caret else 1
+                if base in names and not j:
+                    exps[base] = exps.get(base, 0) + k
+                    continue
+                whole, dot, frac = base.partition(".")
+                if not whole.isdigit() or dot and not frac.isdigit():
+                    return None
+                p, q = int(whole + frac) ** k, 10 ** (len(frac) * k)
+                if j:  # a divisor
+                    if not p:
+                        return None
+                    p, q = q, p
+                n, d = n * p, d * q
+        terms.append((n, d, exps))
+    if not terms:
+        return None
+    gens = tuple(sorted({g for _, _, exps in terms for g in exps}))
+    den = math.lcm(*(d for _, d, _ in terms))
+    num = {}
+    for n, d, exps in terms:
+        key = _pack([exps.get(g, 0) for g in gens])
+        num[key] = num.get(key, 0) + n * (den // d)
+    return _new(gens, {k: c for k, c in num.items() if c}, {0: den})
+
+
 def parse_scalar(text: str, chart: "Chart") -> ScalarExpr:
-    """Parse an expression against a chart's coordinates and parameters."""
-    e = _Parser(text, chart).parse()
+    """Parse an expression against a chart's coordinates and parameters:
+    a plain polynomial text by the direct reader, any other by the descent."""
+    e = _read_plain(text, chart)
+    if e is None:
+        e = _Parser(text, chart).parse()
     if chart.torus_strict:
         _check_torus_strict(e, chart)
     return e

@@ -53,6 +53,7 @@ def compute_beta(
     v: MultiVector,
     tester: ZeroTester,
     checks: dict | None = None,
+    pairing: Verdict | None = None,
 ) -> DiffForm:
     """Representative beta with d(alpha) = beta ^ alpha.
 
@@ -60,6 +61,7 @@ def compute_beta(
     one-form does not define a foliation).  The byproduct identity
     d(beta) ^ alpha = 0 is asserted after the division.  When checks is a
     dict, it receives the verdicts of these checks and of the division's.
+    A pairing verdict of alpha(v) = 1 goes to the division (exterior_divide).
     """
     dalpha = ext_deriv(alpha)
     integrability = is_zero_graded(wedge(dalpha, alpha), tester)
@@ -68,7 +70,9 @@ def compute_beta(
             "d(alpha) ^ alpha does not vanish; alpha defines no foliation",
             witness=integrability.witness,
         )
-    beta = exterior_divide(dalpha, alpha, v, tester, checks=checks, obstruction=integrability)
+    beta = exterior_divide(
+        dalpha, alpha, v, tester, checks=checks, obstruction=integrability, pairing=pairing
+    )
     ideal = is_zero_graded(wedge(ext_deriv(beta), alpha), tester)
     if not ideal.holds:
         raise InternalCheckError("d(beta) ^ alpha should vanish but does not")
@@ -83,6 +87,7 @@ def compute_mu(
     v: MultiVector,
     tester: ZeroTester,
     checks: dict | None = None,
+    pairing: Verdict | None = None,
 ) -> DiffForm:
     """Representative mu with d(omega) = mu ^ alpha.
 
@@ -90,11 +95,12 @@ def compute_mu(
     obstruction is only class-well-defined over a closed alpha).  When
     checks is a dict, it receives the verdicts of the division's checks;
     the warning is a diagnostic, not a check of mu.  Over a closed alpha,
-    d(mu) ^ alpha = mu ^ d(alpha) = 0 follows from d(d omega) = 0.
+    d(mu) ^ alpha = mu ^ d(alpha) = 0 follows from d(d omega) = 0.  A
+    pairing verdict of alpha(v) = 1 goes to the division, as in compute_beta.
     """
     if not is_zero_graded(ext_deriv(alpha), tester).holds:
         warn("alpha is not closed; computing a formal mu representative")
-    return exterior_divide(ext_deriv(omega), alpha, v, tester, checks=checks)
+    return exterior_divide(ext_deriv(omega), alpha, v, tester, checks=checks, pairing=pairing)
 
 
 def godbillon_vey(beta: DiffForm) -> DiffForm:

@@ -298,7 +298,37 @@ def analyze(problem: ProblemFile, timing=False) -> dict:
 
 
 def render_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
+    """The report as ``json.dumps(report, indent=2, sort_keys=True,
+    ensure_ascii=True) + "\\n"`` writes it, byte for byte."""
+    return _json(report, "\n") + "\n"
+
+
+_escape = json.encoder.encode_basestring_ascii  # the C escaper
+
+
+def _json(value, newline: str) -> str:
+    """value as JSON text whose nested lines start with newline."""
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        # json writes the non-finite floats as NaN, Infinity and -Infinity
+        return float.__repr__(value) if value - value == 0 else json.dumps(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = sorted(value.items())
+        body = ("," + inner).join(_escape(k) + ": " + _json(v, inner) for k, v in items)
+        return "{" + inner + body + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join(_json(v, inner) for v in value) + newline + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def exit_code(report: dict) -> int:

@@ -475,7 +475,12 @@ class PoissonStructure:
 
             alpha, _ = self.adapted()
             checks = {}
-            self._beta = compute_beta(alpha, self.transversal, self.tester, checks=checks)
+            # the pair gives alpha(v) = 1: a computed alpha is the last row of
+            # the inverse of the bordered matrix whose last column is v, and a
+            # declared one was compared with v in _verify_adapted
+            self._beta = compute_beta(
+                alpha, self.transversal, self.tester, checks=checks, pairing=self.adapted_verdict
+            )
             self.beta_verdict = Verdict.combine(self.adapted_verdict, *checks.values())
             self.dbeta_verdict = checks["d(beta) ^ alpha = 0"]
         return self._beta
@@ -491,7 +496,10 @@ class PoissonStructure:
 
             alpha, _ = self.adapted()
             checks = {}
-            mu = compute_mu(omega, alpha, self.transversal, self.tester, checks=checks)
+            mu = compute_mu(
+                omega, alpha, self.transversal, self.tester, checks=checks,
+                pairing=self.adapted_verdict,
+            )
             self._mu = (omega, mu)
             self.mu_verdict = Verdict.combine(self.adapted_verdict, *checks.values())
         return self._mu[1]

@@ -384,7 +384,8 @@ class _Loader:
 
 def load_problem(path: str) -> ProblemFile:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops a byte-order mark that some editors write
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ProblemFileError(f"cannot read file: {exc}", path=path) from exc

@@ -460,6 +460,18 @@ class TestExitCodes:
         assert "can't decode byte 0xe9" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_file_with_a_byte_order_mark_reads_as_without(self, tmp_path):
+        plain, marked = tmp_path / "flat.prob", tmp_path / "marked.prob"
+        plain.write_text(corpus_text("flat.prob"), encoding="utf-8")
+        marked.write_text(corpus_text("flat.prob"), encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        reports = []
+        for path in (plain, marked):
+            out = tmp_path / f"{path.stem}.json"
+            assert main(["check", str(path), "--output", str(out)]) == 0
+            reports.append(json.loads(out.read_text())["analyses"])
+        assert reports[0] == reports[1]
+
     def test_unwritable_check_output_is_exit_2(self, tmp_path, capsys):
         path, out = tmp_path / "m.prob", tmp_path / "missing" / "m.json"
         path.write_text(MINIMAL)
@@ -971,6 +983,25 @@ class TestBenchmarkDigests:
             assert hashlib.sha256(report.encode()).hexdigest() == digests[key], member.name
             checked += 1
         assert checked == 44
+
+
+class TestRenderReport:
+    """render_report writes what json.dumps writes, byte for byte."""
+
+    @pytest.mark.parametrize("name", [n for n, _ in bundled.problem_texts()])
+    def test_bundled_and_fixture_reports(self, name):
+        report = analyze(loads_problem(dict(bundled.problem_texts())[name], path=name))
+        want = json.dumps(report, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
+        assert render_report(report) == want
+
+    def test_timing_report(self, tmp_path):
+        path, out = tmp_path / "flat.prob", tmp_path / "flat.json"
+        path.write_text(corpus_text("flat.prob"))
+        assert main(["check", str(path), "--timing", "--output", str(out)]) == 0
+        text = out.read_text()
+        report = json.loads(text)
+        assert isinstance(report["meta"]["timing_ms"], float)
+        assert text == json.dumps(report, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
 
 
 class TestReportShape:

@@ -165,6 +165,37 @@ class TestComputeMu:
         assert {w.filename for w in record} == {__file__}
 
 
+class TestPairingFromThePair:
+    """A structure's beta and mu take alpha(v) = 1 from its adapted pair: a
+    computed alpha is the last row of the inverse of the bordered matrix
+    whose last column is v, and a declared pair is checked against v."""
+
+    def test_beta_and_mu_build_no_pairing(self, xyz, monkeypatch):
+        declared = PoissonStructure(
+            xyz,
+            MultiVector(xyz, 2, {("x", "y"): "1"}),
+            basis_vector(xyz, "z"),
+            alpha=basis_form(xyz, "z"),
+            omega=DiffForm(xyz, 2, {("x", "y"): "1"}),
+        )
+        computed = [e.structure for e in bundled.corank_one_entries(seed=5) if e.structure.chart.dim % 2]
+        real, pairings = calculus.interior, []
+        for P in [*computed, declared]:
+            alpha, omega = P.adapted()
+
+            def spy(a, b, alpha=alpha):
+                if b is alpha:
+                    pairings.append((a, b))
+                return real(a, b)
+
+            monkeypatch.setattr(calculus, "interior", spy)
+            P.beta()
+            with warnings.catch_warnings():  # some alphas are not closed
+                warnings.simplefilter("ignore", ToolkitWarning)
+                P.mu(omega)
+        assert pairings == []
+
+
 class TestCertificates:
     def test_trivial_first(self, xyz, tester):
         cert = ObstructionCertificate("first", f=parse_scalar("0", xyz))

@@ -12,6 +12,11 @@ The tokenizer is held to the regex pair it replaced
 (`oracles.regex_tokenize`) on texts drawn from pieces that meet each of
 its rules, and the parser must fail on those texts with the same message
 at the same position whichever tokenizer it uses.
+
+The direct reader of plain polynomial text is held to the descent on
+plain texts and on texts one mutation away from plain: whatever it reads,
+the descent must read to an equal expression with the same text, and
+`parse_scalar` must give the descent's result or error either way.
 """
 
 from fractions import Fraction
@@ -25,7 +30,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from corankone import Chart, ScalarExpr, parse_scalar, rational, symbol  # noqa: E402
 from corankone import expr  # noqa: E402
-from corankone.errors import ExprError  # noqa: E402
+from corankone.errors import ExprError, ToolkitError  # noqa: E402
 from oracles import regex_tokenize  # noqa: E402
 
 CHART = Chart(("x", "y"), params=("a",))
@@ -141,11 +146,11 @@ TOKEN_PIECES = (
 token_texts = st.lists(st.sampled_from(TOKEN_PIECES), max_size=12).map("".join)
 
 
-def parse_outcome(text):
+def parse_outcome(text, chart=CHART):
     try:
-        return str(parse_scalar(text, CHART))
-    except ExprError as exc:
-        return type(exc).__name__, str(exc), exc.position
+        return str(parse_scalar(text, chart))
+    except ToolkitError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "position", None)
 
 
 @given(token_texts)
@@ -164,3 +169,72 @@ def test_parse_errors_do_not_depend_on_the_tokenizer(text):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(expr, "_tokenize", regex_tokenize)
         assert parse_outcome(text) == got
+
+
+# the reader against the descent: a chart with a parameter, and a
+# torus-strict one whose angle "x" the descent and the reader both read,
+# after which parse_scalar refuses it
+STRICT = Chart(("x", "y"), periodic=("x",), params=("a",), torus_strict=True)
+literals = st.one_of(
+    st.integers(0, 40).map(str),
+    st.tuples(st.integers(0, 99), st.integers(0, 999)).map(lambda t: f"{t[0]}.{t[1]}"),
+)
+factors = st.tuples(
+    st.one_of(st.sampled_from(("x", "y", "a")), literals),
+    st.one_of(st.just(""), st.integers(0, expr.MAX_EXPONENT).map(lambda k: f"^{k}")),
+    st.lists(literals.filter(lambda t: t.strip("0.")), max_size=2),
+).map(lambda f: f[0] + f[1] + "".join("/" + d for d in f[2]))
+products = st.lists(factors, min_size=1, max_size=3).map("*".join)
+
+
+@st.composite
+def plain_texts(draw):
+    """A sum of signed products, with drawn blanks around the operators."""
+    terms = draw(st.lists(products, min_size=1, max_size=4))
+    text = draw(st.sampled_from(("", "-", "+", " - "))) + terms[0]
+    for term in terms[1:]:
+        text += draw(spaces) + draw(st.sampled_from("+-")) + draw(spaces) + term
+    return text
+
+
+# what a plain text may meet one step from plain: blanks inside tokens, a
+# tab, doubled or misplaced signs, bounds and divisions the reader leaves to
+# the descent, malformed and overlong literals, a non-ASCII digit, function
+# names without parentheses and an unknown name
+MUTATIONS = (
+    " ", "\t", "--", "*-", "^-1", "^33", "^032", "1/0", "/0.0", "2/x", "/a", "1.", ".5",
+    "1e5", "9" * 30, "9" * 5000, "\u0661", "exp", "sin", "b", "(", "*", "^", "/",
+)
+
+
+@st.composite
+def near_plain_texts(draw):
+    text = draw(plain_texts())
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(MUTATIONS)) + text[at:]
+    return text
+
+
+@given(near_plain_texts(), st.sampled_from((CHART, STRICT)))
+@example("2 3", CHART)
+@example("x y", CHART)
+@example("-x^2 + 3/4*a*y - 1.5", CHART)
+@example("x*-y", CHART)
+@example("x^33 - 1/0", CHART)
+@example("x - x + 0^0/2", STRICT)
+def test_reader_agrees_with_the_descent(text, chart):
+    got = expr._read_plain(text, chart)
+    if got is not None:
+        want = expr._Parser(text, chart).parse()
+        assert got == want and str(got) == str(want)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(expr, "_read_plain", lambda text, chart: None)
+        alone = parse_outcome(text, chart)
+    assert parse_outcome(text, chart) == alone
+
+
+def test_reader_reads_plain_text_and_leaves_the_rest():
+    assert expr._read_plain("-x^2 + 3/4*a*y - 1.5/2", CHART) is not None
+    for text in ("2 3", "x y", "x*-y", "x^33", "1/0", "2/x", "exp", "(x)", "x\t+ 1", "\u0661"):
+        assert expr._read_plain(text, CHART) is None, text
