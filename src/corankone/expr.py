@@ -1133,38 +1133,6 @@ def _degrees(e):
     return max(e.num) >> top, max(e.den) >> top
 
 
-def _q_reduced(p, d):
-    """The polynomial quotient p / d with d > 0, over the gcd of d and p's
-    coefficients (zero is ``({}, 1)``)."""
-    g = math.gcd(d, *p.values())
-    if g == 1:
-        return p, d
-    return {k: c // g for k, c in p.items()}, d // g
-
-
-def _q_add(a, b):
-    (p, d), (q, r) = a, b
-    if d == r:
-        return _q_reduced(_p_add(p, q), d)
-    g = math.gcd(d, r)
-    s, t = r // g, d // g
-    return _q_reduced(
-        _p_add({k: c * s for k, c in p.items()}, {k: c * t for k, c in q.items()}), d * s
-    )
-
-
-def _q_pow(a, n):
-    """a ** n, for n >= 0 or a nonzero constant a."""
-    p, d = a
-    if n < 0:
-        c = p[0]
-        p, d, n = {0: d if c > 0 else -d}, abs(c), -n
-    out = {0: 1}
-    for _ in range(n):
-        out = _p_mul(out, p)
-    return out, d**n
-
-
 class _Parser:
     """Recursive descent over the tokens of one expression.
 
@@ -1172,16 +1140,10 @@ class _Parser:
     starts no token; that character is reported, at its own position, when
     the parser reaches it.
 
-    A polynomial subterm is kept as a pair ``(p, d)``: ``p`` a packed
-    integer polynomial over the chart symbols that occur in the text (sorted
-    by name, as ScalarExpr sorts its generators), ``d > 0`` an integer that
-    shares no factor with all of ``p``'s coefficients.  A ScalarExpr is
-    made, and normalized once, only at a function call, at a division by a
-    non-constant, at a negative power of a non-constant and at the end of
-    the text; the arithmetic on it is then ScalarExpr arithmetic.  The bounds
-    read the sizes of the normalized expression, which a pair gives without
-    normalizing (``len(p)`` terms over one), so either way they trigger at
-    the same input, with the same message and position.
+    Every subterm is a ScalarExpr, and the operators are its arithmetic.
+    Before each operation the bounds predict the size of its result from
+    the terms and total degrees of the operands' numerators and
+    denominators, and report an oversized one at its operator.
     """
 
     def __init__(self, text: str, chart: "Chart"):
@@ -1192,11 +1154,7 @@ class _Parser:
         self.starts.append(self.end)
         self.i = 0
         self.depth = 0
-        names = chart.coords + chart.params
-        self.gens = tuple(sorted(t for t in set(self.toks) if t in names))
-        w = len(self.gens)
-        self.units = {g: _unit(i, w) for i, g in enumerate(self.gens)}
-        self.top = _FIELD * w
+        self.names = chart.coords + chart.params
 
     # -- tokens ----------------------------------------------------------------
 
@@ -1265,20 +1223,9 @@ class _Parser:
                 self.starts[i],
             )
 
-    # -- values ------------------------------------------------------------------
-
-    def _expr(self, v) -> ScalarExpr:
-        """v as a normalized ScalarExpr."""
-        if type(v) is tuple:
-            return _new(self.gens, v[0], {0: v[1]})
-        return v
-
-    def _size(self, v):
-        """Terms of v's numerator and denominator, then their total degrees."""
-        if type(v) is tuple:
-            p = v[0]
-            return len(p), 1, max(p) >> self.top if p else 0, 0
-        return (len(v.num), len(v.den), *_degrees(v))
+    def _size(self, e):
+        """Terms of e's numerator and denominator, then their total degrees."""
+        return (len(e.num), len(e.den), *_degrees(e))
 
     # -- grammar -------------------------------------------------------------------
 
@@ -1288,7 +1235,7 @@ class _Parser:
         tok = self._next()
         if tok:
             raise ExprSyntaxError(f"unexpected trailing input {quote(tok)}", self.starts[i])
-        return self._expr(e)
+        return e
 
     def expr(self):
         e = self.term()
@@ -1299,19 +1246,11 @@ class _Parser:
             i = self.i
             self.i += 1
             rhs = self.term()
-            if type(e) is tuple and type(rhs) is tuple:
-                apart = e[1] != rhs[1]
-            else:
-                e, rhs = self._expr(e), self._expr(rhs)
-                apart = e.den != rhs.den
-            if apart:
+            if e.den != rhs.den:
                 # the numerators cross-multiply with the denominators
                 (en, ed, _, _), (rn, rd, _, _) = self._size(e), self._size(rhs)
                 self._check_terms(max(en * rd + rn * ed, ed * rd), "a sum of quotients", i)
-            if type(e) is tuple:
-                e = _q_add(e, rhs if op == "+" else (_p_neg(rhs[0]), rhs[1]))
-            else:
-                e = e + rhs if op == "+" else e - rhs
+            e = e + rhs if op == "+" else e - rhs
             self._check_degree_bound(max(self._size(e)[2:]), "a sum", i)
 
     def term(self):
@@ -1329,20 +1268,12 @@ class _Parser:
                 rn, rd, rdn, rdd = rd, rn, rdd, rdn
             self._check_terms(max(en * rn, ed * rd), "a product", i)
             self._check_degree_bound(max(edn + rdn, edd + rdd), "a product", i)
-            polys = type(e) is tuple and type(rhs) is tuple
             if op == "*":
-                if polys:
-                    e = _q_reduced(_p_mul(e[0], rhs[0]), e[1] * rhs[1])
-                else:
-                    e = self._expr(e) * self._expr(rhs)
+                e = e * rhs
             elif not rd:  # the divisor's numerator is empty
                 raise ExprSyntaxError("division by zero", self.starts[i])
-            elif polys and _p_const(rhs[0]):
-                c = rhs[0][0]
-                s = rhs[1] if c > 0 else -rhs[1]
-                e = _q_reduced({k: v * s for k, v in e[0].items()}, e[1] * abs(c))
             else:
-                e = self._expr(e) / self._expr(rhs)
+                e = e / rhs
 
     def unary(self):
         sign = 1
@@ -1354,9 +1285,7 @@ class _Parser:
             if op == "-":
                 sign = -sign
         e = self.power()
-        if sign > 0:
-            return e
-        return (_p_neg(e[0]), e[1]) if type(e) is tuple else -e
+        return e if sign > 0 else -e
 
     def power(self):
         base = self.atom()
@@ -1378,9 +1307,7 @@ class _Parser:
         # a sum of k terms to the power |n| has at most C(k+|n|-1, |n|)
         self._check_terms(math.comb(max(bn, bd) + abs(n) - 1, abs(n)), "a power", i)
         self._check_degree_bound(max(bdn, bdd) * abs(n), "a power", i)
-        if type(base) is tuple and (n >= 0 or _p_const(base[0])):
-            return _q_pow(base, n)
-        return self._expr(base) ** n
+        return base ** n
 
     def exponent(self) -> int:
         i = self.i
@@ -1403,8 +1330,7 @@ class _Parser:
         i = self.i
         tok = self._next()
         if tok[:1].isdecimal():
-            n, d = self._literal(i)
-            return {0: n} if n else {}, d
+            return _ratio(*self._literal(i))
         if tok == "(":
             self._open(i)
             e = self.expr()
@@ -1415,10 +1341,9 @@ class _Parser:
             self._open(i + 1)
             arg = self.expr()
             self._close()
-            return apply_function(tok, self._expr(arg))
-        unit = self.units.get(tok)
-        if unit is not None:
-            return {unit: 1}, 1
+            return apply_function(tok, arg)
+        if tok in self.names:
+            return symbol(tok)
         if tok[:1].isalpha() or tok[:1] == "_":
             raise UnknownIdentifierError(tok, self.starts[i])
         raise ExprSyntaxError(f"unexpected token {quote(tok)}", self.starts[i])

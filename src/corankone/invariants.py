@@ -185,10 +185,11 @@ class PeriodWitness:
         pv = tester.is_zero(coeff)
         if pv.failed:
             locus = ", ".join(f"{k} = {v}" for k, v in sorted(subs.items()))
+            at = f" at {locus}" if locus else ""
             return Verdict.nonzero(
                 pv.witness,
                 pv.value,
-                note=f"nonzero leafwise period of the {self.cycle}-cycle at {locus}",
+                note=f"nonzero leafwise period of the {self.cycle}-cycle{at}",
             )
         return Verdict.unknown("period coefficient not definitely nonzero")
 

@@ -212,6 +212,8 @@ class _Loader:
         if head == "coords":
             if not args:
                 self.fail("coords needs at least one name", lineno)
+            if self.coords is not None:
+                self.fail("coords may appear only once", lineno)
             self.coords = tuple(args)
             self.chart_lines.update({("coords", n): lineno for n in args})
         elif head == "periodic":
@@ -314,7 +316,7 @@ class _Loader:
     def _parse(self, text, lineno):
         try:
             return ex.parse_scalar(text, self.problem.chart)
-        except ExprError as exc:
+        except (ExprError, ChartError) as exc:  # ChartError: a torus-strict violation
             self.fail(f"bad expression {quote(text)}: {exc}", lineno)
 
     def _graded(self, kind, cls, degree):

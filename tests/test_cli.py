@@ -170,6 +170,24 @@ section analyses
             assert report["analyses"][name]["status"] == "skipped"
         assert exit_code(report) == 1
 
+    def test_period_note_without_a_locus_ends_at_the_cycle(self):
+        # the period found on its own pins no coordinate, so the note names
+        # the cycle alone
+        text = """
+schema 1
+section chart
+  coords theta x y
+  periodic theta
+section structure
+  bivector "1" theta y
+  transversal "exp(-theta)" x
+section analyses
+  unimodularity
+"""
+        entry = analyze(loads_problem(text))["analyses"]["unimodularity"]
+        assert entry["verdict"] == "false"
+        assert entry["detail"] == "nonzero leafwise period of the theta-cycle"
+
     def test_modular_is_skipped_when_jacobi_fails_on_an_even_chart(self, tmp_path):
         # the even-chart fallback to the chart volume needs a Poisson bivector too
         path = tmp_path / "not_poisson.prob"
@@ -643,6 +661,26 @@ class TestExitCodes:
         assert main(["check", str(path)]) == 2
         line = 4 + lines.count("\n") + 1
         assert capsys.readouterr().err == f"validation error: {path}:{line}: {message}\n"
+
+    def test_torus_strict_violation_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "ts.prob"
+        path.write_text(
+            "section chart\n  coords th x y\n  periodic th\n  torus_strict\n"
+            'section structure\n  bivector "th" x y\n'
+        )
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"validation error: {path}:6: bad expression 'th': torus-strict chart: "
+            "angle coordinate 'th' may only appear inside sin/cos\n"
+        )
+
+    def test_second_coords_line_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "coords.prob"
+        path.write_text(MINIMAL.replace("coords x y z", "coords x y z\n  coords u v w"))
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"validation error: {path}:5: coords may appear only once\n"
+        )
 
     def test_degree_past_the_bound_is_exit_2(self, tmp_path, capsys):
         text = MINIMAL.replace('bivector "1" x y', 'bivector "((x^32)^32)^31" x y')

@@ -102,6 +102,23 @@ def cases(draw):
 @example((("^", ("neg", "3"), -3), "(-3)^(-3)"))
 @example((("^", ("/", "2", "0.75"), -2), "(2/0.75)^-2"))
 @example((("^", ("-", "x", "x"), -1), "(x - x)^-1"))
+# the shapes that reach the descent from generated structures: a scaled
+# transversal and a quotient by a sum
+@example(
+    (
+        (
+            "*",
+            ("exp", ("neg", "x")),
+            (
+                "-",
+                ("+", ("*", ("neg", ("/", "3", "2")), "a"), ("*", ("/", "1", "3"), "y")),
+                ("/", "1", "2"),
+            ),
+        ),
+        "exp(-x)*(-3/2*a + 1/3*y - 1/2)",
+    )
+)
+@example((("/", "1", ("+", ("+", ("^", "a", 2), ("^", "y", 2)), "1")), "1/(a^2 + y^2 + 1)"))
 def test_parse_equals_arithmetic(case):
     tree, text = case
     try:
@@ -120,7 +137,6 @@ def test_wide_chart_keeps_short_coefficients_narrow():
     wide = Chart(tuple(f"x{i}" for i in range(40)), params=("a",))
     text = "-23/6*a^2 + 161/12*a*x17 - 2/3*x39 + x3*x17/5 + 1"
     parser = expr._Parser(text, wide)
-    assert parser.gens == ("a", "x17", "x3", "x39")
     a, x3, x17, x39 = (symbol(n) for n in ("a", "x3", "x17", "x39"))
     want = (
         rational(Fraction(-23, 6)) * a**2
