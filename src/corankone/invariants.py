@@ -140,16 +140,14 @@ def verify_certificate(
     tester: ZeroTester,
 ) -> Verdict:
     """First kind: is d(e^-f alpha) zero.  Second kind: is d(omega - nu^alpha)
-    zero and omega - nu^alpha leafwise equal to omega."""
+    zero; it is leafwise equal to omega for every nu, since the difference
+    wedged with alpha, -(nu ^ alpha) ^ alpha, is structurally zero."""
     if cert.kind == "first":
         rescaled = ex.exp(-cert.f) * alpha
         return is_zero_graded(ext_deriv(rescaled), tester)
     if omega is None:
         raise DegreeError("second-kind certificate needs omega")
-    corrected = omega - wedge(cert.nu, alpha)
-    closed = is_zero_graded(ext_deriv(corrected), tester)
-    same_leafwise = leafwise_equal(corrected, omega, alpha, tester)
-    return Verdict.combine(closed, same_leafwise)
+    return is_zero_graded(ext_deriv(omega - wedge(cert.nu, alpha)), tester)
 
 
 class PeriodWitness:
@@ -329,24 +327,31 @@ def _homotopy_two_form(mu0: DiffForm) -> DiffForm | None:
 
 
 class ObstructionResult:
-    """Verdict about one obstruction class, with its certificate trail."""
+    """Verdict about one obstruction class, with its certificate trail.  The
+    representative is P.beta() or P.mu(omega); a period disproof is a failed
+    verdict with no certificate."""
 
-    __slots__ = (
-        "verdict", "representative", "certificate", "certificate_verdict", "period", "detail"
-    )
+    __slots__ = ("verdict", "certificate", "certificate_verdict", "detail")
 
     def __init__(
         self,
         verdict: Verdict,
-        representative: DiffForm,
         certificate: ObstructionCertificate | None = None,
         certificate_verdict: Verdict | None = None,
-        period: Verdict | None = None,
         detail: str = "",
     ):
-        self.verdict, self.representative = verdict, representative
-        self.certificate, self.certificate_verdict = certificate, certificate_verdict
-        self.period, self.detail = period, detail
+        self.verdict, self.certificate = verdict, certificate
+        self.certificate_verdict, self.detail = certificate_verdict, detail
+
+
+def _verified(cert, alpha, omega, tester, note, detail=""):
+    """The result certified by cert when verify_certificate holds, else None."""
+    if cert is None:
+        return None
+    cv = verify_certificate(cert, alpha, omega, tester)
+    if not cv.holds:
+        return None
+    return ObstructionResult(Verdict(cv.kind, note=note), cert, cv, detail)
 
 
 def unimodularity_check(
@@ -358,64 +363,49 @@ def unimodularity_check(
 
     Reads alpha, beta, the transversal and the tester from P.  Order of
     attack: beta already a multiple of alpha; a supplied certificate; an
-    automatic certificate by antidifferentiation; a supplied or automatic
-    leafwise-period disproof; otherwise UNKNOWN.
+    automatic certificate by antidifferentiation; a leafwise-period
+    disproof on each leftover cycle, the supplied witness standing in for
+    its own cycle and tried last otherwise; else UNKNOWN.
     """
     alpha, _ = P.adapted()
     beta, tester = P.beta(), P.tester
-    beta0 = beta - interior(P.transversal, beta).scalar() * alpha
     trivially = is_zero_graded(wedge(beta, alpha), tester)
     if trivially.holds:
         # f = 0 closes alpha: d(alpha) = beta ^ alpha, and that vanishes
         cert = ObstructionCertificate("first", f=ex.ZERO, origin="trivial")
         return ObstructionResult(
             Verdict(trivially.kind, note="beta lies in the alpha ideal"),
-            beta,
-            certificate=cert,
-            certificate_verdict=Verdict.combine(trivially, P.beta_verdict),
-            detail="alpha is already closed up to the recorded verdict",
+            cert, Verdict.combine(trivially, P.beta_verdict),
+            "alpha is already closed up to the recorded verdict",
         )
-    if certificate is not None:
-        cv = verify_certificate(certificate, alpha, None, tester)
-        if cv.holds:
-            return ObstructionResult(
-                Verdict(cv.kind, note="supplied certificate verifies"),
-                beta,
-                certificate=certificate,
-                certificate_verdict=cv,
-                detail="supplied rescaling closes alpha",
-            )
+    supplied = _verified(certificate, alpha, None, tester, "supplied certificate verifies",
+                         "supplied rescaling closes alpha")
+    if supplied is not None:
+        return supplied
+    beta0 = beta - interior(P.transversal, beta).scalar() * alpha
     auto = None
     if is_zero_graded(ext_deriv(beta0), tester).holds:
         auto = antidifferentiate_oneform(beta0, tester)
+    cycles = []
     if auto is not None:
         f, leftover = auto
         if leftover.is_structural_zero:
             cert = ObstructionCertificate("first", f=f, origin="automatic")
-            cv = verify_certificate(cert, alpha, None, tester)
-            if cv.holds:
-                return ObstructionResult(
-                    Verdict(cv.kind, note="automatic certificate verifies"),
-                    beta,
-                    certificate=cert,
-                    certificate_verdict=cv,
-                    detail="transverse representative integrated exactly",
-                )
-        else:
-            # periods along coordinate circles; tangency may certify FALSE
-            for (i,), c in leftover.coeffs.items():
-                name = alpha.chart.coords[i]
-                w = witness if witness and witness.cycle == name else PeriodWitness(name)
-                pv = w.verify(alpha, beta0, tester)
-                if pv.failed:
-                    return ObstructionResult(pv, beta, period=pv, detail=pv.note)
-    if witness is not None:
-        pv = witness.verify(alpha, beta0, tester)
+            found = _verified(cert, alpha, None, tester, "automatic certificate verifies",
+                              "transverse representative integrated exactly")
+            if found is not None:
+                return found
+        # periods along coordinate circles; tangency may certify FALSE
+        cycles = [alpha.chart.coords[i] for (i,) in leftover.coeffs]
+    if witness is not None and witness.cycle not in cycles:
+        cycles.append(witness.cycle)
+    for name in cycles:
+        w = witness if witness and witness.cycle == name else PeriodWitness(name)
+        pv = w.verify(alpha, beta0, tester)
         if pv.failed:
-            return ObstructionResult(pv, beta, period=pv, detail=pv.note)
+            return ObstructionResult(pv, detail=pv.note)
     return ObstructionResult(
         Verdict.unknown("no certificate found and no period disproof applies"),
-        beta,
         detail="class vanishing undecided",
     )
 
@@ -432,43 +422,26 @@ def second_obstruction(
     """
     alpha, _ = P.adapted()
     mu, tester = P.mu(omega), P.tester
-    mu0 = mu - wedge(alpha, interior(P.transversal, mu))
     trivially = is_zero_graded(ext_deriv(omega), tester)
     if trivially.holds:
         # nu = 0 leaves omega - nu ^ alpha = omega, closed by this verdict
-        cert = ObstructionCertificate(
-            "second", nu=zero_form(omega.chart, 1), origin="trivial"
-        )
+        cert = ObstructionCertificate("second", nu=zero_form(omega.chart, 1), origin="trivial")
         return ObstructionResult(
-            Verdict(trivially.kind, note="omega is already closed"),
-            mu,
-            certificate=cert,
-            certificate_verdict=trivially,
+            Verdict(trivially.kind, note="omega is already closed"), cert, trivially
         )
-    if certificate is not None:
-        cv = verify_certificate(certificate, alpha, omega, tester)
-        if cv.holds:
-            return ObstructionResult(
-                Verdict(cv.kind, note="supplied certificate verifies"),
-                mu,
-                certificate=certificate,
-                certificate_verdict=cv,
-            )
+    supplied = _verified(certificate, alpha, omega, tester, "supplied certificate verifies")
+    if supplied is not None:
+        return supplied
+    mu0 = mu - wedge(alpha, interior(P.transversal, mu))
     if is_zero_graded(ext_deriv(mu0), tester).holds:
         nu = _homotopy_two_form(mu0)
         if nu is not None:
             cert = ObstructionCertificate("second", nu=nu, origin="automatic")
-            cv = verify_certificate(cert, alpha, omega, tester)
-            if cv.holds:
-                return ObstructionResult(
-                    Verdict(cv.kind, note="automatic certificate verifies"),
-                    mu,
-                    certificate=cert,
-                    certificate_verdict=cv,
-                )
+            found = _verified(cert, alpha, omega, tester, "automatic certificate verifies")
+            if found is not None:
+                return found
     return ObstructionResult(
-        Verdict.unknown("no certificate found; 2-form periods are not decided"),
-        mu,
+        Verdict.unknown("no certificate found; 2-form periods are not decided")
     )
 
 

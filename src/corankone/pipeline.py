@@ -102,7 +102,7 @@ class _Runner:
                 reason = self.unmet(need)
                 if reason is not None:
                     return {"status": "skipped", "verdict": "skipped", "detail": reason}
-            return handler()
+            return {"status": "ok", **handler()}
         except ToolkitError as exc:
             return {
                 "status": "error",
@@ -114,7 +114,7 @@ class _Runner:
         # with; the key stays so that reports keep their bytes, and leaves
         # them in the planned report change that re-records the digests
         v = self.P.jacobi_verdict()
-        return {"status": "ok", **_verdict_payload(v), "jacobiator_agrees": True}
+        return {**_verdict_payload(v), "jacobiator_agrees": True}
 
     def run_corank(self):
         n, top, nonvanishing = self.P.corank_evidence()
@@ -123,7 +123,6 @@ class _Runner:
         else:
             verdict, detail = "false", "top power vanished at a sample point"
         return {
-            "status": "ok",
             "verdict": verdict,
             "detail": detail,
             "artifacts": {"top_power": str(top), "n": n},
@@ -131,7 +130,6 @@ class _Runner:
 
     def run_adapted(self):
         return {
-            "status": "ok",
             "verdict": self.P.adapted_verdict.label,
             "artifacts": {"alpha": str(self.P.alpha), "omega": str(self.P.omega)},
         }
@@ -139,7 +137,6 @@ class _Runner:
     def run_beta(self):
         beta = self.P.beta()
         return {
-            "status": "ok",
             "verdict": self.P.beta_verdict.label,
             "artifacts": {"beta": str(beta)},
             "dbeta_in_ideal": self.P.dbeta_verdict.label,
@@ -151,9 +148,9 @@ class _Runner:
             certificate=self.problem.first_certificate,
             witness=self.problem.period_witness,
         )
-        out = {"status": "ok", **_verdict_payload(res.verdict)}
+        out = _verdict_payload(res.verdict)
         out["detail"] = res.detail or res.verdict.note
-        out["artifacts"] = {"beta": str(res.representative)}
+        out["artifacts"] = {"beta": str(self.P.beta())}
         if res.certificate is not None and res.verdict.holds:
             out["artifacts"]["certificate_f"] = str(res.certificate.f)
             out["certificate_origin"] = res.certificate.origin
@@ -163,7 +160,6 @@ class _Runner:
         gv = godbillon_vey(self.P.beta())
         v = is_zero_graded(gv, self.P.tester)
         return {
-            "status": "ok",
             "verdict": v.label,
             "detail": "verdict refers to the vanishing of the 3-form",
             "artifacts": {"godbillon_vey": str(gv)},
@@ -171,17 +167,14 @@ class _Runner:
 
     def run_mu(self):
         mu = _quietly(self.P.mu, self.defining_two_form())
-        return {"status": "ok", "verdict": self.P.mu_verdict.label, "artifacts": {"mu": str(mu)}}
+        return {"verdict": self.P.mu_verdict.label, "artifacts": {"mu": str(mu)}}
 
     def run_sigma(self):
-        res = _quietly(
-            second_obstruction,
-            self.P,
-            self.defining_two_form(),
-            self.problem.second_certificate,
-        )
-        out = {"status": "ok", **_verdict_payload(res.verdict)}
-        out["artifacts"] = {"mu": str(res.representative)}
+        # P.mu keeps mu for this omega, so the second call warns no second time
+        omega = self.defining_two_form()
+        res = _quietly(second_obstruction, self.P, omega, self.problem.second_certificate)
+        out = _verdict_payload(res.verdict)
+        out["artifacts"] = {"mu": str(self.P.mu(omega))}
         if res.certificate is not None and res.verdict.holds:
             out["artifacts"]["certificate_nu"] = str(res.certificate.nu)
             out["certificate_origin"] = res.certificate.origin
@@ -201,7 +194,6 @@ class _Runner:
             note = "volume = standard chart volume"
         v = is_zero_graded(vmod, self.P.tester)
         return {
-            "status": "ok",
             "verdict": verdict.label,
             "detail": f"preservation laws verified; {note}",
             "field_vanishes": v.label,
@@ -209,14 +201,12 @@ class _Runner:
         }
 
     def run_weinstein(self):
-        v = check_weinstein_identity(self.P)
-        return {"status": "ok", **_verdict_payload(v)}
+        return _verdict_payload(check_weinstein_identity(self.P))
 
     def run_transverse_poisson(self):
         rep = check_transverse_poisson(self.P)
         verdict = "true" if rep.equivalence_holds else "false"
         out = {
-            "status": "ok",
             "verdict": verdict,
             "detail": rep.detail,
             "poisson_side": rep.lv_pi_verdict.label,
@@ -235,7 +225,6 @@ class _Runner:
     def run_b_transversality(self):
         rep = b_transversality_check(self.P)
         return {
-            "status": "ok",
             **_verdict_payload(rep.verdict),
             "critical_locus": rep.locus,
             "artifacts": {"top_coefficient": str(rep.top_coefficient)},
@@ -245,7 +234,6 @@ class _Runner:
         checks = {}
         ext = extend_to_b(self.P, checks=checks)
         return {
-            "status": "ok",
             "verdict": Verdict.combine(self.P.adapted_verdict, *checks.values()).label,
             "detail": "extension constructed and all invariants verified",
             "artifacts": {

@@ -312,6 +312,12 @@ class PoissonStructure:
             raise DegreeError("a Poisson structure needs a bivector (degree 2)")
         if bivector.chart != chart:
             raise ChartMismatchError("bivector lives on a different chart")
+        for name, form, degree in (("transversal", transversal, 1), ("alpha", alpha, 1),
+                                   ("omega", omega, 2)):
+            if form is not None and form.degree != degree:
+                raise DegreeError(f"{name} must have degree {degree}")
+            if form is not None and form.chart != chart:
+                raise ChartMismatchError(f"{name} lives on a different chart")
         self.chart, self.bivector, self.corank_n = chart, bivector, chart.dim // 2
         self.transversal, self.alpha, self.omega = transversal, alpha, omega
         self.tester = ZeroTester(chart) if tester is None else tester

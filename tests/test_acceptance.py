@@ -245,8 +245,8 @@ def test_criterion_06_unimodularity_equivalence():
                 assert rescaled_modular_verdict(P, cert).holds, e.name
             else:
                 assert res.verdict.failed, e.name
-                assert res.period is not None and res.period.failed
-                beta = res.representative
+                assert res.certificate is None and res.verdict.failed
+                beta = P.beta()
                 assert not wedge(beta, alpha).is_structural_zero
                 # no certificate path may claim TRUE
                 bare = unimodularity_check(P)

@@ -412,6 +412,13 @@ REPORT_SHA256 = {
     "twisted_omega.prob": "67d964fcb5a5d19e6566614a8049011cefdd685264460fa02afd33f0a9284abc",
 }
 
+# the same for the fixtures under tests/problems, as `corankone check FILE`
+# prints them; suspension_double.prob decides its period by a supplied witness
+FIXTURE_SHA256 = {
+    "poly_wall.prob": "44e0aeea669e82b9c3a5db8f874fb77c6b84ac4ceb6fe7e0cb7e9d266249032e",
+    "suspension_double.prob": "1379bf41d9a178297701db2b7bce716ebd52d9c15b7f4787ac4a928f17bcbff2",
+}
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -423,6 +430,11 @@ class TestDeterminism:
         r2 = render_report(analyze(loads_problem(text, path=name)))
         assert r1.encode() == r2.encode()
         assert hashlib.sha256(r1.encode()).hexdigest() == REPORT_SHA256[name]
+
+    @pytest.mark.parametrize("path", bundled.FIXTURES, ids=lambda p: p.name)
+    def test_fixture_reports_pinned(self, path):
+        report = render_report(analyze(load_problem(str(path))))
+        assert hashlib.sha256(report.encode()).hexdigest() == FIXTURE_SHA256[path.name]
 
     @pytest.mark.parametrize("name", ["affine.prob", "product_sin.prob"])
     def test_transversality_decided_without_scan(self, name, monkeypatch):

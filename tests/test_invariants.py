@@ -21,7 +21,12 @@ from corankone.calculus import (
     volume_form,
     wedge,
 )
-from corankone.errors import NotIntegrableError, ToolkitWarning
+from corankone.errors import (
+    DegenerateVolumeError,
+    DegreeError,
+    NotIntegrableError,
+    ToolkitWarning,
+)
 from corankone.expr import VerdictKind
 from corankone.invariants import (
     ObstructionCertificate,
@@ -38,6 +43,7 @@ from corankone.invariants import (
     verify_certificate,
 )
 from corankone.pipeline import analyze
+from corankone.problemfile import loads_problem
 from corankone.poisson import PoissonStructure
 
 import bundled
@@ -232,6 +238,23 @@ class TestCertificates:
         a.locus["x"] = 0
         assert a.locus is not b.locus and b.locus == {}
 
+    @pytest.mark.parametrize(
+        "cycle, period, locus, note",
+        [
+            ("x", "1", {}, "cycle coordinate 'x' is not periodic"),
+            ("theta", "1 + sin(theta)", {}, "period coefficient varies along the cycle"),
+            ("theta", "x", {"x": 0}, "period coefficient not definitely nonzero"),
+        ],
+        ids=["non-periodic-cycle", "varying-coefficient", "vanishing-coefficient"],
+    )
+    def test_period_witness_undecided(self, cycle, period, locus, note):
+        # alpha = dx leaves the theta-circle tangent to every leaf, so only
+        # the cycle and the dtheta coefficient of beta decide
+        ch = Chart(("theta", "x", "y"), periodic=("theta",))
+        beta = DiffForm(ch, 1, {("theta",): period})
+        v = PeriodWitness(cycle, locus).verify(basis_form(ch, "x"), beta, ZeroTester(ch, seed=3))
+        assert v.kind is VerdictKind.UNKNOWN and v.note == note
+
 
 class TestAntidifferentiation:
     def test_polynomial_two_variable(self, xyz, tester):
@@ -278,7 +301,7 @@ class TestFirstObstruction:
                 assert res.certificate_verdict.holds
             else:
                 assert res.verdict.failed, e.name
-                assert res.period is not None
+                assert res.certificate is None
 
     def test_automatic_certificate_on_exp_wall(self):
         e = bundled.entry("exp_wall", seed=17)
@@ -297,6 +320,41 @@ class TestFirstObstruction:
         e = bundled.entry("suspension", seed=19)
         res = unimodularity_check(e.structure)
         assert not res.verdict.holds
+
+    def test_supplied_witness_decides_when_no_cycle_is_left_over(self):
+        # beta0 = (1 + 2x) dtheta is not closed, so no automatic certificate
+        # and no leftover cycle; the supplied theta-witness at the x = 0
+        # leaf still finds the nonzero period
+        problem = loads_problem(
+            "schema 1\n"
+            "section chart\n  coords theta x y\n  periodic theta\n"
+            'section structure\n  bivector "1" theta y\n  bivector "x*(1 + x)" x y\n'
+            '  transversal "1" x\n'
+            'section certificates\n  period theta x "0"\n'
+        )
+        P = problem.structure()
+        assert str(P.beta()) == "(2*x + 1) dtheta"
+        res = unimodularity_check(P, witness=problem.period_witness)
+        assert res.verdict.failed and res.certificate is None
+        assert res.detail == "nonzero leafwise period of the theta-cycle at x = 0"
+        assert not unimodularity_check(P).verdict.failed
+
+    def test_supplied_witness_verified_once(self, monkeypatch):
+        # the witness's cycle theta is left over, so the witness stands in
+        # for it and is not tried a second time after the loop
+        calls = []
+        verify = PeriodWitness.verify
+
+        def spy(self, *args):
+            calls.append(self.cycle)
+            return verify(self, *args)
+
+        monkeypatch.setattr(PeriodWitness, "verify", spy)
+        text = dict(bundled.problem_texts())["suspension.prob"]
+        problem = loads_problem(text.replace('period theta x "0"', 'period theta x "1"'))
+        entry = analyze(problem)["analyses"]["unimodularity"]
+        assert entry["verdict"] == "unknown"
+        assert calls == ["theta"]
 
     def test_representative_transformation_law(self, xyz):
         # beta' - beta - dh lies in the alpha ideal for alpha' = e^h alpha
@@ -335,6 +393,24 @@ class TestSecondObstruction:
         assert res.verdict.holds
 
 
+    def test_undecided_without_certificate(self):
+        # mu = 2z dx^dy is not closed, so the homotopy search does not run;
+        # nu = 2xz dy closes omega - nu ^ dz, and only a supplied certificate
+        # says so
+        ch = Chart(("x", "y", "z"))
+        P = PoissonStructure(
+            ch, MultiVector(ch, 2, {("x", "y"): "1/(1 + z^2)"}),
+            transversal=basis_vector(ch, "z"), tester=ZeroTester(ch, seed=5),
+        )
+        _, omega = P.adapted()
+        res = second_obstruction(P, omega)
+        assert res.verdict.kind is VerdictKind.UNKNOWN and res.certificate is None
+        assert res.verdict.note == "no certificate found; 2-form periods are not decided"
+        cert = ObstructionCertificate("second", nu=DiffForm(ch, 1, {("y",): "2*x*z"}))
+        res = second_obstruction(P, omega, certificate=cert)
+        assert res.verdict.symbolic and res.certificate is cert
+
+
 class TestGodbillonVey:
     def test_zero_beta(self, xyz):
         assert godbillon_vey(DiffForm(xyz, 1, {})).is_structural_zero
@@ -365,6 +441,15 @@ class TestModularField:
         )
         vol = wedge(basis_form(xy, "x"), basis_form(xy, "y"))
         assert modular_field(P, vol).is_structural_zero
+
+    def test_volume_guards(self):
+        e = bundled.entry("affine", seed=47)
+        P = e.structure
+        with pytest.raises(DegreeError, match="volume must have top degree"):
+            modular_field(P, basis_form(P.chart, "x"))
+        zero_volume = DiffForm(P.chart, 2, {("x", "y"): 0})
+        with pytest.raises(DegenerateVolumeError, match=r"not definitely nonzero \(zero\)"):
+            modular_field(P, zero_volume)
 
     def test_affine_example(self):
         e = bundled.entry("affine", seed=47)

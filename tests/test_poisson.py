@@ -24,7 +24,9 @@ from corankone.calculus import (
 )
 from corankone.cli import bundled_corpus
 from corankone.errors import (
+    ChartMismatchError,
     DegenerateError,
+    DegreeError,
     InternalCheckError,
     NotCorankOneError,
     NotTransversalError,
@@ -422,6 +424,33 @@ class TestAdaptedForms:
         """form with one coefficient raised by one, for every coefficient."""
         for key in itertools.combinations(range(form.chart.dim), form.degree):
             yield form + DiffForm(form.chart, form.degree, {key: 1})
+
+    @pytest.mark.parametrize(
+        "declared, error",
+        [
+            ({"alpha": ("uvw", 1, {("w",): 1}), "omega": ("uvw", 2, {("u", "v"): 1})},
+             ChartMismatchError),
+            ({"transversal": ("xyzpq", 1, {("z",): 1})}, ChartMismatchError),
+            ({"transversal": ("uvw", 1, {("w",): 1})}, ChartMismatchError),
+            ({"transversal": ("xyz", 2, {("x", "y"): 1})}, DegreeError),
+            ({"alpha": ("xyz", 2, {("x", "y"): 1}), "omega": ("xyz", 2, {("x", "y"): 1})},
+             DegreeError),
+            ({"alpha": ("xyz", 1, {("z",): 1}), "omega": ("xyz", 1, {("x",): 1})},
+             DegreeError),
+        ],
+        ids=["pair-on-uvw", "transversal-on-5-chart", "transversal-on-uvw",
+             "transversal-degree-2", "alpha-degree-2", "omega-degree-1"],
+    )
+    def test_foreign_chart_or_degree_rejected(self, xyz, declared, error):
+        # a transversal or declared pair is checked like the bivector: on its
+        # chart and at its degree, before adapted() ever reads it
+        charts = {"xyz": xyz, "uvw": Chart(("u", "v", "w")), "xyzpq": Chart(tuple("xyzpq"))}
+        kwargs = {}
+        for name, (chart, degree, coeffs) in declared.items():
+            cls = MultiVector if name == "transversal" else DiffForm
+            kwargs[name] = cls(charts[chart], degree, coeffs)
+        with pytest.raises(error):
+            PoissonStructure(xyz, MultiVector(xyz, 2, {("x", "y"): 1}), **kwargs)
 
     def test_tangent_transversal_rejected(self, xyz):
         P = PoissonStructure(
