@@ -43,8 +43,8 @@ from corankone.invariants import (
     verify_certificate,
 )
 from corankone.pipeline import analyze
-from corankone.problemfile import loads_problem
 from corankone.poisson import PoissonStructure
+from corankone.problemfile import loads_problem
 
 import bundled
 from oracles import cartan_modular_field, rescaled_modular_verdict
@@ -391,7 +391,6 @@ class TestSecondObstruction:
         cert = ObstructionCertificate("second", nu=e.problem.second_certificate.nu)
         res = second_obstruction(e.structure, e.problem.omega_alt, certificate=cert)
         assert res.verdict.holds
-
 
     def test_undecided_without_certificate(self):
         # mu = 2z dx^dy is not closed, so the homotopy search does not run;
