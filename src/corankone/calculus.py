@@ -457,8 +457,9 @@ def exterior_divide(
 ) -> DiffForm:
     """Solve eta = xi ^ alpha for xi, given eta ^ alpha = 0 and alpha(v) = 1.
 
-    The returned representative is xi = (-1)^(k+1) interior(v, eta).  The
-    identity eta == xi ^ alpha then holds without a further test, since
+    The returned representative is xi = (-1)^(k+1) interior(v, eta), the
+    transverse one: interior(v, xi) is structurally zero.  The identity
+    eta == xi ^ alpha then holds without a further test, since
     interior(v, eta ^ alpha) = interior(v, eta) ^ alpha + (-1)^k alpha(v) eta.
     When checks is a dict, the verdict of each of the two checks is stored
     in it under the identity it tests.  A caller that has already tested

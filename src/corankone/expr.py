@@ -1124,6 +1124,11 @@ MAX_DEGREE = _MAX_DEGREE // 2
 # deeper than this bound before Python's recursion limit (1000) is reached
 MAX_DEPTH = 150
 
+# every coefficient is converted to a float to be sampled (a float holds
+# integers below 2^1024) and to text to be printed, so parse_scalar refuses
+# a parsed coefficient of more bits than this bound
+MAX_COEFFICIENT_BITS = 1000
+
 
 def _degrees(e):
     """Total degrees of e's numerator and denominator."""
@@ -1341,6 +1346,7 @@ class _Parser:
             self._open(i + 1)
             arg = self.expr()
             self._close()
+            _check_coefficients(arg)
             return apply_function(tok, arg)
         if tok in self.names:
             return symbol(tok)
@@ -1423,9 +1429,20 @@ def parse_scalar(text: str, chart: "Chart") -> ScalarExpr:
     e = _read_plain(text, chart)
     if e is None:
         e = _Parser(text, chart).parse()
+    _check_coefficients(e)
     if chart.torus_strict:
         _check_torus_strict(e, chart)
     return e
+
+
+def _check_coefficients(e: ScalarExpr):
+    """Refuse a coefficient of e above MAX_COEFFICIENT_BITS (the descent
+    checks each function argument before it prints it into a generator)."""
+    for c in (*e.num.values(), *e.den.values()):
+        if c.bit_length() > MAX_COEFFICIENT_BITS:
+            raise ExprError(
+                f"a coefficient has {c.bit_length()} bits, more than {MAX_COEFFICIENT_BITS}"
+            )
 
 
 def _check_torus_strict(e: ScalarExpr, chart: "Chart"):

@@ -7,12 +7,13 @@ decided by certificate:
 * first kind: a function f with d(e^-f alpha) = 0;
 * second kind: a one-form nu with d(omega - nu ^ alpha) = 0.
 
-The search for automatic certificates antidifferentiates the transverse
-representative (closed one-forms with polynomial/trig monomial
-coefficients; closed two-forms with polynomial coefficients via the
-straight-line homotopy).  Nonvanishing is certified through leafwise
-periods: a periodic coordinate whose circle is tangent to the foliation
-and on which the representative has a nonzero constant coefficient.
+The search for automatic certificates antidifferentiates beta or mu
+itself, which exterior_divide returns as the transverse representative
+(closed one-forms with polynomial/trig monomial coefficients; closed
+two-forms with polynomial coefficients via the straight-line homotopy).
+Nonvanishing is certified through leafwise periods: a periodic
+coordinate whose circle is tangent to the foliation and on which the
+representative has a nonzero constant coefficient.
 Everything else is reported UNKNOWN; no verdict ever rests on
 probabilistic evidence without saying so.
 """
@@ -23,6 +24,7 @@ from . import expr as ex
 from .calculus import (
     DiffForm,
     MultiVector,
+    _covector_contract,
     ext_deriv,
     exterior_divide,
     interior,
@@ -263,15 +265,15 @@ def _coordinate_free_part(e: ScalarExpr, chart: Chart) -> ScalarExpr:
     return ex._new(e.gens, {ex._pack(exps): c for exps, c in free}, e.den)
 
 
-def antidifferentiate_oneform(beta0: DiffForm, tester: ZeroTester):
+def antidifferentiate_oneform(beta: DiffForm, tester: ZeroTester):
     """Write a closed one-form as df + (constant periodic leftover).
 
     Returns (f, leftover) where leftover collects constant coefficients on
     periodic coordinate differentials (de Rham periods of the torus model),
     or None when some component falls outside the integrable fragment.
     """
-    chart = beta0.chart
-    residual = beta0
+    chart = beta.chart
+    residual = beta
     f = ex.ZERO
     leftover = zero_form(chart, 1)
     for i, name in enumerate(chart.coords):
@@ -297,13 +299,13 @@ def antidifferentiate_oneform(beta0: DiffForm, tester: ZeroTester):
     return f, leftover
 
 
-def _homotopy_two_form(mu0: DiffForm) -> DiffForm | None:
+def _homotopy_two_form(mu: DiffForm) -> DiffForm | None:
     """Primitive of a closed 2-form with coordinate-polynomial coefficients
     via the straight-line homotopy; None outside that fragment."""
-    chart = mu0.chart
+    chart = mu.chart
     coords = set(chart.coords)
     out = zero_form(chart, 1)
-    for (i, j), c in mu0.coeffs.items():
+    for (i, j), c in mu.coeffs.items():
         terms, den_expr = c.parts()
         if any(s in coords for s in den_expr.free_symbols()):
             return None
@@ -361,9 +363,9 @@ def unimodularity_check(
 ) -> ObstructionResult:
     """Unimodularity of P as the vanishing of the first obstruction class.
 
-    Reads alpha, beta, the transversal and the tester from P.  Order of
-    attack: beta already a multiple of alpha; a supplied certificate; an
-    automatic certificate by antidifferentiation; a leafwise-period
+    Reads alpha, beta and the tester from P.  Order of attack: beta
+    already a multiple of alpha; a supplied certificate; an automatic
+    certificate by antidifferentiating beta itself; a leafwise-period
     disproof on each leftover cycle, the supplied witness standing in for
     its own cycle and tried last otherwise; else UNKNOWN.
     """
@@ -382,10 +384,9 @@ def unimodularity_check(
                          "supplied rescaling closes alpha")
     if supplied is not None:
         return supplied
-    beta0 = beta - interior(P.transversal, beta).scalar() * alpha
     auto = None
-    if is_zero_graded(ext_deriv(beta0), tester).holds:
-        auto = antidifferentiate_oneform(beta0, tester)
+    if is_zero_graded(ext_deriv(beta), tester).holds:
+        auto = antidifferentiate_oneform(beta, tester)
     cycles = []
     if auto is not None:
         f, leftover = auto
@@ -401,7 +402,7 @@ def unimodularity_check(
         cycles.append(witness.cycle)
     for name in cycles:
         w = witness if witness and witness.cycle == name else PeriodWitness(name)
-        pv = w.verify(alpha, beta0, tester)
+        pv = w.verify(alpha, beta, tester)
         if pv.failed:
             return ObstructionResult(pv, detail=pv.note)
     return ObstructionResult(
@@ -417,8 +418,9 @@ def second_obstruction(
 ) -> ObstructionResult:
     """Decide whether the second obstruction class of a defining two-form vanishes.
 
-    Reads alpha, mu = P.mu(omega), the transversal and the tester from P;
-    omega is the adapted one or a declared non-adapted defining two-form.
+    Reads alpha, mu = P.mu(omega) and the tester from P; omega is the
+    adapted one or a declared non-adapted defining two-form.  The automatic
+    certificate integrates mu itself.
     """
     alpha, _ = P.adapted()
     mu, tester = P.mu(omega), P.tester
@@ -432,9 +434,8 @@ def second_obstruction(
     supplied = _verified(certificate, alpha, omega, tester, "supplied certificate verifies")
     if supplied is not None:
         return supplied
-    mu0 = mu - wedge(alpha, interior(P.transversal, mu))
-    if is_zero_graded(ext_deriv(mu0), tester).holds:
-        nu = _homotopy_two_form(mu0)
+    if is_zero_graded(ext_deriv(mu), tester).holds:
+        nu = _homotopy_two_form(mu)
         if nu is not None:
             cert = ObstructionCertificate("second", nu=nu, origin="automatic")
             found = _verified(cert, alpha, omega, tester, "automatic certificate verifies")
@@ -534,11 +535,11 @@ def check_transverse_poisson(P: PoissonStructure) -> TransversePoissonReport:
 
     The Poisson side is L_v Pi = [v, Pi], the closed side d(alpha) and
     d(omega).  When d(alpha) is not zero, the first coordinate Hamiltonian
-    u_f with d(alpha)(v, u_f) definitely nonzero names the witness pair;
-    by the structure equation that pairing is
-    v(alpha(u_f)) - u_f(alpha(v)) - alpha([v, u_f]).  The expansion is an
-    identity of the exterior calculus, so it is held by the test suite,
-    not re-derived here.
+    u_f with d(alpha)(v, u_f) definitely nonzero names the witness pair.
+    That pairing is -beta(u_f), the f-component of beta contracted into
+    the first slot of Pi, and by the structure equation also
+    v(alpha(u_f)) - u_f(alpha(v)) - alpha([v, u_f]); the test suite holds
+    both identities of the exterior calculus.
     """
     alpha, omega = P.adapted()
     v = P.transversal
@@ -550,11 +551,10 @@ def check_transverse_poisson(P: PoissonStructure) -> TransversePoissonReport:
 
     pair_witness = None
     if not dalpha.is_structural_zero:
-        v_dalpha = interior(v, dalpha)
-        for name in P.chart.coords:
-            pairing = interior(P.hamiltonian_vf(ex.symbol(name)), v_dalpha).scalar()
+        pairings = _covector_contract(P.beta(), P.bivector)
+        for (k,), pairing in sorted(pairings.coeffs.items()):
             if tester.is_zero(pairing).failed:
-                pair_witness = (name, pairing)
+                pair_witness = (P.chart.coords[k], pairing)
                 break
     return TransversePoissonReport(
         lv_pi_verdict=lv_verdict,

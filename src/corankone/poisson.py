@@ -163,16 +163,15 @@ def _skew_inverse(matrix):
     polynomials: with D their lcm and n = 2m, Pf(M) = Pf(D M) / D^m and
     (M^-1)_{ij} = +-Pf_ij(D M) D / Pf(D M), each normalized once.  The rest
     is expanded over ScalarExpr: a denominator of several terms (each of
-    those normalizations would be a gcd), rational constants (which never
-    normalize) and 4 x 4 matrices (whose minors are their entries).
+    those normalizations would be a gcd) and 4 x 4 matrices (whose minors
+    are their entries).
     Returns (inverse, pfaffian), or (None, pfaffian) when singular.
     """
     n = len(matrix)
     if n % 2:
         return None, ex.ZERO
     full = tuple(range(n))
-    entries = [e for row in matrix for e in row]
-    if n > 4 and any(e.gens for e in entries) and all(len(e.den) == 1 for e in entries):
+    if n > 4 and all(len(e.den) == 1 for row in matrix for e in row):
         gens, scale, cleared = _cleared(matrix)
         memo = {(): {0: 1}}
         top = _pfaffian(cleared, full, memo)

@@ -527,8 +527,10 @@ class TestExitCodes:
             ("7" * 5000, "number literal of 5000 characters is too long"),
             # five parser calls per level: past Python's recursion limit
             ("(" * 300 + "x" + ")" * 300, "parentheses nest more than 150 deep"),
+            # a 4,800-digit integer, past float range and the printable digits
+            ("9" * 150 + "^32", "a coefficient has 15946 bits, more than 1000"),
         ],
-        ids=["huge-exponent", "overlong-literal", "deep-nesting"],
+        ids=["huge-exponent", "overlong-literal", "deep-nesting", "huge-coefficient"],
     )
     def test_hostile_expression_is_exit_2(self, tmp_path, expression, message):
         text = MINIMAL.replace('bivector "1" x y', f'bivector "{expression}" x y')

@@ -24,7 +24,16 @@ from corankone.errors import (
     UnknownIdentifierError,
 )
 from corankone import expr
-from corankone.expr import MAX_DEGREE, MAX_DEPTH, MAX_EXPONENT, MAX_TERMS, ONE, ZERO, VerdictKind
+from corankone.expr import (
+    MAX_COEFFICIENT_BITS,
+    MAX_DEGREE,
+    MAX_DEPTH,
+    MAX_EXPONENT,
+    MAX_TERMS,
+    ONE,
+    ZERO,
+    VerdictKind,
+)
 
 
 @pytest.fixture
@@ -111,11 +120,15 @@ class TestParsing:
     @pytest.mark.skipif(not DIGITS, reason="no digit limit on int conversion")
     def test_decimal_literal_digit_runs_are_bounded_apart(self, xyz):
         # the whole and the fractional digits convert separately, each up to
-        # the limit, so a literal longer than the limit as a whole parses
+        # the limit, so a literal longer than the limit as a whole converts;
+        # its coefficient is then refused by the coefficient bound
         n = self.DIGITS
         for whole, frac in ((n, n), (2000, 2400)):
             text = "1" * whole + "." + "2" * frac
-            assert parse_scalar(text, xyz) == rational(Fraction(text))
+            bits = Fraction(text).numerator.bit_length()
+            with pytest.raises(ExprError) as ei:
+                parse_scalar(text, xyz)
+            assert str(ei.value) == f"a coefficient has {bits} bits, more than {MAX_COEFFICIENT_BITS}"
         for whole, frac in ((n + 1, 1), (1, n + 1)):
             text = "1" * whole + "." + "2" * frac
             with pytest.raises(ExprSyntaxError) as ei:
@@ -140,6 +153,23 @@ class TestParsing:
         for text in (f"x^{MAX_EXPONENT + 1}", f"x^(-{MAX_EXPONENT + 1})", "x^(9999999999)"):
             with pytest.raises(ExprSyntaxError, match="exponent"):
                 parse_scalar(text, xyz)
+
+    def test_coefficient_bound_is_inclusive(self, xyz):
+        # a coefficient of MAX_COEFFICIENT_BITS bits converts to a float and
+        # prints; one more bit is refused, wherever the coefficient stands
+        top = 2**MAX_COEFFICIENT_BITS
+        at_bound = str(top - 1)
+        for text in (f"{at_bound}*x", f"({at_bound}*x)", f"x/{at_bound}", f"sin({at_bound}*x)"):
+            e = parse_scalar(text, xyz)
+            assert parse_scalar(str(e), xyz) == e
+            assert math.isfinite(e.evaluate({"x": 0.5}))
+        over = f"a coefficient has {MAX_COEFFICIENT_BITS + 1} bits, more than {MAX_COEFFICIENT_BITS}"
+        for text in (f"{top}*x", f"({top}*x)", f"x/{top}", f"exp({top}*x)", f"0*sin({top})"):
+            with pytest.raises(ExprError) as ei:
+                parse_scalar(text, xyz)
+            assert str(ei.value) == over, text
+        # the bound applies to the parsed value, not to the literals
+        assert parse_scalar(f"{top}*x - {top}*x + (2^32)^31", xyz) == rational(2**992)
 
     def test_term_count_bounded(self):
         # a sum of k terms to the power e has up to C(k+e-1, e) terms

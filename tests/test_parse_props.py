@@ -6,7 +6,8 @@ is printed fully parenthesized, with random spacing, and also evaluated
 with ScalarExpr arithmetic; the parsed text must equal that value and
 print the same.  A tree whose value is undefined (a division by zero, a
 negative power of zero, the log of a non-positive constant) must fail to
-parse with an ExprError.
+parse with an ExprError, and so must a tree with a coefficient above
+`expr.MAX_COEFFICIENT_BITS`, in its value or in a function argument.
 
 The tokenizer is held to the regex pair it replaced
 (`oracles.regex_tokenize`) on texts drawn from pieces that meet each of
@@ -71,6 +72,13 @@ def texts(draw, tree):
     return f"({left}{draw(spaces)}{kind}{draw(spaces)}{right})"
 
 
+def bounded(e: ScalarExpr) -> ScalarExpr:
+    """e, or the parser's ExprError for a coefficient above the bound."""
+    if max(abs(c) for c in (*e.num.values(), *e.den.values())) >> expr.MAX_COEFFICIENT_BITS:
+        raise ExprError("coefficient above the bound")
+    return e
+
+
 def value(tree) -> ScalarExpr:
     """tree evaluated with ScalarExpr arithmetic."""
     if isinstance(tree, str):
@@ -83,7 +91,7 @@ def value(tree) -> ScalarExpr:
     if kind == "^":
         return value(args[0]) ** args[1]
     if kind in expr.FUNCTIONS:
-        return expr.apply_function(kind, value(args[0]))
+        return expr.apply_function(kind, bounded(value(args[0])))
     left, right = value(args[0]), value(args[1])
     return {"+": left.__add__, "-": left.__sub__, "*": left.__mul__, "/": left.__truediv__}[
         kind
@@ -119,10 +127,18 @@ def cases(draw):
     )
 )
 @example((("/", "1", ("+", ("+", ("^", "a", 2), ("^", "y", 2)), "1")), "1/(a^2 + y^2 + 1)"))
+# coefficients of about 2,400 bits, in the value and in a function argument
+@example((("^", ("^", ("^", ("^", ("^", "9.99", 3), 3), 3), 3), 3), "(((((9.99)^3)^3)^3)^3)^3"))
+@example(
+    (
+        ("*", "0", ("sin", ("^", ("^", ("^", ("^", ("^", "9.99", 3), 3), 3), 3), 3))),
+        "(0*sin((((((9.99)^3)^3)^3)^3)^3))",
+    )
+)
 def test_parse_equals_arithmetic(case):
     tree, text = case
     try:
-        want = value(tree)
+        want = bounded(value(tree))
     except ExprError:
         with pytest.raises(ExprError):
             parse_scalar(text, CHART)

@@ -2,6 +2,7 @@ import collections
 import itertools
 import random
 import re
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from corankone import Chart, ZeroTester, exp, parse_scalar, rational, symbol
 from corankone import calculus
 from corankone import expr as ex
-from corankone import poisson
+from corankone import invariants, poisson
 from corankone.calculus import (
     DiffForm,
     MultiVector,
@@ -31,8 +32,10 @@ from corankone.errors import (
     NotCorankOneError,
     NotTransversalError,
     PivotUndecidableError,
+    ToolkitWarning,
 )
 from corankone.expr import ScalarExpr
+from corankone.invariants import check_transverse_poisson
 from corankone.poisson import (
     PoissonStructure,
     invert_bivector,
@@ -789,3 +792,64 @@ class TestLinearSolve:
 
         with pytest.raises(LinearSolveError):
             linear_solve([[probably_zero]], [rational(1)], tester)
+
+
+def transverse_cases():
+    """The bundled corank-one structures with their declared two-forms, and
+    dense members in dimensions 3, 5 and 7, unscaled and exp-scaled."""
+    cases = [
+        pytest.param(e.structure, [e.problem.omega_alt], id=e.name)
+        for e in bundled.corank_one_entries()
+    ]
+    return cases + [
+        pytest.param(dense_structure(seed, dim, scaled=scaled), [], id=f"dense-{seed}-{dim}-{scaled}")
+        for seed in (1, 2) for dim in (3, 5, 7) for scaled in (False, True)
+    ]
+
+
+class TestTransverseRepresentatives:
+    """beta and mu are built as -iota_v d(alpha) and iota_v d(omega), so they
+    are their own transverse parts, which the obstruction searches and the
+    transverse-Poisson witness use as they are."""
+
+    @pytest.mark.parametrize("P, omegas", transverse_cases())
+    def test_beta_and_mu_are_transverse(self, P, omegas):
+        alpha, omega = P.adapted()
+        v, beta = P.transversal, P.beta()
+        assert interior(v, beta).is_structural_zero
+        assert (interior(v, ext_deriv(alpha)) + beta).is_structural_zero
+        for two_form in [omega, *filter(None, omegas)]:
+            with warnings.catch_warnings():
+                # a formal mu over a non-closed alpha is still transverse
+                warnings.simplefilter("ignore", ToolkitWarning)
+                mu = P.mu(two_form)
+            assert interior(v, mu).is_structural_zero
+
+    def test_witness_pairings_are_read_off_beta(self, monkeypatch):
+        P = dense_structure(1, 5, scaled=True)
+        alpha, _ = P.adapted()
+        # the pairings d(alpha)(v, u_x) the witness is named by, one Hamiltonian
+        # field per coordinate
+        v_dalpha = interior(P.transversal, ext_deriv(alpha))
+        expected = next(
+            (name, pairing)
+            for name in P.chart.coords
+            for pairing in [interior(P.hamiltonian_vf(symbol(name)), v_dalpha).scalar()]
+            if P.tester.is_zero(pairing).failed
+        )
+        P.beta()
+        counts = {"interior": 0, "hamiltonian_vf": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(invariants, "interior", counted("interior", invariants.interior))
+        hamiltonian_vf = counted("hamiltonian_vf", PoissonStructure.hamiltonian_vf)
+        monkeypatch.setattr(PoissonStructure, "hamiltonian_vf", hamiltonian_vf)
+        rep = check_transverse_poisson(P)
+        assert counts == {"interior": 0, "hamiltonian_vf": 0}
+        assert rep.pair_witness == expected

@@ -153,11 +153,18 @@ def test_generator_entries_match_sympy(pool, data):
 
 
 @pytest.mark.parametrize(
-    "factor, ring", [("exp(-x)", dict), ("a*x + 1", dict), ("1/(a^2 + b^2 + 1)", ex.ScalarExpr)]
+    "factor, ring",
+    [
+        ("exp(-x)", dict),
+        ("a*x + 1", dict),
+        ("3/7", dict),
+        ("1/(a^2 + b^2 + 1)", ex.ScalarExpr),
+    ],
 )
 def test_ring_of_the_expansion(monkeypatch, factor, ring):
-    # a 6 x 6 matrix with one-term denominators is expanded over integer
-    # polynomials, one with a denominator of several terms over ScalarExpr
+    # a 6 x 6 matrix with one-term denominators, rational constants among
+    # them, is expanded over integer polynomials, one with a denominator of
+    # several terms over ScalarExpr
     g = parse_scalar(factor, CHART)
     m = [[ex.ZERO] * 6 for _ in range(6)]
     for i in range(6):
