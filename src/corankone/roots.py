@@ -1,11 +1,12 @@
 """Exact real roots of a top coefficient along one symbol.
 
-A polynomial is a list of integers, constant term first, without zero
-leading entries, and a rational is a pair ``(n, d)`` of integers, d > 0.
-Roots are counted with Sturm sequences (G. E. Collins and R. Loos, "Real
-zeros of polynomials", in Computer Algebra: Symbolic and Algebraic
-Computation, 1982), each member divided by its positive integer content,
-which keeps the signs the theorem reads.
+A polynomial is a packed one-generator polynomial of `expr` (x^e is the
+key ``e * expr._GEN``, of degree ``key & expr._MASK``), and a rational is
+a pair ``(n, d)`` of integers, d > 0.  Roots are counted with Sturm
+sequences (G. E. Collins and R. Loos, "Real zeros of polynomials", in
+Computer Algebra: Symbolic and Algebraic Computation, 1982), each member
+divided by its positive integer content, which keeps the signs the
+theorem reads.
 """
 
 from __future__ import annotations
@@ -24,57 +25,30 @@ EXACT_MAX_SIZE = 8192
 _REFINE = 60
 
 
-def _trim(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _times(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
-def _derivative(p):
-    return [i * c for i, c in enumerate(p)][1:]
-
-
-def _positive_rem(a, b):
-    """A positive multiple of the remainder of a by b, over its content."""
-    a = list(a)
-    lc, db = b[-1], len(b) - 1
-    scale, sign = abs(lc), 1 if lc > 0 else -1
-    while len(a) > db:
-        q, k = sign * a[-1], len(a) - 1 - db
-        a = [c * scale for c in a]
-        for i, c in enumerate(b):
-            a[i + k] -= q * c
-        _trim(a)
-    return _primitive(a) if a else a
+def _degree(p):
+    return max(p, default=0) & ex._MASK
 
 
 def _sturm(a, b):
     """The remainder sequence a, b, -rem(a, b), ...; its last member is
     gcd(a, b) up to a constant factor."""
     seq = [a, b]
-    while len(seq[-1]) > 1:
-        r = _positive_rem(seq[-2], seq[-1])
+    while _degree(b):
+        # the pseudo-remainder scales by lc(b) at each step, and by -b it is
+        # a positive multiple of the same remainder
+        r = ex._p_pseudo_rem(a, b if b[max(b)] > 0 else ex._p_neg(b), 0, 1)
         if not r:
             break
-        seq.append([-c for c in r])
+        a, b = b, ex._p_neg(_primitive(r))
+        seq.append(b)
     return seq
 
 
 def _sign(p, x):
     """The sign of p at the rational x."""
     n, d = x
-    v, dk = 0, 1
-    for c in reversed(p):
-        v = v * n + c * dk
-        dk *= d
+    deg = _degree(p)
+    v = sum(c * n ** (e & ex._MASK) * d ** (deg - (e & ex._MASK)) for e, c in p.items())
     return (v > 0) - (v < 0)
 
 
@@ -94,20 +68,21 @@ def _wider(a, b):
 def _real_roots(p, lo=None, hi=None):
     """The distinct real roots of p in [lo, hi] (rationals, or the whole line),
     in increasing order, as pairs (rational value, multiple)."""
-    if len(p) < 2:
+    if not _degree(p):
         return []
-    seq = _sturm(p, _derivative(p))
+    seq = _sturm(p, ex._p_derive(p, 0, 1))
     gcd = seq[-1]
-    multiple = [1]
-    if len(gcd) > 1:
+    multiple = {0: 1}
+    if _degree(gcd):
         # p over gcd(p, p') has the same roots, each simple; the roots of
         # gcd(p, p') are the multiple ones, and its own gcd with the
-        # square-free part has them simple too
-        p = _exact_quotient(p, gcd)
-        seq = _sturm(p, _derivative(p))
+        # square-free part has them simple too; by Gauss's lemma the
+        # primitive gcd divides p over the integers
+        p = _primitive(ex._p_divexact(p, _primitive(gcd)))
+        seq = _sturm(p, ex._p_derive(p, 0, 1))
         multiple = _sturm(p, gcd)[-1]
     if lo is None:
-        lead, top = abs(p[-1]), max(map(abs, p))  # Cauchy's bound 1 + top / lead
+        lead, top = abs(p[max(p)]), max(map(abs, p.values()))  # Cauchy's bound 1 + top / lead
         lo, hi = (-lead - top, lead), (lead + top, lead)
     seen = {}
 
@@ -155,26 +130,14 @@ def _real_roots(p, lo=None, hi=None):
 
 
 def _too_large(p):
-    n = len(p) - 1
-    return n * (n + max(abs(c).bit_length() for c in p)) > EXACT_MAX_SIZE
+    n = _degree(p)
+    return n * (n + max(abs(c).bit_length() for c in p.values())) > EXACT_MAX_SIZE
 
 
 def _primitive(p):
     """p over the positive gcd of its coefficients."""
-    g = math.gcd(*p)
-    return [c // g for c in p]
-
-
-def _exact_quotient(a, b):
-    """a / b for b dividing a, over its content."""
-    b = _primitive(b)  # so the quotient is over the integers (Gauss's lemma)
-    a = list(a)
-    q = [0] * (len(a) - len(b) + 1)
-    for k in reversed(range(len(q))):
-        q[k] = a[k + len(b) - 1] // b[-1]
-        for i, c in enumerate(b):
-            a[i + k] -= q[k] * c
-    return _primitive(q)
+    g = math.gcd(*p.values())
+    return {e: c // g for e, c in p.items()}
 
 
 def real_roots(h: ex.ScalarExpr, var: str, chart: ex.Chart):
@@ -186,18 +149,15 @@ def real_roots(h: ex.ScalarExpr, var: str, chart: ex.Chart):
     var (on [0, 2 pi] when var is periodic), and a polynomial in sin(var)
     and cos(var) of a periodic var, on the whole circle.
     """
-    terms, den = h.parts()
     if h.gens == (var,):
-        p = [0] * (terms[0][0][0] + 1)
-        for (e,), c in terms:
-            p[e] = c
-        p = _primitive(p)
+        p = _primitive(h.num)
         if _too_large(p):
             return None
         lo, hi = (0.0, math.tau) if var in chart.periodic else chart.domain(var)
         found = _real_roots(p, lo.as_integer_ratio(), hi.as_integer_ratio())
         return [(n / d, not many) for (n, d), many in found]  # n / d rounds correctly
     arg = ex.symbol(var)
+    terms, den = h.parts()
     if (
         var not in chart.periodic
         or not den.is_rational
@@ -213,17 +173,17 @@ def real_roots(h: ex.ScalarExpr, var: str, chart: ex.Chart):
     d = max(sum(exps) for exps, _ in terms)
     if (2 * d) ** 2 > EXACT_MAX_SIZE:  # P would be too large
         return None
-    P = [0] * (2 * d + 1)
+    t = ex._GEN
+    P = {}
     for exps, c in terms:
         k = dict(zip(fns, exps))
-        term = [c]
-        for factor, n in (([0, 2], k.get("sin", 0)), ([1, 0, -1], k.get("cos", 0)),
-                          ([1, 0, 1], d - sum(exps))):
+        term = {0: c}
+        for factor, n in (({t: 2}, k.get("sin", 0)), ({0: 1, 2 * t: -1}, k.get("cos", 0)),
+                          ({0: 1, 2 * t: 1}, d - sum(exps))):
             for _ in range(n):
-                term = _times(term, factor)
-        for i, x in enumerate(term):
-            P[i] += x
-    if not _trim(P):
+                term = ex._p_mul(term, factor)
+        P = ex._p_add(P, term)
+    if not P:
         return None
     P = _primitive(P)
     if _too_large(P):
@@ -231,10 +191,10 @@ def real_roots(h: ex.ScalarExpr, var: str, chart: ex.Chart):
     # near pi, u = 1/t is a coordinate with h = u^(2d) P(1/u) / (1 + u^2)^d:
     # at pi (sin = 0, cos = -1) h vanishes to the order by which the degree
     # of P falls short of 2d
-    at_pi = 2 * d + 1 - len(P)
+    at_pi = 2 * d - _degree(P)
     roots = []
-    for t, many in _real_roots(P):
-        theta = 2.0 * math.atan(t[0] / t[1])
+    for (n, q), many in _real_roots(P):
+        theta = 2.0 * math.atan(n / q)
         roots.append((theta + math.tau if theta < 0.0 else theta, not many))
     if at_pi:
         roots.append((math.pi, at_pi == 1))

@@ -1,5 +1,6 @@
 """Independent routes to verdicts that the package decides another way."""
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -100,6 +101,51 @@ def recursive_schouten(P, Q):
         t2 = wedge(A, recursive_schouten(B, Q))
         total = total + t1 + t2
     return total
+
+
+def shear(chart):
+    """The shear y = phi(x) of a chart, as (phi, D phi, (D phi)^-1).
+
+    y_i = x_i + s_i x_{i-1}^2, with s_i = 2, -2, 2, ... by i, for each
+    coordinate that follows another when neither is periodic, and y_i = x_i
+    elsewhere; phi maps each sheared name to its y_i.  N = D phi - I is
+    strictly lower triangular, so (D phi)^-1 is the finite sum of the
+    powers of -N.
+    """
+    coords, dim = chart.coords, chart.dim
+    phi = {}
+    for i in range(1, dim):
+        prev, name = coords[i - 1], coords[i]
+        if prev not in chart.periodic and name not in chart.periodic:
+            phi[name] = symbol(name) + rational(2 if i % 2 else -2) * symbol(prev) ** 2
+    jac = [[phi.get(y, symbol(y)).derive(x) for x in coords] for y in coords]
+    minus_n = [[rational(int(i == j)) - jac[i][j] for j in range(dim)] for i in range(dim)]
+    inverse = power = [[rational(int(i == j)) for j in range(dim)] for i in range(dim)]
+    for _ in range(dim - 1):
+        power = [
+            [sum((power[i][k] * minus_n[k][j] for k in range(dim)), ex.ZERO) for j in range(dim)]
+            for i in range(dim)
+        ]
+        inverse = [[a + b for a, b in zip(r, s)] for r, s in zip(inverse, power)]
+    return phi, jac, inverse
+
+
+def transported(element, phi, weight):
+    """element with its coefficients taken at phi(x) and each basis
+    element k sent to sum_i weight[i][k] times basis element i: under the
+    shear a multivector moves by (D phi)^-1, and a form pulls back by the
+    transpose of D phi."""
+    chart = element.chart
+    columns = [[(i, row[k]) for i, row in enumerate(weight) if row[k]] for k in range(chart.dim)]
+    terms = []
+    for key, c in element.coeffs.items():
+        c = c.subs(phi)
+        for picks in itertools.product(*(columns[k] for k in key)):
+            term = c
+            for _, a in picks:
+                term = term * a
+            terms.append((tuple(i for i, _ in picks), term))
+    return type(element)(chart, element.degree, terms)
 
 
 def verdict_fields(v):

@@ -447,6 +447,29 @@ class TestDeterminism:
         report = render_report(analyze(loads_problem(corpus_text(name), path=name)))
         assert hashlib.sha256(report.encode()).hexdigest() == REPORT_SHA256[name]
 
+    def test_double_root_report_pinned(self, monkeypatch):
+        # the only report that takes Sturm remainders and the square-free
+        # part: x^2 (x - 1/2) has a double root at x = 0, the witness
+        from corankone import expr
+
+        text = (
+            "section chart\n  coords x y\n"
+            'section structure\n  bivector "x^2*(x-1/2)" x y\n'
+            "section analyses\n  b_transversality\n"
+        )
+        calls = []
+        for name in ("_p_pseudo_rem", "_p_divexact"):
+            kernel = getattr(expr, name)
+            monkeypatch.setattr(
+                expr, name, lambda *a, name=name, kernel=kernel: calls.append(name) or kernel(*a)
+            )
+        report = analyze(loads_problem(text, path="double_root.prob"))
+        entry = report["analyses"]["b_transversality"]
+        assert (entry["verdict"], entry["witness"]) == ("false", {"x": 0.0})
+        assert (calls.count("_p_pseudo_rem"), calls.count("_p_divexact")) == (4, 1)
+        digest = hashlib.sha256(render_report(report).encode()).hexdigest()
+        assert digest == "35b0fee1e5cfe82cecf2af938faecbac832cf5961424262c287b385fe2e0054d"
+
     def test_different_seed_allowed_to_differ(self):
         text = corpus_text("t3_example.prob")
         p1, p2 = loads_problem(text), loads_problem(text)

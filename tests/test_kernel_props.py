@@ -28,6 +28,7 @@ from corankone.expr import (  # noqa: E402
     _p_divexact,
     _p_gcd,
     _p_mul,
+    _p_pseudo_rem,
     _pack,
     _unpack,
 )
@@ -110,6 +111,34 @@ def check_gcd(case, common):
 @given(poly_pairs(degree=2, terms=3), int_polys(4, degree=2, terms=3))
 def test_gcd_matches_sympy_up_to_a_unit(case, common):
     check_gcd(case, common)
+
+
+def pseudo_rem_cases():
+    """(w, var, a, b) in up to three generators, b of degree >= 1 in var."""
+    return st.integers(1, 3).flatmap(
+        lambda w: st.integers(0, w - 1).flatmap(
+            lambda v: st.tuples(
+                st.just(w),
+                st.just(v),
+                int_polys(w),
+                int_polys(w).filter(lambda b: any(e[v] for e in b)),
+            )
+        )
+    )
+
+
+@given(pseudo_rem_cases())
+def test_pseudo_rem_is_a_power_of_lc_times_sympys(case):
+    # the gcd and the Sturm sequences of roots both divide with it; it
+    # multiplies by lc(b) once per step, and sympy's prem deg a - deg b + 1 times
+    w, v, a, b = case
+    x = SYMS[v]
+    A, B = to_sympy(a, w).as_expr(), to_sympy(b, w).as_expr()
+    r = to_sympy(unpacked(_p_pseudo_rem(packed(a), packed(b), v, w), w), w).as_expr()
+    assert sympy.degree(r, x) < sympy.degree(B, x)
+    lc, want = sympy.Poly(B, x).LC(), sympy.prem(A, B, x)
+    steps = max(sympy.degree(A, x) - sympy.degree(B, x) + 1, 0)
+    assert any(sympy.expand(r * lc**j - want) == 0 for j in range(steps + 1))
 
 
 def test_trivial_gcd_without_pseudo_remainders():

@@ -9,7 +9,9 @@ in sin(theta) and cos(theta) go through `b_transversality_check` and are
 compared with the real roots sympy finds after its own Weierstrass
 substitution, plus the point theta = pi where it is undefined.  The
 integer-pair isolation is also compared, value for value, with the same
-isolation over Fractions in `oracles.fraction_real_roots`.
+isolation over Fractions in `oracles.fraction_real_roots`, and its Sturm
+sequences, member for member, with `oracles._fraction_sturm`.  The dense
+lists drawn here are converted to packed polynomials by `packed`.
 """
 
 import math
@@ -24,12 +26,13 @@ from hypothesis import assume, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from corankone import Chart, ZeroTester, cos, rational, sin, symbol  # noqa: E402
+from corankone import expr as ex  # noqa: E402
 from corankone.bgeom import b_transversality_check  # noqa: E402
 from corankone.calculus import MultiVector  # noqa: E402
 from corankone.poisson import PoissonStructure  # noqa: E402
-from corankone.roots import _real_roots  # noqa: E402
+from corankone.roots import _real_roots, _sturm  # noqa: E402
 
-from oracles import fraction_real_roots  # noqa: E402
+from oracles import _fraction_sturm, fraction_real_roots  # noqa: E402
 
 X = sympy.Symbol("x")
 S, C, T = sympy.symbols("s c t")
@@ -59,6 +62,11 @@ def pair(q):
     return q.numerator, q.denominator
 
 
+def packed(p):
+    """The dense list p, constant term first, as a packed polynomial."""
+    return {e * ex._GEN: c for e, c in enumerate(p) if c}
+
+
 def exact(roots):
     """_real_roots' pairs with each value as a Fraction."""
     return [(Fraction(*r), many) for r, many in roots]
@@ -78,7 +86,7 @@ def test_roots_on_an_interval_agree_with_sympy(e, interval):
     assume(poly.degree() >= 1)
     p = [int(c) for c in reversed(poly.all_coeffs())]
     lo, hi = interval
-    roots = exact(_real_roots(p, pair(lo), pair(hi)))
+    roots = exact(_real_roots(packed(p), pair(lo), pair(hi)))
     assert len(roots) == poly.count_roots(lo, hi)
     assert sum(many for _, many in roots) == multiple_roots(e, lo, hi)
     assert [r for r, _ in roots] == sorted(r for r, _ in roots)
@@ -90,7 +98,7 @@ def test_roots_on_the_line_agree_with_sympy(e):
     poly = sympy.Poly(e, X)
     assume(poly.degree() >= 1)
     p = [int(c) for c in reversed(poly.all_coeffs())]
-    roots = exact(_real_roots(p))
+    roots = exact(_real_roots(packed(p)))
     want = sorted(set(float(r) for r in sympy.real_roots(poly)))
     assert [float(r) for r, _ in roots] == pytest.approx(want, abs=1e-9)
     assert sum(many for _, many in roots) == multiple_roots(e)
@@ -102,7 +110,7 @@ def test_interval_roots_match_the_fraction_isolation(e, interval):
     assume(poly.degree() >= 1)
     p = [int(c) for c in reversed(poly.all_coeffs())]
     lo, hi = interval
-    assert exact(_real_roots(p, pair(lo), pair(hi))) == fraction_real_roots(p, lo, hi)
+    assert exact(_real_roots(packed(p), pair(lo), pair(hi))) == fraction_real_roots(p, lo, hi)
 
 
 @given(factored([1, X, X**2, X**3]))
@@ -110,7 +118,24 @@ def test_line_roots_match_the_fraction_isolation(e):
     poly = sympy.Poly(e, X)
     assume(poly.degree() >= 1)
     p = [int(c) for c in reversed(poly.all_coeffs())]
-    assert exact(_real_roots(p)) == fraction_real_roots(p)
+    assert exact(_real_roots(packed(p))) == fraction_real_roots(p)
+
+
+# dense lists without zero leading entries
+dense = st.lists(st.integers(-5, 5), max_size=7).map(
+    lambda p: p[: max((i + 1 for i, c in enumerate(p) if c), default=0)]
+)
+
+
+@given(dense, dense.filter(bool))
+def test_sturm_sequences_match_the_fraction_sequences(a, b):
+    # the draw includes negative leading coefficients and deg a < deg b
+    assert _sturm(packed(a), packed(b)) == [packed(m) for m in _fraction_sturm(a, b)]
+
+
+def test_a_zero_or_constant_polynomial_has_no_roots():
+    assert _real_roots({}) == []
+    assert _real_roots({0: 5}) == []
 
 
 CIRCLE = Chart(("theta", "x", "y", "z"), periodic=("theta",))
