@@ -40,12 +40,12 @@ the identity on canonical forms).
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 import operator
 import random
 import zlib
+from collections import namedtuple
 
 from .errors import (
     ChartError,
@@ -1576,19 +1576,13 @@ class Chart:
 # verdicts and zero testing
 
 
-class VerdictKind(enum.Enum):
-    ZERO = "zero"
-    PROBABLY_ZERO = "probably-zero"
-    NONZERO = "nonzero"
-    UNKNOWN = "unknown"
-
-
-_SEVERITY = {
-    VerdictKind.ZERO: 0,
-    VerdictKind.PROBABLY_ZERO: 1,
-    VerdictKind.UNKNOWN: 2,
-    VerdictKind.NONZERO: 3,
-}
+# a kind of zero verdict: its name in traces, its label in reports, and its
+# severity, by which Verdict.combine keeps the weakest of several verdicts
+VerdictKind = namedtuple("VerdictKind", "value label severity")
+VerdictKind.ZERO = VerdictKind("zero", "true", 0)
+VerdictKind.PROBABLY_ZERO = VerdictKind("probably-zero", "probably-true", 1)
+VerdictKind.UNKNOWN = VerdictKind("unknown", "unknown", 2)
+VerdictKind.NONZERO = VerdictKind("nonzero", "false", 3)
 
 
 class Verdict:
@@ -1634,19 +1628,13 @@ class Verdict:
 
     @property
     def label(self) -> str:
-        return {
-            VerdictKind.ZERO: "true",
-            VerdictKind.PROBABLY_ZERO: "probably-true",
-            VerdictKind.NONZERO: "false",
-            VerdictKind.UNKNOWN: "unknown",
-        }[self.kind]
+        return self.kind.label
 
     @classmethod
     def combine(cls, *verdicts) -> "Verdict":
         if not verdicts:
             return cls.zero()
-        worst = max(verdicts, key=lambda v: _SEVERITY[v.kind])
-        return worst
+        return max(verdicts, key=lambda v: v.kind.severity)
 
     def __repr__(self):
         extra = f", witness={self.witness}" if self.witness else ""

@@ -7,7 +7,6 @@ is therefore kept out of the report body unless explicitly requested.
 
 from __future__ import annotations
 
-import functools
 import json
 import time
 import warnings
@@ -31,7 +30,8 @@ SCHEMA_VERSION = 1
 
 # What each analysis needs, tested in this order; it is skipped with the reason
 # of the first unmet need.  The adapted pair lives on odd charts and needs a
-# transversal and an `adapted()` that does not raise; on an even chart
+# transversal and an `adapted()` that does not raise; `adapted()` does not test
+# Jacobi, so Jacobi comes first wherever the pair is needed.  On an even chart
 # `modular` takes the chart volume.
 _PAIR = ("Jacobi", "odd chart", "adapted pair")
 NEEDS = {
@@ -67,17 +67,6 @@ class _Runner:
         self.problem = problem
         self.P = problem.structure()
 
-    @functools.cached_property
-    def _no_pair(self) -> str | None:
-        """Why there is no adapted pair, or None; the pair is tried once."""
-        if self.P.transversal is None:
-            return "no transversal field declared"
-        try:
-            self.P.adapted()
-        except ToolkitError as exc:
-            return str(exc)
-        return None
-
     def unmet(self, need: str) -> str | None:
         """Why the structure does not meet `need`, one of those in `NEEDS`, or None."""
         if need == "Jacobi":
@@ -85,7 +74,14 @@ class _Runner:
         parity = "odd" if self.P.chart.dim % 2 else "even"
         if need in ("odd chart", "even chart"):
             return None if need == f"{parity} chart" else f"chart dimension is {parity}"
-        return self._no_pair if need == "adapted pair" or parity == "odd" else None
+        if need == "adapted pair" or parity == "odd":
+            if self.P.transversal is None:
+                return "no transversal field declared"
+            try:
+                self.P.adapted()  # the structure decides the pair once
+            except ToolkitError as exc:
+                return str(exc)
+        return None
 
     def defining_two_form(self):
         """The adapted omega, or the declared non-adapted one when given."""

@@ -43,6 +43,7 @@ from .errors import (
     NotCorankOneError,
     NotTransversalError,
     PivotUndecidableError,
+    ToolkitError,
 )
 from .expr import Chart, ScalarExpr, Verdict, ZeroTester
 
@@ -286,15 +287,16 @@ class PoissonStructure:
     chart extended by a coordinate s, the inverse of Pi + v ^ @s is
     omega + alpha ^ ds (by Pfaffian minors, see _skew_inverse).  That pair
     is exact by construction; a declared alpha or omega is checked by
-    inverting the bordered two-form back.  The artifacts (volume, beta, mu
-    and the modular field) are computed once and kept, with the verdicts
-    of the checks that accepted them; d(alpha) and d(omega) are kept by
-    the forms themselves (ext_deriv memoizes per form).
+    inverting the bordered two-form back.  Jacobi is not tested (the
+    pipeline asks for it first).  The pair and the artifacts (volume, beta,
+    mu and the modular field) are computed once and kept, with the verdicts
+    of the checks that accepted them; d(alpha) and d(omega) are kept by the
+    forms themselves (ext_deriv memoizes per form).
     """
 
     __slots__ = (
         "chart", "bivector", "corank_n", "transversal", "alpha", "omega", "tester",
-        "_jacobi", "_volume", "adapted_verdict", "beta_verdict",
+        "_jacobi", "_refusal", "_volume_factor", "_volume", "adapted_verdict", "beta_verdict",
         "dbeta_verdict", "mu_verdict", "modular_verdict", "_beta", "_mu", "_modular",
     )
 
@@ -321,7 +323,8 @@ class PoissonStructure:
         self.transversal, self.alpha, self.omega = transversal, alpha, omega
         self.tester = ZeroTester(chart) if tester is None else tester
         self._jacobi = None
-        self._volume = None
+        self._refusal = None  # the ToolkitError that refused the pair
+        self._volume_factor = self._volume = None
         # the weakest verdict of the checks that accepted each artifact; the
         # artifacts derived from the pair include the pair's verdict
         self.adapted_verdict: Verdict | None = None
@@ -381,25 +384,31 @@ class PoissonStructure:
         """The defining pair (alpha, omega) for the given transversal field.
 
         A declared alpha or omega stands in for the computed one, and the
-        pair is kept only once its defining identities hold.
+        pair is kept only once its defining identities hold.  A refused pair
+        is kept too: later calls raise its error again, with no second inverse.
         """
-        if self._volume is None:
+        if self._refusal is not None:
+            # a fresh traceback: a kept one would grow at every raise
+            raise self._refusal.with_traceback(None)
+        if self.adapted_verdict is None:
             alpha, omega = self.alpha, self.omega
             declared = alpha is not None and omega is not None
-            if not declared and self.transversal is None:
-                raise NotTransversalError("no transversal vector field supplied")
-            if self.jacobi_verdict().failed:
-                raise InternalCheckError("bivector is not Poisson; no adapted forms")
-            if alpha is None and omega is None:
-                # Pf(A^-T) = 1 / Pf(A) for the bordered bivector A
-                alpha, omega, pf = self._bordered_pair()
-                self._fix_volume(ex.ONE / pf, Verdict.zero("exact by construction"))
-            else:
-                if not declared:
-                    bordered_alpha, bordered_omega, _ = self._bordered_pair()
-                    alpha = bordered_alpha if alpha is None else alpha
-                    omega = bordered_omega if omega is None else omega
-                self._verify_adapted(alpha, omega)
+            try:
+                if not declared and self.transversal is None:
+                    raise NotTransversalError("no transversal vector field supplied")
+                if alpha is None and omega is None:
+                    # Pf(A^-T) = 1 / Pf(A) for the bordered bivector A
+                    alpha, omega, pf = self._bordered_pair()
+                    self._fix_volume(ex.ONE / pf, Verdict.zero("exact by construction"))
+                else:
+                    if not declared:
+                        bordered_alpha, bordered_omega, _ = self._bordered_pair()
+                        alpha = bordered_alpha if alpha is None else alpha
+                        omega = bordered_omega if omega is None else omega
+                    self._verify_adapted(alpha, omega)
+            except ToolkitError as exc:
+                self._refusal = exc
+                raise
             self.alpha, self.omega = alpha, omega
         return self.alpha, self.omega
 
@@ -455,22 +464,23 @@ class PoissonStructure:
         self._fix_volume(pf, combined)
 
     def _fix_volume(self, pf, verdict: Verdict):
-        """Keep the volume n! Pf(omega + alpha ^ ds) dx_0^...^dx_2n and the pair's verdict.
+        """Keep the volume's coefficient n! Pf(omega + alpha ^ ds) and the pair's verdict.
 
         (omega + alpha ^ ds)**(n+1) == (n+1) alpha ^ omega**n ^ ds, so the
         Pfaffian of the bordered two-form is the coefficient of the volume
         up to n!.
         """
-        n_factorial = ex.rational(math.factorial(self.corank_n))
-        self._volume = volume_form(self.chart) * (n_factorial * pf)
+        self._volume_factor = ex.rational(math.factorial(self.corank_n)) * pf
         self.adapted_verdict = verdict
 
     # -- derived artifacts, each computed once ----------------------------------
     # (the invariants module imports this one, hence the local imports)
 
     def volume(self) -> DiffForm:
-        """The adapted volume alpha ^ omega**n, fixed when adapted() accepts the pair."""
-        self.adapted()
+        """The adapted volume alpha ^ omega**n, whose coefficient adapted() fixes."""
+        if self._volume is None:
+            self.adapted()
+            self._volume = volume_form(self.chart) * self._volume_factor
         return self._volume
 
     def beta(self) -> DiffForm:

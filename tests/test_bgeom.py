@@ -189,6 +189,9 @@ class TestExactTransversality:
             ("(a - 1)*(b - 1)", VerdictKind.UNKNOWN, None, "undetermined"),
             ("3", VerdictKind.ZERO, None, "empty"),
         ],
+        # the ids pytest gave the kinds when they were enum members
+        ids=lambda v: f"VerdictKind.{v.value.upper().replace('-', '_')}"
+        if isinstance(v, VerdictKind) else None,
     )
     def test_coefficient_of_parameters_only(self, h, kind, witness, locus):
         # a root of the parameter makes the top power vanish everywhere

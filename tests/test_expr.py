@@ -32,6 +32,7 @@ from corankone.expr import (
     MAX_TERMS,
     ONE,
     ZERO,
+    Verdict,
     VerdictKind,
 )
 
@@ -511,6 +512,44 @@ class TestIsZero:
         assert v.failed
         e = parse_scalar("x + 2", xyz)
         assert abs(e.evaluate(v.witness)) > 1e-9
+
+
+class TestVerdictVocabulary:
+    """Each verdict kind carries its trace name, its report label and its severity."""
+
+    KINDS = [
+        (VerdictKind.ZERO, "zero", "true"),
+        (VerdictKind.PROBABLY_ZERO, "probably-zero", "probably-true"),
+        (VerdictKind.NONZERO, "nonzero", "false"),
+        (VerdictKind.UNKNOWN, "unknown", "unknown"),
+    ]
+
+    @pytest.mark.parametrize("kind, value, label", KINDS, ids=[k[1] for k in KINDS])
+    def test_value_and_label(self, kind, value, label):
+        assert kind.value == value
+        assert kind.label == label
+        assert Verdict(kind).label == label
+
+    def test_combine_keeps_the_most_severe(self):
+        # zero < probably-zero < unknown < nonzero
+        order = [Verdict.zero(), Verdict.probably_zero(), Verdict.unknown(), Verdict.nonzero()]
+        for i, weaker in enumerate(order):
+            for stronger in order[i:]:
+                assert Verdict.combine(weaker, stronger) is stronger
+                assert Verdict.combine(stronger, weaker) is stronger
+        # the first of equally severe verdicts, and zero for none at all
+        first, second = Verdict.unknown("first"), Verdict.unknown("second")
+        assert Verdict.combine(first, second) is first
+        assert Verdict.combine().kind is VerdictKind.ZERO
+
+    def test_kinds_are_compared_by_identity(self, xyz):
+        tester = ZeroTester(xyz, seed=1)
+        zero = tester.is_zero(parse_scalar("x - x", xyz))
+        nonzero = tester.is_zero(parse_scalar("x + 2", xyz))
+        assert zero.kind is VerdictKind.ZERO and zero.symbolic and zero.holds
+        assert nonzero.kind is VerdictKind.NONZERO and nonzero.failed
+        assert Verdict.probably_zero().kind is VerdictKind.PROBABLY_ZERO
+        assert Verdict.unknown().kind is VerdictKind.UNKNOWN
 
 
 class TestChart:

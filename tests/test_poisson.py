@@ -515,6 +515,26 @@ class TestAdaptedForms:
         with pytest.raises(PivotUndecidableError):
             P.adapted()
 
+    def test_pair_of_a_bivector_that_is_not_poisson(self, monkeypatch):
+        # @x^@y + y @y^@z has constant rank 2, but [Pi, Pi] != 0: adapted()
+        # does not test Jacobi and gives the bordered pair all the same, while
+        # the pipeline, which tests Jacobi first, skips the analyses of the pair
+        text = "\n".join([
+            "section chart", "  coords x y z", "section structure", '  bivector "1" x y',
+            '  bivector "y" y z', '  transversal "1" z', "section analyses", "  adapted", "  beta",
+        ])
+        P = loads_problem(text).structure()
+        monkeypatch.setattr(PoissonStructure, "jacobi_verdict", None)  # a call would raise
+        alpha, omega = P.adapted()
+        assert str(alpha) == "y dx + dz" and str(omega) == "dx^dy"
+        assert P.adapted_verdict.symbolic
+        monkeypatch.undo()
+        assert P.jacobi_verdict().failed
+        for name in ("adapted", "beta"):
+            entry = analyze(loads_problem(text))["analyses"][name]
+            assert entry == {"status": "skipped", "verdict": "skipped",
+                             "detail": "Jacobi identity fails"}, name
+
 
 class TestAdaptedVolume:
     """adapted() fixes the volume from the Pfaffian of its own check."""
@@ -526,7 +546,6 @@ class TestAdaptedVolume:
     )
     def test_volume_needs_no_wedge_after_adapted(self, monkeypatch, build):
         P = build()
-        P.jacobi_verdict()  # adapted() runs it first; keep it out of the count
         calls = [0]
 
         def counted(a, b):
@@ -624,6 +643,25 @@ class TestInversionCounts:
         P.adapted()
         # no bordered pair to read off, only the check of the declared one
         assert inversions[0] == 1
+
+    def test_refused_pair_inverts_once(self, inversions):
+        # the structure keeps a refused pair: neither the analyses that need
+        # it nor later adapted() calls invert the bordered bivector again
+        problem = loads_problem("\n".join([
+            "section chart", "  coords x y z", "section structure", '  bivector "1" x y',
+            '  transversal "1" x', "section analyses", "  adapted", "  beta", "  mu",
+            "  modular", "  weinstein",
+        ]))
+        detail = "the transversal condition alpha(v) = 1 is unsolvable"
+        for entry in analyze(problem)["analyses"].values():
+            assert entry == {"status": "skipped", "verdict": "skipped", "detail": detail}
+        assert inversions[0] == 1
+        P = problem.structure()
+        for _ in range(3):
+            with pytest.raises(NotTransversalError, match=re.escape(detail)):
+                P.adapted()
+        assert inversions[0] == 2
+        assert P.adapted_verdict is None
 
 
 def pfaffian_reference(m):
