@@ -131,8 +131,13 @@ class _Graded:
     # -- linear structure ------------------------------------------------------
 
     def _like(self, degree, coeffs):
-        out = object.__new__(type(self))
-        out.chart = self.chart
+        return self._of(self.chart, degree, coeffs)
+
+    @classmethod
+    def _of(cls, chart, degree, coeffs):
+        """coeffs (ScalarExprs on increasing index tuples), unchecked."""
+        out = object.__new__(cls)
+        out.chart = chart
         out.degree = degree
         out.coeffs = {k: c for k, c in sorted(coeffs.items()) if not c.is_structural_zero}
         out._d = None

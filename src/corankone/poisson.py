@@ -110,15 +110,16 @@ def linear_solve(rows, rhs, tester: ZeroTester):
 _RINGS = {
     ScalarExpr: (ex.ZERO, operator.mul, operator.add, operator.sub),
     dict: ({}, ex._p_mul, ex._p_add, ex._p_sub),
+    int: (0, operator.mul, operator.add, operator.sub),
 }
 
 
 def _pfaffian(matrix, idx, memo):
     """Pfaffian of the skew submatrix on the index tuple, by row expansion.
 
-    The entries above the diagonal are ScalarExprs or packed integer
-    polynomials, and memo[()] holds the ring's one.  Every sub-Pfaffian is
-    kept in memo, so the overlapping minors of one matrix share expansions.
+    The entries above the diagonal are ScalarExprs, packed integer
+    polynomials or ints; memo[()] holds the ring's one.  Every sub-Pfaffian
+    is kept in memo, so the overlapping minors of one matrix share them.
     """
     total = memo.get(idx)
     if total is not None:
@@ -159,20 +160,32 @@ def _skew_inverse(matrix):
     this keeps the entries in already-reduced form, unlike adjugate/det.
     The full Pfaffian and its minors share one memo of sub-Pfaffians.
 
-    When every denominator is one term (an integer or a monomial such as
-    an exp generator), the expansion runs fraction-free over packed integer
-    polynomials: with D their lcm and n = 2m, Pf(M) = Pf(D M) / D^m and
-    (M^-1)_{ij} = +-Pf_ij(D M) D / Pf(D M), each normalized once.  The rest
-    is expanded over ScalarExpr: a denominator of several terms (each of
-    those normalizations would be a gcd) and 4 x 4 matrices (whose minors
-    are their entries).
+    With D the lcm of the denominators and n = 2m, Pf(M) = Pf(D M) / D^m
+    and (M^-1)_{ij} = +-Pf_ij(D M) D / Pf(D M), each normalized once.  A
+    matrix of rational constants, of any size, is cleared to Python ints.
+    Above 4 x 4, one whose denominators are all one term (an integer or a
+    monomial such as an exp generator) is cleared to packed integer
+    polynomials.  The rest is expanded over ScalarExpr: a denominator of
+    several terms (each of those normalizations would be a gcd) and 4 x 4
+    matrices with generators (whose minors are their entries).
     Returns (inverse, pfaffian), or (None, pfaffian) when singular.
     """
     n = len(matrix)
     if n % 2:
         return None, ex.ZERO
     full = tuple(range(n))
-    if n > 4 and all(len(e.den) == 1 for row in matrix for e in row):
+    if not any(e.gens for row in matrix for e in row):
+        lcm = math.lcm(*(e.den[0] for row in matrix for e in row))
+        cleared = [[e.num.get(0, 0) * (lcm // e.den[0]) for e in row] for row in matrix]
+        memo = {(): 1}
+        top = _pfaffian(cleared, full, memo)
+        pf = ex._ratio(top, lcm ** (n // 2))
+        sign = -1 if top < 0 else 1
+
+        def minor(rest):
+            return ex._ratio(sign * _pfaffian(cleared, rest, memo) * lcm, sign * top)
+
+    elif n > 4 and all(len(e.den) == 1 for row in matrix for e in row):
         gens, scale, cleared = _cleared(matrix)
         memo = {(): {0: 1}}
         top = _pfaffian(cleared, full, memo)
@@ -234,7 +247,24 @@ def _from_inverse(cls, chart: Chart, inv):
     for i in range(chart.dim):
         for j in range(i + 1, chart.dim):
             coeffs[(i, j)] = inv[j][i]
-    return cls(chart, 2, coeffs)
+    return cls._of(chart, 2, coeffs)
+
+
+def _monomial_scale(bivector, v):
+    """(lam, v0) with v = lam v0.  For a rational Pi and a v whose
+    coefficients are rationals times one monomial lam with generators, v0 is
+    rational; otherwise lam is 1 and v0 is v."""
+    coeffs = list(v.coeffs.values())
+    if not coeffs or any(c.gens for c in bivector.coeffs.values()):
+        return ex.ONE, v
+    gens, num, den = coeffs[0].gens, coeffs[0].num.keys(), coeffs[0].den.keys()
+    if not gens or len(num) != 1 or any(
+        c.gens != gens or c.num.keys() != num or c.den.keys() != den for c in coeffs
+    ):
+        return ex.ONE, v
+    (a,), (b,) = num, den
+    v0 = {k: ex._ratio(c.num[a], c.den[b]) for k, c in v.coeffs.items()}
+    return ScalarExpr(gens, {a: 1}, {b: 1}, _raw=True), v._like(1, v0)
 
 
 def _dual(element, cls, tester: ZeroTester | None):
@@ -414,10 +444,19 @@ class PoissonStructure:
 
     def _bordered_pair(self):
         """(alpha, omega, Pf(Pi + v ^ @s)), the pair read off the dual two-form
-        omega + alpha ^ ds of Pi + v ^ @s."""
+        omega + alpha ^ ds of Pi + v ^ @s.
+
+        For a rational Pi and v = lam v0, with lam one monomial with
+        generators (exp(-x1), say) and v0 rational, the bordered matrix is
+        D B0 D with D = diag(1, ..., 1, lam) and B0 the rational border of
+        v0.  So omega is B0's, alpha is B0's divided by lam and
+        Pf = lam Pf(B0): only B0 is inverted, over Python ints.
+        """
         chart = self.chart
         dim = chart.dim
-        inv, pf = _skew_inverse(_bordered(self.bivector, self.transversal))
+        lam, v0 = _monomial_scale(self.bivector, self.transversal)
+        inv, pf = _skew_inverse(_bordered(self.bivector, v0))
+        pf = lam * pf
         pv = self.tester.is_zero(pf)
         if pv.kind is ex.VerdictKind.UNKNOWN:
             raise PivotUndecidableError(
@@ -434,7 +473,8 @@ class PoissonStructure:
             raise NotTransversalError(
                 "the transversal condition alpha(v) = 1 is unsolvable"
             )
-        alpha = DiffForm(chart, 1, {(i,): inv[dim][i] for i in range(dim)})
+        over = ex._reciprocal(lam)
+        alpha = DiffForm._of(chart, 1, {(i,): inv[dim][i] * over for i in range(dim)})
         return alpha, _from_inverse(DiffForm, chart, inv), pf
 
     def _verify_adapted(self, alpha: DiffForm, omega: DiffForm):

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 import random
 import re
 import warnings
@@ -744,6 +745,69 @@ class TestSkewInverse:
         assert tuple(range(8)) in expanded
         assert sum(len(idx) == 6 for idx in expanded) == 28
         assert max(expanded.values()) == 1
+
+
+def pfaffian_rings(monkeypatch):
+    """The rings every later Pfaffian expansion runs over, as a growing set."""
+    rings = set()
+    original = poisson._pfaffian
+
+    def spy(matrix, idx, memo):
+        rings.add(type(memo[()]))
+        return original(matrix, idx, memo)
+
+    monkeypatch.setattr(poisson, "_pfaffian", spy)
+    return rings
+
+
+class TestFactoredBorder:
+    """v = lam v0 with a rational Pi and v0 and a monomial lam: the bordered
+    matrix is D B0 D with D = diag(1, ..., 1, lam), so the pair is
+    (alpha0 / lam, omega0) and Pf = lam Pf0, with B0 inverted over ints."""
+
+    @pytest.mark.parametrize("lam", ["exp(-x1)", "exp(x1*x2)", "x1^2", "1/x2"])
+    @pytest.mark.parametrize("dim", [3, 5, 7])
+    def test_pair_matches_the_unfactored_inverse(self, monkeypatch, dim, lam):
+        rng = random.Random(dim)
+        chart = Chart([f"x{i + 1}" for i in range(dim)])
+
+        def entry():
+            return rational(Fraction(rng.randint(-4, 4), rng.randint(1, 5)))
+
+        Pi = MultiVector(chart, 2, {key: entry() for key in itertools.combinations(range(dim), 2)})
+        v0 = MultiVector(chart, 1, {(i,): entry() for i in range(dim)})
+        scale = parse_scalar(lam, chart)
+        v = v0 * scale
+        # the oracle: the bordered matrix of v itself, expanded unfactored
+        inv, pf = poisson._skew_inverse(poisson._bordered(Pi, v))
+        _, pf0 = poisson._skew_inverse(poisson._bordered(Pi, v0))
+        assert inv is not None and pf == scale * pf0
+        rings = pfaffian_rings(monkeypatch)
+        P = PoissonStructure(chart, Pi, transversal=v, tester=ZeroTester(chart, seed=dim))
+        alpha, omega = P.adapted()
+        assert rings == {int}
+        assert alpha == DiffForm(chart, 1, {(i,): inv[dim][i] for i in range(dim)})
+        assert omega == poisson._from_inverse(DiffForm, chart, inv)
+        n = dim // 2
+        assert P._volume_factor == rational(math.factorial(n)) / (scale * pf0)
+
+    def test_parametric_border_is_not_factored(self, monkeypatch):
+        # dense-d5-p1-exp's shape: Pi linear in a, v = exp(-x1) v0
+        P = dense_structure(4, 5, params=("a",), scaled=True)
+        assert poisson._monomial_scale(P.bivector, P.transversal) == (ex.ONE, P.transversal)
+        rings = pfaffian_rings(monkeypatch)
+        alpha, omega = P.adapted()
+        assert rings == {dict}
+        inv, _ = poisson._skew_inverse(poisson._bordered(P.bivector, P.transversal))
+        assert omega == poisson._from_inverse(DiffForm, P.chart, inv)
+
+    def test_no_shared_monomial_is_not_factored(self):
+        chart = Chart(("x", "y", "z"))
+        Pi = MultiVector(chart, 2, {("x", "y"): 1})
+        for v in ({("x",): "exp(x)", ("z",): "2*exp(-x)"}, {("x",): "y", ("z",): "y + 1"},
+                  {("z",): "1"}):
+            v = MultiVector(chart, 1, v)
+            assert poisson._monomial_scale(Pi, v) == (ex.ONE, v), v
 
 
 class TestBorderedAgainstLinearSolve:

@@ -6,9 +6,10 @@ Pfaffian whose square is sympy's determinant.  Its transposed inverse
 must have the reciprocal Pfaffian, which is the identity the adapted
 volume of a computed pair is read off.
 
-The same holds for entries with generators, in both rings the expansion
-runs over: rational multiples of `x`, `a`, `exp(x)` and `exp(-x)` have
-one-term denominators (packed integer polynomials from size 6 on), and
+Rational entries are expanded over Python ints.  The same holds for
+entries with generators, in both rings the expansion runs over for them:
+rational multiples of `x`, `a`, `exp(x)` and `exp(-x)` have one-term
+denominators (packed integer polynomials from size 6 on), and
 t3_example's entries over `a^2 + b^2 + 1` have a denominator of three
 terms (ScalarExpr).  sympy sees `exp(x)` as a symbol E, as the canonical form
 treats it as an independent generator, and its inverse and determinant
@@ -153,22 +154,23 @@ def test_generator_entries_match_sympy(pool, data):
 
 
 @pytest.mark.parametrize(
-    "factor, ring",
+    "factor, n, ring",
     [
-        ("exp(-x)", dict),
-        ("a*x + 1", dict),
-        ("3/7", dict),
-        ("1/(a^2 + b^2 + 1)", ex.ScalarExpr),
+        ("exp(-x)", 6, dict),
+        ("a*x + 1", 6, dict),
+        ("3/7", 6, int),
+        ("3/7", 4, int),
+        ("1/(a^2 + b^2 + 1)", 6, ex.ScalarExpr),
     ],
 )
-def test_ring_of_the_expansion(monkeypatch, factor, ring):
-    # a 6 x 6 matrix with one-term denominators, rational constants among
-    # them, is expanded over integer polynomials, one with a denominator of
-    # several terms over ScalarExpr
+def test_ring_of_the_expansion(monkeypatch, factor, n, ring):
+    # a matrix of rational constants is expanded over ints at any size, a
+    # 6 x 6 one with one-term denominators over integer polynomials, and
+    # one with a denominator of several terms over ScalarExpr
     g = parse_scalar(factor, CHART)
-    m = [[ex.ZERO] * 6 for _ in range(6)]
-    for i in range(6):
-        for j in range(i + 1, 6):
+    m = [[ex.ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
             m[i][j] = rational(i + 2 * j - 4) + (g if (i + j) % 2 else ex.ZERO)
             m[j][i] = -m[i][j]
     rings = set()
@@ -182,7 +184,7 @@ def test_ring_of_the_expansion(monkeypatch, factor, ring):
     inv, pf = _skew_inverse(m)
     assert rings == {ring}
     assert inv is not None
-    for i in range(6):
-        for j in range(6):
-            entry = sum((m[i][k] * inv[k][j] for k in range(6)), ex.ZERO)
+    for i in range(n):
+        for j in range(n):
+            entry = sum((m[i][k] * inv[k][j] for k in range(n)), ex.ZERO)
             assert entry == (ex.ONE if i == j else ex.ZERO), (i, j)
