@@ -153,20 +153,9 @@ def test_generator_entries_match_sympy(pool, data):
                 assert value_at(inv[i][j], point) == expected[i, j], (i, j)
 
 
-@pytest.mark.parametrize(
-    "factor, n, ring",
-    [
-        ("exp(-x)", 6, dict),
-        ("a*x + 1", 6, dict),
-        ("3/7", 6, int),
-        ("3/7", 4, int),
-        ("1/(a^2 + b^2 + 1)", 6, ex.ScalarExpr),
-    ],
-)
-def test_ring_of_the_expansion(monkeypatch, factor, n, ring):
-    # a matrix of rational constants is expanded over ints at any size, a
-    # 6 x 6 one with one-term denominators over integer polynomials, and
-    # one with a denominator of several terms over ScalarExpr
+def rings_of_the_expansion(monkeypatch, factor, n):
+    """The rings _pfaffian ran over for an n x n skew matrix of rational
+    constants plus factor, after checking M M^-1 = 1 exactly."""
     g = parse_scalar(factor, CHART)
     m = [[ex.ZERO] * n for _ in range(n)]
     for i in range(n):
@@ -182,9 +171,30 @@ def test_ring_of_the_expansion(monkeypatch, factor, n, ring):
 
     monkeypatch.setattr(poisson, "_pfaffian", spy)
     inv, pf = _skew_inverse(m)
-    assert rings == {ring}
     assert inv is not None
     for i in range(n):
         for j in range(n):
             entry = sum((m[i][k] * inv[k][j] for k in range(n)), ex.ZERO)
             assert entry == (ex.ONE if i == j else ex.ZERO), (i, j)
+    return rings
+
+
+@pytest.mark.parametrize(
+    "factor, ring",
+    [
+        ("exp(-x)", dict),
+        ("a*x + 1", dict),
+        ("3/7", int),
+        ("1/(a^2 + b^2 + 1)", ex.ScalarExpr),
+    ],
+)
+def test_ring_of_the_expansion(monkeypatch, factor, ring):
+    # a 6 x 6 matrix of rational constants is expanded over ints, one with
+    # one-term denominators over integer polynomials, and one with a
+    # denominator of several terms over ScalarExpr
+    assert rings_of_the_expansion(monkeypatch, factor, 6) == {ring}
+
+
+def test_rational_4x4_expands_over_ints(monkeypatch):
+    # rational constants take the int ring at size 4 too
+    assert rings_of_the_expansion(monkeypatch, "3/7", 4) == {int}
