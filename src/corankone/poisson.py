@@ -258,7 +258,7 @@ def _monomial_scale(bivector, v):
     if not coeffs or any(c.gens for c in bivector.coeffs.values()):
         return ex.ONE, v
     gens, num, den = coeffs[0].gens, coeffs[0].num.keys(), coeffs[0].den.keys()
-    if not gens or len(num) != 1 or any(
+    if not gens or (len(num), len(den)) != (1, 1) or any(
         c.gens != gens or c.num.keys() != num or c.den.keys() != den for c in coeffs
     ):
         return ex.ONE, v

@@ -805,9 +805,23 @@ class TestFactoredBorder:
         chart = Chart(("x", "y", "z"))
         Pi = MultiVector(chart, 2, {("x", "y"): 1})
         for v in ({("x",): "exp(x)", ("z",): "2*exp(-x)"}, {("x",): "y", ("z",): "y + 1"},
-                  {("z",): "1"}):
+                  {("z",): "1"}, {("z",): "1/(x + 1)"},
+                  {("x",): "1/(1 + x^2)", ("z",): "3/(1 + x^2)"}):
             v = MultiVector(chart, 1, v)
             assert poisson._monomial_scale(Pi, v) == (ex.ONE, v), v
+
+    @pytest.mark.parametrize("scale", ["1/(x + 1)", "1/(1 + x^2)"])
+    def test_shared_denominator_of_several_terms(self, scale):
+        # every coefficient of v over one denominator of several terms: v is
+        # inverted as it stands
+        chart = Chart(("x", "y", "z"))
+        Pi = MultiVector(chart, 2, {("x", "y"): 1})
+        v = MultiVector(chart, 1, {("y",): f"2*{scale}", ("z",): scale})
+        P = PoissonStructure(chart, Pi, transversal=v, tester=ZeroTester(chart, seed=0))
+        alpha, omega = P.adapted()
+        lam = parse_scalar(scale, chart)
+        assert alpha == DiffForm(chart, 1, {("z",): ex.ONE / lam})
+        assert omega == DiffForm(chart, 2, {("x", "y"): 1, ("x", "z"): "-2"})
 
 
 class TestBorderedAgainstLinearSolve:
