@@ -439,9 +439,7 @@ class ScalarExpr:
     factor or divisor ``p / r`` (``_scaled``: integer factors on the
     numerator and denominator, without normalizing), and in ``+`` equal
     denominators (the numerators added over the shared one, then
-    normalized, since the sum may share a factor with it).  ``_normalize``
-    reduces one term over one term directly: the common monomial and the
-    integer gcd cancel, with no polynomial gcd.
+    normalized, since the sum may share a factor with it).
     """
 
     __slots__ = ("gens", "num", "den", "_str", "_hash", "_d")
@@ -721,49 +719,40 @@ def _normalize(gens, num, den):
     if not num:
         return (), {}, {0: 1}
     w = len(gens)
-    if len(num) == 1 == len(den):
-        # one term over one term: the common monomial and the integer gcd,
-        # with the denominator's sign, cancel directly
-        ((a, p),) = num.items()
-        ((b, r),) = den.items()
-        m = _common_monomial(num, den, w) if a and b else 0
-        g = math.gcd(p, r) if r > 0 else -math.gcd(p, r)
-        num, den = {a - m: p // g}, {b - m: r // g}
-    else:
-        # cancel the common monomial content
-        if 0 not in num and 0 not in den:
-            m = _common_monomial(num, den, w)
-            if m:
-                num = {e - m: c for e, c in num.items()}
-                den = {e - m: c for e, c in den.items()}
-        # split off the integer contents, the sign of den's leading term with them
-        cn = math.gcd(*num.values())
-        cd = math.gcd(*den.values())
-        if den[max(den)] < 0:
-            cd = -cd
-        if cn != 1:
-            num = {e: c // cn for e, c in num.items()}
-        if cd != 1:
-            den = {e: c // cd for e, c in den.items()}
-        # cancel the gcd of the primitive parts; a monomial has none left
-        if len(den) > 1 and len(num) > 1:
-            quot = _p_divexact(num, den)
-            if quot is not None:
-                num, den = quot, {0: 1}
-            else:
-                g = _p_gcd(num, den, w)
-                if not _p_const(g):
-                    num = _p_divexact(num, g)
-                    den = _p_divexact(den, g)
-        # put back the reduced rational factor cn / cd
-        h = math.gcd(cn, cd)
-        p, r = cn // h, cd // h
-        if r < 0:
-            p, r = -p, -r
-        if p != 1:
-            num = {e: c * p for e, c in num.items()}
-        if r != 1:
-            den = {e: c * r for e, c in den.items()}
+    # cancel the common monomial content
+    if 0 not in num and 0 not in den:
+        m = _common_monomial(num, den, w)
+        if m:
+            num = {e - m: c for e, c in num.items()}
+            den = {e - m: c for e, c in den.items()}
+    # split off the integer contents, the sign of den's leading term with them
+    cn = math.gcd(*num.values())
+    cd = math.gcd(*den.values())
+    if den[max(den)] < 0:
+        cd = -cd
+    if cn != 1:
+        num = {e: c // cn for e, c in num.items()}
+    if cd != 1:
+        den = {e: c // cd for e, c in den.items()}
+    # cancel the gcd of the primitive parts; a monomial has none left
+    if len(den) > 1 and len(num) > 1:
+        quot = _p_divexact(num, den)
+        if quot is not None:
+            num, den = quot, {0: 1}
+        else:
+            g = _p_gcd(num, den, w)
+            if not _p_const(g):
+                num = _p_divexact(num, g)
+                den = _p_divexact(den, g)
+    # put back the reduced rational factor cn / cd
+    h = math.gcd(cn, cd)
+    p, r = cn // h, cd // h
+    if r < 0:
+        p, r = -p, -r
+    if p != 1:
+        num = {e: c * p for e, c in num.items()}
+    if r != 1:
+        den = {e: c * r for e, c in den.items()}
     # drop generators that no longer occur
     occ = _occurs(num) | _occurs(den)
     used = [i for i in range(w) if occ >> _shift(i, w) & _MASK]

@@ -180,54 +180,6 @@ def reference_jacobiator(P, f, g, h):
     )
 
 
-# the normal form of expr._normalize by its generic route, which every
-# pair of polynomials took before one term over one term was reduced
-# directly: the common monomial, the integer contents, the gcd of the
-# primitive parts, then the generators that no longer occur
-def generic_normalize(gens, num, den):
-    if not num:
-        return (), {}, {0: 1}
-    w = len(gens)
-    if 0 not in num and 0 not in den:
-        m = ex._common_monomial(num, den, w)
-        if m:
-            num = {e - m: c for e, c in num.items()}
-            den = {e - m: c for e, c in den.items()}
-    cn = math.gcd(*num.values())
-    cd = math.gcd(*den.values())
-    if den[max(den)] < 0:
-        cd = -cd
-    if cn != 1:
-        num = {e: c // cn for e, c in num.items()}
-    if cd != 1:
-        den = {e: c // cd for e, c in den.items()}
-    if len(den) > 1 and len(num) > 1:
-        quot = ex._p_divexact(num, den)
-        if quot is not None:
-            num, den = quot, {0: 1}
-        else:
-            g = ex._p_gcd(num, den, w)
-            if not ex._p_const(g):
-                num = ex._p_divexact(num, g)
-                den = ex._p_divexact(den, g)
-    h = math.gcd(cn, cd)
-    p, r = cn // h, cd // h
-    if r < 0:
-        p, r = -p, -r
-    if p != 1:
-        num = {e: c * p for e, c in num.items()}
-    if r != 1:
-        den = {e: c * r for e, c in den.items()}
-    occ = ex._occurs(num) | ex._occurs(den)
-    used = [i for i in range(w) if occ >> ex._shift(i, w) & ex._MASK]
-    if len(used) < w:
-        pairs = [(i, j) for j, i in enumerate(used)]
-        gens = tuple(gens[i] for i in used)
-        num = ex._repack(num, pairs, w, len(used))
-        den = ex._repack(den, pairs, w, len(used))
-    return gens, num, den
-
-
 def _frac_str(q):
     if q.denominator == 1:
         return str(q.numerator)

@@ -4,8 +4,6 @@ Polynomials are drawn as dicts from exponent tuples to small nonzero
 integers in one to four generators, packed the way the kernel packs them,
 and compared with sympy's results after unpacking.  The canonical form is
 checked for invariance under scaling numerator and denominator together,
-its one-term-over-one-term branch against the generic route in
-`oracles.generic_normalize`,
 and `evaluate` against a reference built here from Fraction coefficients
 over the denominator scaled to leading coefficient 1; the printed text
 against `oracles.fraction_poly_str`, which prints the same coefficients.
@@ -35,7 +33,7 @@ from corankone.expr import (  # noqa: E402
     _unpack,
 )
 
-from oracles import fraction_poly_str, generic_normalize  # noqa: E402
+from oracles import fraction_poly_str  # noqa: E402
 
 SYMS = sympy.symbols("x0:4")
 
@@ -260,36 +258,3 @@ def test_printing_matches_fraction_printer(e, k):
         # over any nonzero divisor, a negative one too: the sign of each
         # reduced coefficient goes to its numerator
         assert expr._poly_str(poly, e.gens, k * lc) == fraction_poly_str(poly, e.gens, k * lc)
-
-
-# generators in _gen_key order: names first, then a function generator
-NORMAL_GENS = ("a", "x", "y", exp(symbol("x")).gens[0])
-
-
-@st.composite
-def one_term_quotients(draw):
-    """(gens, num, den): one term over one term in 0-4 generators, with
-    negative coefficients and zero exponents; the denominator's monomial is
-    drawn independently, equal to the numerator's (a constant quotient) or
-    sharing some of its exponents (a generator may cancel)."""
-    picked = draw(st.lists(st.integers(0, 3), unique=True, max_size=4))
-    gens = tuple(NORMAL_GENS[i] for i in sorted(picked))
-    w = len(gens)
-    top = st.tuples(*[st.integers(0, 3)] * w)
-    a = draw(top)
-    b = draw(st.one_of(top, st.just(a), st.lists(st.booleans(), min_size=w, max_size=w).flatmap(
-        lambda keep: top.map(lambda e: tuple(x if k else y for x, y, k in zip(a, e, keep)))
-    )))
-    coeffs = st.integers(-60, 60).filter(bool)
-    return gens, {_pack(a): draw(coeffs)}, {_pack(b): draw(coeffs)}
-
-
-@given(one_term_quotients())
-def test_one_term_normalize_matches_generic_route(case):
-    gens, num, den = case
-    got = expr._normalize(gens, num, den)
-    want = generic_normalize(gens, num, den)
-    assert got == want
-    ours, theirs = (ScalarExpr(*form, _raw=True) for form in (got, want))
-    assert hash(ours) == hash(theirs)
-    assert str(ours) == str(theirs)
