@@ -1,7 +1,7 @@
 """Batch front end: check a problem file, render its structures, or run
 the bundled corpus.  Exit codes: 0 success (or help), 1 analysis
 failure or a false verdict, 2 usage or validation error or an
-unwritable report."""
+unwritable report, 3 an internal error of the package."""
 
 from __future__ import annotations
 
@@ -213,6 +213,11 @@ def main(argv=None) -> int:
     except ToolkitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        # a fault of the package itself, not of the problem: one line, and a
+        # status of its own; KeyboardInterrupt is no Exception and stays uncaught
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

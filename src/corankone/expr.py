@@ -620,42 +620,19 @@ class ScalarExpr:
         return out
 
     def _derive(self, name: str) -> "ScalarExpr":
-        """The quotient rule on the polynomials, normalized once.
+        """The logarithmic derivative of a one-term quotient, else the quotient rule.
 
-        With ``g_i' = a_i / b_i`` over a common denominator ``B``, the
-        derivative of ``N / D`` is ``(N' D - N D') / (B D^2)``, where
-        ``N' = sum_i (dN/dg_i) a_i B / b_i`` and likewise ``D'``.
+        A one-term ``e = c prod g_i^k_i``, with exponents of either sign,
+        has ``e' = e sum_i k_i (log g_i)'`` (``_monomial_derivative``) when
+        each generator that depends on the name is the name itself or an
+        ``exp(u)`` with a rational-constant ``u'``.  Every other expression
+        takes ``_quotient_rule``; both give the same canonical form.
         """
-        chain = []
-        for g in self.gens:
-            dg = _gen_derivative(g, name)
-            if dg.num:
-                chain.append((g, dg))
-        if not chain:
-            return ZERO
-        gens = self.gens
-        extra = {h for _, dg in chain for h in dg.gens}.difference(gens)
-        if extra:
-            gens = tuple(sorted(extra.union(gens), key=_gen_key))
-        w = len(gens)
-        pos = {g: i for i, g in enumerate(gens)}
-        num, den = _lift(self, pos, w)
-        lifted = [(pos[g], *_lift(dg, pos, w)) for g, dg in chain]
-        common = {0: 1}
-        for _, _, b in lifted:
-            if _p_divexact(common, b) is None:
-                common = _p_mul(common, b)
-        const_den = len(den) == 1 and 0 in den
-        d_num, d_den = {}, {}
-        for i, a, b in lifted:
-            factor = _p_mul(a, _p_divexact(common, b))
-            d_num = _p_add(d_num, _p_mul(_p_derive(num, i, w), factor))
-            if not const_den:
-                d_den = _p_add(d_den, _p_mul(_p_derive(den, i, w), factor))
-        if const_den:
-            return _new(gens, d_num, _p_mul(den, common))
-        top = _p_sub(_p_mul(d_num, den), _p_mul(num, d_den))
-        return _new(gens, top, _p_mul(common, _p_mul(den, den)))
+        if len(self.num) == 1 and len(self.den) == 1:
+            out = _monomial_derivative(self, name)
+            if out is not None:
+                return out
+        return _quotient_rule(self, name)
 
     def subs(self, mapping: dict[str, ScalarExpr]) -> "ScalarExpr":
         """Substitute expressions for symbols (parameters stay symbolic)."""
@@ -1010,6 +987,98 @@ def _gen_derivative(g, name: str) -> ScalarExpr:
     if g.fn == "sin":
         return cos(g.arg) * da
     return -sin(g.arg) * da
+
+
+def _quotient_rule(e: ScalarExpr, name: str) -> ScalarExpr:
+    """The quotient rule on the polynomials, normalized once.
+
+    With ``g_i' = a_i / b_i`` over a common denominator ``B``, the
+    derivative of ``N / D`` is ``(N' D - N D') / (B D^2)``, where
+    ``N' = sum_i (dN/dg_i) a_i B / b_i`` and likewise ``D'``.
+    """
+    chain = []
+    for g in e.gens:
+        dg = _gen_derivative(g, name)
+        if dg.num:
+            chain.append((g, dg))
+    if not chain:
+        return ZERO
+    gens = e.gens
+    extra = {h for _, dg in chain for h in dg.gens}.difference(gens)
+    if extra:
+        gens = tuple(sorted(extra.union(gens), key=_gen_key))
+    w = len(gens)
+    pos = {g: i for i, g in enumerate(gens)}
+    num, den = _lift(e, pos, w)
+    lifted = [(pos[g], *_lift(dg, pos, w)) for g, dg in chain]
+    common = {0: 1}
+    for _, _, b in lifted:
+        if _p_divexact(common, b) is None:
+            common = _p_mul(common, b)
+    const_den = len(den) == 1 and 0 in den
+    d_num, d_den = {}, {}
+    for i, a, b in lifted:
+        factor = _p_mul(a, _p_divexact(common, b))
+        d_num = _p_add(d_num, _p_mul(_p_derive(num, i, w), factor))
+        if not const_den:
+            d_den = _p_add(d_den, _p_mul(_p_derive(den, i, w), factor))
+    if const_den:
+        return _new(gens, d_num, _p_mul(den, common))
+    top = _p_sub(_p_mul(d_num, den), _p_mul(num, d_den))
+    return _new(gens, top, _p_mul(common, _p_mul(den, den)))
+
+
+def _monomial_derivative(e: ScalarExpr, name: str):
+    """``e sum_i k_i (log g_i)'`` for a one-term ``e = c prod g_i^k_i``, or
+    None when a generator that depends on the name is neither the name
+    itself nor ``exp(u)`` with a rational-constant ``u'``.
+
+    The name's own factor gives ``k c x^(k-1) prod_(j != i) g_j^k_j``, an
+    exponent shift, and a factor ``exp(u)^k`` gives ``k u' e``, one
+    ``_scaled``; each term is canonical as built, and several are added.
+    """
+    w = len(e.gens)
+    ((m, _),), ((d, _),) = e.num.items(), e.den.items()
+    out = ZERO
+    for i, g in enumerate(e.gens):
+        if isinstance(g, str):
+            if g != name:
+                continue
+        else:
+            du = g.arg.derive(name)
+            if not du.num:
+                continue
+            if g.fn != "exp" or du.gens:
+                return None
+        sh = _shift(i, w)
+        k = (m >> sh & _MASK) - (d >> sh & _MASK)
+        if isinstance(g, str):
+            term = _shifted(e, i, k)
+        else:
+            p, q = k * du.num[0], du.den[0]
+            h = math.gcd(p, q)
+            term = _scaled(e, p // h, q // h)
+        out = out + term
+    return out
+
+
+def _shifted(e: ScalarExpr, i: int, k: int) -> ScalarExpr:
+    """``k e / g_i`` for a one-term ``e`` whose generator ``i`` has the
+    exponent ``k``: it moves to ``k - 1``, and ``g_i`` is dropped at zero."""
+    gens, w = e.gens, len(e.gens)
+    unit = _unit(i, w)
+    if k > 0:
+        ((m, c),) = e.num.items()
+        num, den = {m - unit: c}, e.den
+    else:
+        ((d, r),) = e.den.items()
+        _check_degree(d + unit)
+        num, den = e.num, {d + unit: r}
+    if k == 1:
+        pairs = [(j, j - (j > i)) for j in range(w) if j != i]
+        gens = gens[:i] + gens[i + 1 :]
+        num, den = _repack(num, pairs, w, w - 1), _repack(den, pairs, w, w - 1)
+    return _scaled(ScalarExpr(gens, num, den, _raw=True), k, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -533,18 +533,17 @@ class TransversePoissonReport:
 def check_transverse_poisson(P: PoissonStructure) -> TransversePoissonReport:
     """Both directions of: v is Poisson iff d(alpha) = d(omega) = 0.
 
-    The Poisson side is L_v Pi = [v, Pi], the closed side d(alpha) and
-    d(omega).  When d(alpha) is not zero, the first coordinate Hamiltonian
-    u_f with d(alpha)(v, u_f) definitely nonzero names the witness pair.
-    That pairing is -beta(u_f), the f-component of beta contracted into
-    the first slot of Pi, and by the structure equation also
-    v(alpha(u_f)) - u_f(alpha(v)) - alpha([v, u_f]); the test suite holds
-    both identities of the exterior calculus.
+    The Poisson side is L_v Pi = [v, Pi] (P.lv_pi()), the closed side
+    d(alpha) and d(omega).  When d(alpha) is not zero, the first coordinate
+    Hamiltonian u_f with d(alpha)(v, u_f) definitely nonzero names the
+    witness pair.  That pairing is -beta(u_f), the f-component of beta
+    contracted into the first slot of Pi, and by the structure equation
+    also v(alpha(u_f)) - u_f(alpha(v)) - alpha([v, u_f]); the test suite
+    holds both identities of the exterior calculus.
     """
     alpha, omega = P.adapted()
-    v = P.transversal
     tester = P.tester
-    lv_verdict = is_zero_graded(schouten(v, P.bivector), tester)
+    lv_verdict = is_zero_graded(P.lv_pi(), tester)
     dalpha = ext_deriv(alpha)
     da_verdict = is_zero_graded(dalpha, tester)
     do_verdict = is_zero_graded(ext_deriv(omega), tester)

@@ -28,11 +28,13 @@ from .calculus import (
     MultiVector,
     _covector_contract,
     ext_deriv,
+    interior,
     is_zero_graded,
     power,
     scalar_form,
     schouten,
     volume_form,
+    wedge,
 )
 from .errors import (
     ChartMismatchError,
@@ -322,12 +324,18 @@ class PoissonStructure:
     mu and the modular field) are computed once and kept, with the verdicts
     of the checks that accepted them; d(alpha) and d(omega) are kept by the
     forms themselves (ext_deriv memoizes per form).
+
+    A computed pair whose border was factored, v = lam v0 with a rational
+    Pi and v0 (see _bordered_pair), keeps v0, d(lam) and theta = d(lam)/lam.
+    Then alpha = alpha0 / lam with alpha0 constant, and d(alpha) is put on
+    alpha as -theta ^ alpha; beta() is theta(v) alpha - theta, and lv_pi()
+    is -(v0 ^ iota_{d lam} Pi).  Other pairs take the generic routes.
     """
 
     __slots__ = (
         "chart", "bivector", "corank_n", "transversal", "alpha", "omega", "tester",
         "_jacobi", "_refusal", "_volume_factor", "_volume", "adapted_verdict", "beta_verdict",
-        "dbeta_verdict", "mu_verdict", "modular_verdict", "_beta", "_mu", "_modular",
+        "dbeta_verdict", "mu_verdict", "modular_verdict", "_beta", "_mu", "_modular", "_scale",
     )
 
     def __init__(
@@ -365,6 +373,7 @@ class PoissonStructure:
         self._beta = None
         self._mu = None
         self._modular = None
+        self._scale = None  # (v0, d(lam), theta) of a factored border
 
     # -- Jacobi --------------------------------------------------------------
 
@@ -428,11 +437,13 @@ class PoissonStructure:
                     raise NotTransversalError("no transversal vector field supplied")
                 if alpha is None and omega is None:
                     # Pf(A^-T) = 1 / Pf(A) for the bordered bivector A
-                    alpha, omega, pf = self._bordered_pair()
+                    alpha, omega, pf, lam, v0 = self._bordered_pair()
                     self._fix_volume(ex.ONE / pf, Verdict.zero("exact by construction"))
+                    if lam.gens:
+                        self._keep_scale(alpha, lam, v0)
                 else:
                     if not declared:
-                        bordered_alpha, bordered_omega, _ = self._bordered_pair()
+                        bordered_alpha, bordered_omega, *_ = self._bordered_pair()
                         alpha = bordered_alpha if alpha is None else alpha
                         omega = bordered_omega if omega is None else omega
                     self._verify_adapted(alpha, omega)
@@ -443,14 +454,15 @@ class PoissonStructure:
         return self.alpha, self.omega
 
     def _bordered_pair(self):
-        """(alpha, omega, Pf(Pi + v ^ @s)), the pair read off the dual two-form
-        omega + alpha ^ ds of Pi + v ^ @s.
+        """(alpha, omega, Pf(Pi + v ^ @s), lam, v0), the pair read off the dual
+        two-form omega + alpha ^ ds of Pi + v ^ @s, and v = lam v0.
 
         For a rational Pi and v = lam v0, with lam one monomial with
         generators (exp(-x1), say) and v0 rational, the bordered matrix is
         D B0 D with D = diag(1, ..., 1, lam) and B0 the rational border of
         v0.  So omega is B0's, alpha is B0's divided by lam and
-        Pf = lam Pf(B0): only B0 is inverted, over Python ints.
+        Pf = lam Pf(B0): only B0 is inverted, over Python ints.  Any other
+        border is inverted as it stands, with lam = 1 and v0 = v.
         """
         chart = self.chart
         dim = chart.dim
@@ -475,7 +487,24 @@ class PoissonStructure:
             )
         over = ex._reciprocal(lam)
         alpha = DiffForm._of(chart, 1, {(i,): inv[dim][i] * over for i in range(dim)})
-        return alpha, _from_inverse(DiffForm, chart, inv), pf
+        return alpha, _from_inverse(DiffForm, chart, inv), pf, lam, v0
+
+    def _keep_scale(self, alpha: DiffForm, lam: ScalarExpr, v0: MultiVector):
+        """Keep v0, d(lam) and theta = d(lam)/lam, and put d(alpha) on alpha.
+
+        alpha = alpha0 / lam with alpha0 constant, so d(alpha) =
+        -(d(lam) / lam^2) ^ alpha0 = -theta ^ alpha.  Each partial of the
+        monomial lam is lam times a sum of logarithmic derivatives (see
+        ScalarExpr._derive).
+        """
+        chart = self.chart
+        free = lam.free_symbols()
+        dlam = DiffForm._of(
+            chart, 1, {(i,): lam.derive(x) for i, x in enumerate(chart.coords) if x in free}
+        )
+        theta = dlam * ex._reciprocal(lam)
+        alpha._d = -wedge(theta, alpha)
+        self._scale = (v0, dlam, theta)
 
     def _verify_adapted(self, alpha: DiffForm, omega: DiffForm):
         """Check a declared or half-declared pair by its bordered dual, then fix the volume.
@@ -524,11 +553,23 @@ class PoissonStructure:
         return self._volume
 
     def beta(self) -> DiffForm:
-        """beta with d(alpha) = beta ^ alpha for the adapted alpha."""
+        """beta with d(alpha) = beta ^ alpha for the adapted alpha.
+
+        Over a factored border, d(alpha) = -theta ^ alpha gives the transverse
+        beta = -iota_v d(alpha) = theta(v) alpha - theta in closed form (see
+        exterior_divide).  Its two checks hold structurally, since
+        alpha ^ alpha = 0: d(alpha) ^ alpha = -theta ^ alpha ^ alpha, and
+        d(beta) ^ alpha = theta(v) d(alpha) ^ alpha, as theta is closed.
+        """
         if self._beta is None:
+            alpha, _ = self.adapted()
+            if self._scale is not None:
+                theta = self._scale[2]
+                self._beta = alpha * interior(self.transversal, theta).scalar() - theta
+                self.beta_verdict, self.dbeta_verdict = self.adapted_verdict, Verdict.zero()
+                return self._beta
             from .invariants import compute_beta
 
-            alpha, _ = self.adapted()
             checks = {}
             # the pair gives alpha(v) = 1: a computed alpha is the last row of
             # the inverse of the bordered matrix whose last column is v, and a
@@ -539,6 +580,18 @@ class PoissonStructure:
             self.beta_verdict = Verdict.combine(self.adapted_verdict, *checks.values())
             self.dbeta_verdict = checks["d(beta) ^ alpha = 0"]
         return self._beta
+
+    def lv_pi(self) -> MultiVector:
+        """L_v Pi = [v, Pi] for the transversal v.
+
+        Over a factored border, [lam v0, Pi] = -(v0 ^ iota_{d lam} Pi), since
+        v0 and Pi are constant; it is built from Pi and v alone, not from
+        the pair.  The border is factored, if at all, by adapted().
+        """
+        if self._scale is None:
+            return schouten(self.transversal, self.bivector)
+        v0, dlam, _ = self._scale
+        return -wedge(v0, _covector_contract(dlam, self.bivector))
 
     def mu(self, omega: DiffForm) -> DiffForm:
         """mu with d(omega) = mu ^ alpha for a defining two-form omega.

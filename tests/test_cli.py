@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import corankone
-from corankone import ZeroTester, invariants, pipeline
+from corankone import ZeroTester, cli, invariants, pipeline
 from corankone.cli import bundled_corpus, main
 from corankone.errors import ProblemFileError
 from corankone.pipeline import analyze, exit_code, expect_mismatches, render_report
@@ -413,8 +413,10 @@ REPORT_SHA256 = {
 }
 
 # the same for the fixtures under tests/problems, as `corankone check FILE`
-# prints them; suspension_double.prob decides its period by a supplied witness
+# prints them; suspension_double.prob decides its period by a supplied witness,
+# and dense_exp.prob takes the closed forms of a factored border
 FIXTURE_SHA256 = {
+    "dense_exp.prob": "93013c733226ec1a5191cabf39a9772b0aab78ef70ed35e6e83a3b2aca1802e6",
     "poly_wall.prob": "44e0aeea669e82b9c3a5db8f874fb77c6b84ac4ceb6fe7e0cb7e9d266249032e",
     "suspension_double.prob": "1379bf41d9a178297701db2b7bce716ebd52d9c15b7f4787ac4a928f17bcbff2",
 }
@@ -524,6 +526,30 @@ class TestExitCodes:
             assert main(["check", str(path), "--output", str(out)]) == 0
             reports.append(json.loads(out.read_text())["analyses"])
         assert reports[0] == reports[1]
+
+    def test_internal_error_is_one_line_and_exit_3(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "m.prob"
+        path.write_text(MINIMAL)
+
+        def broken(problem, timing=False):
+            raise RuntimeError("no such state")
+
+        monkeypatch.setattr(cli, "analyze", broken)
+        assert main(["check", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: RuntimeError: no such state\n"
+        assert captured.out == ""
+
+    def test_keyboard_interrupt_is_not_caught(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.prob"
+        path.write_text(MINIMAL)
+
+        def interrupted(problem, timing=False):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "analyze", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["check", str(path)])
 
     def test_unwritable_check_output_is_exit_2(self, tmp_path, capsys):
         path, out = tmp_path / "m.prob", tmp_path / "missing" / "m.json"
@@ -995,7 +1021,7 @@ class TestStartup:
         # decimal and numbers it imports
         problems = os.path.join(os.path.dirname(os.path.abspath(__file__)), "problems")
         fixtures = sorted(os.path.join(problems, n) for n in os.listdir(problems) if n.endswith(".prob"))
-        assert len(fixtures) == 2
+        assert len(fixtures) == 3
         code = (
             "import sys, corankone.cli\n"
             "def loaded():\n"
@@ -1012,7 +1038,7 @@ class TestStartup:
         )
         proc = run_python("-S", "-c", code, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split("\n") == ["[]", str(len(bundled_corpus()) + 2), "[]", ""]
+        assert proc.stdout.split("\n") == ["[]", str(len(bundled_corpus()) + len(fixtures)), "[]", ""]
 
 
 class TestBenchmarkTracer:

@@ -572,7 +572,7 @@ class TestExactByConstruction:
 
     @pytest.mark.parametrize("P", adapted_structures())
     def test_bordered_dual_inverts_back(self, P):
-        alpha, omega, pf = P._bordered_pair()
+        alpha, omega, pf, *_ = P._bordered_pair()
         ext = P.chart.with_coordinate("s")
         ds, at_s = basis_form(ext, "s"), basis_vector(ext, "s")
         bordered_form = DiffForm(ext, 2, dict(omega.coeffs)) + wedge(
@@ -822,6 +822,100 @@ class TestFactoredBorder:
         lam = parse_scalar(scale, chart)
         assert alpha == DiffForm(chart, 1, {("z",): ex.ONE / lam})
         assert omega == DiffForm(chart, 2, {("x", "y"): 1, ("x", "z"): "-2"})
+
+
+def factored_structure(dim, lam, declare=()):
+    """A random rational Pi and v0 on x1..x(dim) (with a parameter a), and
+    the structure of v = lam v0; declare names the halves of the computed
+    pair to pass in as declared."""
+    rng = random.Random(f"{dim}/{lam}")
+    chart = Chart([f"x{i + 1}" for i in range(dim)], params=("a",))
+
+    def entry():
+        return rational(Fraction(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 5)))
+
+    Pi = MultiVector(chart, 2, {key: entry() for key in itertools.combinations(range(dim), 2)})
+    v = MultiVector(chart, 1, {(i,): entry() for i in range(dim)}) * parse_scalar(lam, chart)
+    pair = dict(zip(("alpha", "omega"), PoissonStructure(chart, Pi, transversal=v).adapted()))
+    declared = {name: copied(form) for name, form in pair.items() if name in declare}
+    return PoissonStructure(chart, Pi, transversal=v, tester=ZeroTester(chart, seed=dim), **declared)
+
+
+def copied(form):
+    """The same form with nothing memoized on it."""
+    return type(form)(form.chart, form.degree, dict(form.coeffs))
+
+
+def same_verdict(a, b):
+    return (a.kind, a.note, a.witness) == (b.kind, b.note, b.witness)
+
+
+class TestFactoredClosedForms:
+    """Over a factored border v = lam v0, theta = d(lam)/lam gives d(alpha) =
+    -theta ^ alpha, beta = theta(v) alpha - theta and [v, Pi] =
+    -(v0 ^ iota_{d lam} Pi); each equals what the generic route builds."""
+
+    LAMS = ["exp(-x1)", "x1^2", "1/x2", "exp(x1*x2)", "a"]
+
+    @pytest.mark.parametrize("lam", LAMS)
+    @pytest.mark.parametrize("dim", [3, 5, 7])
+    def test_closed_forms_match_the_generic_route(self, dim, lam):
+        P = factored_structure(dim, lam)
+        alpha, _ = P.adapted()
+        assert P._scale is not None
+        generic_alpha = copied(alpha)
+        dalpha = ext_deriv(alpha)
+        assert dalpha == ext_deriv(generic_alpha) and str(dalpha) == str(ext_deriv(generic_alpha))
+        if lam == "a":
+            assert dalpha.is_structural_zero
+        checks = {}
+        beta = invariants.compute_beta(
+            generic_alpha, P.transversal, P.tester, checks=checks, pairing=P.adapted_verdict
+        )
+        assert P.beta() == beta and str(P.beta()) == str(beta)
+        assert same_verdict(P.beta_verdict, ex.Verdict.combine(P.adapted_verdict, *checks.values()))
+        assert same_verdict(P.dbeta_verdict, checks["d(beta) ^ alpha = 0"])
+        bracket = schouten(P.transversal, P.bivector)
+        assert P.lv_pi() == bracket and str(P.lv_pi()) == str(bracket)
+
+    @pytest.mark.parametrize("declare", [("alpha", "omega"), ("alpha",), ("omega",)])
+    def test_declared_pairs_take_the_generic_route(self, monkeypatch, declare):
+        P = factored_structure(5, "exp(-x1)", declare)
+        alpha, _ = P.adapted()
+        assert P._scale is None
+        calls = []
+        compute_beta = invariants.compute_beta
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return compute_beta(*args, **kwargs)
+
+        monkeypatch.setattr(invariants, "compute_beta", spy)
+        beta = P.beta()
+        assert calls == [alpha]
+        assert beta == factored_structure(5, "exp(-x1)").beta()
+
+    def test_factored_analyze_takes_no_generic_route(self, monkeypatch):
+        problem = bundled.entry("dense_exp").problem
+        calls = {"compute_beta": 0, "schouten(v, Pi)": 0}
+        compute_beta, bracket = invariants.compute_beta, poisson.schouten
+
+        def beta_spy(*args, **kwargs):
+            calls["compute_beta"] += 1
+            return compute_beta(*args, **kwargs)
+
+        def bracket_spy(P, Q):
+            if P is problem.transversal:
+                calls["schouten(v, Pi)"] += 1
+            return bracket(P, Q)
+
+        monkeypatch.setattr(invariants, "compute_beta", beta_spy)
+        for module in (poisson, invariants):
+            monkeypatch.setattr(module, "schouten", bracket_spy)
+        analyses = analyze(problem)["analyses"]
+        assert {"beta", "unimodularity", "mu", "transverse_poisson"} <= set(analyses)
+        assert all(entry["status"] == "ok" for entry in analyses.values())
+        assert calls == {"compute_beta": 0, "schouten(v, Pi)": 0}
 
 
 class TestBorderedAgainstLinearSolve:
