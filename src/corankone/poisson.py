@@ -326,7 +326,7 @@ class PoissonStructure:
     forms themselves (ext_deriv memoizes per form).
 
     A computed pair whose border was factored, v = lam v0 with a rational
-    Pi and v0 (see _bordered_pair), keeps v0, d(lam) and theta = d(lam)/lam.
+    Pi and v0 (see _bordered_pair), keeps lam, v0 and theta = d(lam)/lam.
     Then alpha = alpha0 / lam with alpha0 constant, and d(alpha) is put on
     alpha as -theta ^ alpha; beta() is theta(v) alpha - theta, and lv_pi()
     is -(v0 ^ iota_{d lam} Pi).  Other pairs take the generic routes.
@@ -373,7 +373,7 @@ class PoissonStructure:
         self._beta = None
         self._mu = None
         self._modular = None
-        self._scale = None  # (v0, d(lam), theta) of a factored border
+        self._scale = None  # (lam, v0, theta) of a factored border
 
     # -- Jacobi --------------------------------------------------------------
 
@@ -490,21 +490,21 @@ class PoissonStructure:
         return alpha, _from_inverse(DiffForm, chart, inv), pf, lam, v0
 
     def _keep_scale(self, alpha: DiffForm, lam: ScalarExpr, v0: MultiVector):
-        """Keep v0, d(lam) and theta = d(lam)/lam, and put d(alpha) on alpha.
+        """Keep lam, v0 and theta = d(lam)/lam, and put d(alpha) on alpha.
 
         alpha = alpha0 / lam with alpha0 constant, so d(alpha) =
         -(d(lam) / lam^2) ^ alpha0 = -theta ^ alpha.  Each partial of the
         monomial lam is lam times a sum of logarithmic derivatives (see
-        ScalarExpr._derive).
+        ScalarExpr._derive), so theta is free of lam: rational for lam =
+        exp(-x1).
         """
         chart = self.chart
-        free = lam.free_symbols()
-        dlam = DiffForm._of(
-            chart, 1, {(i,): lam.derive(x) for i, x in enumerate(chart.coords) if x in free}
+        free, over = lam.free_symbols(), ex._reciprocal(lam)
+        theta = DiffForm._of(
+            chart, 1, {(i,): lam.derive(x) * over for i, x in enumerate(chart.coords) if x in free}
         )
-        theta = dlam * ex._reciprocal(lam)
         alpha._d = -wedge(theta, alpha)
-        self._scale = (v0, dlam, theta)
+        self._scale = (lam, v0, theta)
 
     def _verify_adapted(self, alpha: DiffForm, omega: DiffForm):
         """Check a declared or half-declared pair by its bordered dual, then fix the volume.
@@ -586,12 +586,13 @@ class PoissonStructure:
 
         Over a factored border, [lam v0, Pi] = -(v0 ^ iota_{d lam} Pi), since
         v0 and Pi are constant; it is built from Pi and v alone, not from
-        the pair.  The border is factored, if at all, by adapted().
+        the pair, as -lam (v0 ^ iota_theta Pi) with d(lam) = lam theta.  The
+        border is factored, if at all, by adapted().
         """
         if self._scale is None:
             return schouten(self.transversal, self.bivector)
-        v0, dlam, _ = self._scale
-        return -wedge(v0, _covector_contract(dlam, self.bivector))
+        lam, v0, theta = self._scale
+        return wedge(v0, _covector_contract(theta, self.bivector)) * -lam
 
     def mu(self, omega: DiffForm) -> DiffForm:
         """mu with d(omega) = mu ^ alpha for a defining two-form omega.
